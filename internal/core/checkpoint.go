@@ -140,8 +140,3 @@ func (t *crTransfer) progress(c *mpi.Ctx) bool {
 func (t *crTransfer) drain(c *mpi.Ctx) {
 	panic("core: checkpoint/restart cannot overlap execution; use Overlap = Sync")
 }
-
-type crXfer struct{ *crTransfer }
-
-func (x crXfer) runBlockingAll(c *mpi.Ctx) { x.crTransfer.runBlockingAll(c) }
-func (x crXfer) drain(c *mpi.Ctx)          { x.crTransfer.drain(c) }

@@ -121,8 +121,8 @@ func concatPayloads(pieces []mpi.Payload) mpi.Payload {
 	return mpi.Bytes(data)
 }
 
-// runBlocking performs Algorithm 2 with blocking collectives.
-func (t *colTransfer) runBlocking(c *mpi.Ctx) {
+// runBlockingAll performs Algorithm 2 with blocking collectives.
+func (t *colTransfer) runBlockingAll(c *mpi.Ctx) {
 	t.stage(c)
 	recvSizes := c.Alltoallv(t.v.comm, t.sendSizes)
 	t.decodeSizes(recvSizes)
@@ -164,10 +164,10 @@ func (t *colTransfer) progress(c *mpi.Ctx) bool {
 	}
 }
 
-// runNonBlockingToCompletion finishes the non-blocking pass by waiting on
-// whichever phase is pending (used when an asynchronous reconfiguration
-// must be drained before the variable-data phase).
-func (t *colTransfer) runNonBlockingToCompletion(c *mpi.Ctx) {
+// drain finishes the non-blocking pass by waiting on whichever phase is
+// pending (used when an asynchronous reconfiguration must be drained before
+// the variable-data phase).
+func (t *colTransfer) drain(c *mpi.Ctx) {
 	for !t.progress(c) {
 		switch t.phase {
 		case 1:

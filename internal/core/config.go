@@ -106,8 +106,8 @@ type Config struct {
 	// larger than it (see waves.go). Resilient passes run the same wave
 	// schedule — the recovery ladder keys its ack ledger on the segmented
 	// spans, bounds retained staging copies by the ceiling, and paces
-	// recovery-round traffic in the same waves. Zero means unlimited — the
-	// paper's one-shot schedule, byte-identical to prior behavior.
+	// recovery-round traffic in the same waves. Zero means unlimited: one
+	// wave holding every chunk, which is the paper's one-shot schedule.
 	// Negative values are rejected by Validate. COL and CR ignore the
 	// ceiling.
 	MemCeiling int64

@@ -57,8 +57,8 @@ func (k chunkKey) id() chunkID { return chunkID{item: k.item, src: k.src, dst: k
 
 // chunkState is the shared in-flight state of one unacked span.
 type chunkState struct {
-	// sent is set when the span's payload entered the wire (a wave issue, a
-	// one-shot Isend, or an RMA Get). Recovery uses it to tell a genuine
+	// sent is set when the span's payload entered the wire (a wave's Isend
+	// or RMA Get, or a recovery resend). Recovery uses it to tell a genuine
 	// retransmission from the first transmission of a never-issued wave.
 	sent bool
 	// retained is the source's staged extraction, kept so a later selective

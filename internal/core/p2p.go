@@ -7,9 +7,9 @@ import (
 )
 
 // p2pTransfer is the state of one Algorithm 1 redistribution pass over a
-// set of items. It supports both blocking completion (run) and incremental
-// progress (progress), which is what Algorithm 3's Test_Redistribution
-// does.
+// set of items. It supports both blocking completion (runBlockingAll) and
+// incremental progress (progress), which is what Algorithm 3's
+// Test_Redistribution does.
 type p2pTransfer struct {
 	v      *view
 	items  []Item
@@ -27,30 +27,25 @@ type p2pTransfer struct {
 	// passes): chunk retention/acknowledgement, RTT samples, progress ticks.
 	hooks *ladderHooks
 
-	// ceiling is Config.MemCeiling. When positive, the source issues its
-	// staged sends in waves whose value bytes stay within the ceiling
-	// instead of all at once; see waves.go. Resilient passes run the same
-	// schedule — the ladder's ack ledger is keyed on the segmented spans,
-	// so both modes agree on ledger entries without metadata exchange.
-	ceiling     int64
+	// The source stages its sends, then issues them in waves whose value
+	// bytes stay within the ceiling; with no ceiling the single wave is the
+	// paper's one-shot Algorithm 1. Resilient passes run the same schedule:
+	// the ladder's ack ledger is keyed on the segmented spans, so both
+	// sides agree on ledger entries without metadata exchange.
+	footprint
 	staged      []stagedSend
-	waveEnd     []int // wave cut indices into staged (pairs stay together)
-	wave        int   // waves issued so far
-	waveBytes   int64 // value bytes of the active wave
-	waveReqs    []mpi.Request
-	lazyExtract bool // pure source on the wave schedule: extract at issue
-	gauge       liveGauge
-	reported    bool
+	waves       waveCursor // over (size, value) pairs of staged
+	lazyExtract bool       // pure source under a ceiling: extract at issue
 
 	started bool
 }
 
-// stagedSend is one deferred source send. On the one-shot schedule (and on
-// wave-scheduled ranks that are also targets) extraction happens at staging
-// time, before Prepare may replace a Merge rank's block; on wave-scheduled
-// pure sources nothing replaces the block, so extraction is deferred to
-// wave issue and the staged payload is a sized placeholder — the staging
-// footprint itself stays within the ceiling, not just the wire traffic.
+// stagedSend is one deferred source send. Extraction normally happens at
+// staging time, before Prepare may replace a Merge rank's block; on a pure
+// source under a ceiling nothing replaces the block, so extraction is
+// deferred to wave issue and the staged payload is a sized placeholder —
+// the staging footprint itself stays within the ceiling, not just the wire
+// traffic.
 type stagedSend struct {
 	dst, tag int
 	pl       mpi.Payload
@@ -89,35 +84,39 @@ func newP2PTransfer(v *view, items []Item, tagIdx []int) *p2pTransfer {
 	return &p2pTransfer{v: v, items: items, tagIdx: tagIdx, prepared: map[int]bool{}}
 }
 
-// waved reports whether this pass runs the memory-ceiling wave schedule.
-func (t *p2pTransfer) waved() bool { return t.ceiling > 0 }
+// tags returns the tag pair of the seq-th segment of item i on one
+// (source, target) stream. Unbounded, every segment travels the item's shared
+// pair (the paper's tags 77/88): matching is FIFO per (peer, tag), so the
+// target's identically-ordered receives pair up without extra metadata.
+// Under a ceiling each segment owns a per-sequence pair (waveTags), so a
+// dropped segment cannot shift later segments of the chunk into the wrong
+// posted receive.
+func (t *p2pTransfer) tags(i, seq int) (sizeTag, valueTag int) {
+	if t.ceiling > 0 {
+		return waveTags(t.tagIdx[i], seq)
+	}
+	return itemTags(t.tagIdx[i])
+}
 
-// start stages the source sends and posts the target size receives. With
-// the wave schedule off, every staged send is issued here (the paper's
-// one-shot Algorithm 1); with it on, only the first wave goes out and
-// advanceWaves releases the rest as earlier waves complete.
+// start stages the source sends, posts the target size receives, and
+// issues the first wave; advanceWaves releases the rest as earlier waves
+// complete.
 func (t *p2pTransfer) start(c *mpi.Ctx) {
 	if t.started {
 		return
 	}
 	t.started = true
 	copyRate := c.World().Options().CopyRate
-	var ceil int64
-	if t.waved() {
-		ceil = t.ceiling
-		// A pure source's block is never replaced during the pass, so its
-		// extractions can wait for their wave; a rank that is also a target
-		// must still extract before Prepare.
-		t.lazyExtract = !t.v.isTarget()
-	}
+	// A pure source's block is never replaced during the pass, so under a
+	// ceiling its extractions can wait for their wave; a rank that is also
+	// a target must still extract before Prepare.
+	t.lazyExtract = t.ceiling > 0 && !t.v.isTarget()
 
 	// Stage the source extractions first: a Merge rank that is both source
 	// and target must read its old block before Prepare replaces it. The
 	// extracted slices stay valid because Prepare allocates fresh storage.
-	var scratch [8]byte // size-message encode buffer; Isend clones synchronously
 	if t.v.isSource() {
 		for i, it := range t.items {
-			sizeTag, valueTag := itemTags(t.tagIdx[i])
 			occ := map[int]int{}
 			for _, ch := range sendChunksFor(it, t.v.ns, t.v.nt, t.v.srcRank) {
 				if t.v.selfChunk(ch.Src, ch.Dst) {
@@ -130,18 +129,9 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 					t.hooks.ack(chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: ch.Lo, hi: ch.Hi})
 					continue
 				}
-				// One-shot: segments of one chunk travel the item's shared tag
-				// pair in ascending lo order; matching is FIFO per (peer, tag),
-				// so the target's identically-ordered receives pair up without
-				// extra metadata. Waved: each segment owns a per-sequence tag
-				// pair (waveTags), so a dropped segment cannot shift later
-				// segments of the chunk into the wrong posted receive.
-				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, ceil) {
-					sTag, vTag := sizeTag, valueTag
-					if t.waved() {
-						sTag, vTag = waveTags(t.tagIdx[i], occ[ch.Dst])
-						occ[ch.Dst]++
-					}
+				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, t.ceiling) {
+					sTag, vTag := t.tags(i, occ[ch.Dst])
+					occ[ch.Dst]++
 					var pl mpi.Payload
 					if t.lazyExtract {
 						pl = mpi.Virtual(it.WireBytes(sp.lo, sp.hi))
@@ -158,10 +148,9 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 	}
 
 	// Targets prepare their new blocks and post one size receive per
-	// incoming chunk segment (tag 77 family), before sends are issued so
-	// rendezvous values can stream immediately. The segmentation is a pure
-	// function of (item, range, ceiling), so it reproduces the source's
-	// boundaries exactly.
+	// incoming chunk segment, before sends are issued so rendezvous values
+	// can stream immediately. The segmentation is a pure function of (item,
+	// range, ceiling), so it reproduces the source's boundaries exactly.
 	if t.v.isTarget() {
 		for i, it := range t.items {
 			if !t.prepared[i] {
@@ -169,18 +158,14 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 				it.Prepare(lo, hi)
 				t.prepared[i] = true
 			}
-			sizeTag, valueTag := itemTags(t.tagIdx[i])
 			occ := map[int]int{}
 			for _, ch := range recvChunksFor(it, t.v.ns, t.v.nt, t.v.tgtRank) {
 				if t.v.selfChunk(ch.Src, ch.Dst) {
 					continue // local copy handled on the send side
 				}
-				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, ceil) {
-					sTag, vTag := sizeTag, valueTag
-					if t.waved() {
-						sTag, vTag = waveTags(t.tagIdx[i], occ[ch.Src])
-						occ[ch.Src]++
-					}
+				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, t.ceiling) {
+					sTag, vTag := t.tags(i, occ[ch.Src])
+					occ[ch.Src]++
 					t.recvReqs = append(t.recvReqs, t.v.recvFrom(c, ch.Src, sTag))
 					t.recvMeta = append(t.recvMeta, p2pRecvMeta{item: i, src: ch.Src, lo: sp.lo, hi: sp.hi, isSize: true, vtag: vTag, posted: c.Now()})
 					t.numRcv++
@@ -189,58 +174,28 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 		}
 	}
 
-	if t.waved() {
-		// Wave cuts count value bytes and keep each (size, value) pair —
-		// adjacent staged entries — in one wave; a size message is 8 bytes
-		// of metadata riding alongside its values.
-		pairSizes := make([]int64, len(t.staged)/2)
-		for i := range pairSizes {
-			pairSizes[i] = t.staged[2*i+1].pl.Size
-		}
-		for _, cut := range waveCuts(pairSizes, t.ceiling) {
-			t.waveEnd = append(t.waveEnd, 2*cut)
-		}
-		t.advanceWaves(c)
-		return
-	}
-
-	// Issue the staged sends (a pair of MPI_Isend per chunk, Algorithm 1).
-	// Size messages encode into one reusable scratch buffer: Isend clones
-	// the payload before returning, so the next iteration may overwrite it.
-	for _, s := range t.staged {
-		pl := s.pl
-		if s.isSize {
-			pl = mpi.Bytes(mpi.AppendInt64s(scratch[:0], s.size))
-		} else {
-			t.hooks.markSent(chunkKey{item: s.item, src: t.v.srcRank, dst: s.dst, lo: s.lo, hi: s.hi})
-		}
-		t.sendReqs = append(t.sendReqs, t.v.sendTo(c, s.dst, s.tag, pl))
-	}
-	t.staged = nil
+	// Wave cuts count value bytes and keep each (size, value) pair —
+	// adjacent staged entries — in one wave; a size message is 8 bytes of
+	// metadata riding alongside its values.
+	t.waves = newWaveCursor(len(t.staged)/2, func(i int) int64 { return t.staged[2*i+1].pl.Size },
+		t.ceiling, &t.gauge)
+	t.advanceWaves(c)
 }
 
-// advanceWaves issues further send waves as earlier ones complete. It
-// never blocks: the blocking loop's wait set includes the active wave so
-// a source parked on receives still observes its own send completions.
+// advanceWaves issues further send waves as earlier ones complete (a pair
+// of MPI_Isend per chunk segment, Algorithm 1). It never blocks: under a
+// ceiling the blocking loop's wait set includes the active wave, so a
+// source parked on receives still observes its own send completions.
 func (t *p2pTransfer) advanceWaves(c *mpi.Ctx) {
-	if !t.waved() {
-		return
-	}
+	// Size messages encode into one reusable scratch buffer: Isend clones
+	// the payload before returning, so the next send may overwrite it.
 	var scratch [8]byte
-	for c.Testall(t.waveReqs) {
-		t.gauge.sub(t.waveBytes)
-		t.waveBytes = 0
-		t.waveReqs = t.waveReqs[:0]
-		if t.wave >= len(t.waveEnd) {
-			return
-		}
-		start := 0
-		if t.wave > 0 {
-			start = t.waveEnd[t.wave-1]
-		}
-		announceWave(c, t.wave+1)
-		for j, s := range t.staged[start:t.waveEnd[t.wave]] {
+	for t.waves.next(c) {
+		announceWave(c, t.waves.n)
+		for j := 2 * t.waves.lo; j < 2*t.waves.hi; j++ {
+			s := &t.staged[j]
 			pl := s.pl
+			var live int64
 			if s.isSize {
 				pl = mpi.Bytes(mpi.AppendInt64s(scratch[:0], s.size))
 			} else {
@@ -252,34 +207,14 @@ func (t *p2pTransfer) advanceWaves(c *mpi.Ctx) {
 					t.hooks.retain(key, pl)
 				}
 				t.hooks.markSent(key)
-				t.waveBytes += pl.Size
-				t.staged[start+j].pl = mpi.Payload{} // wave issued: drop the staging reference
+				live = pl.Size
+				s.pl = mpi.Payload{} // wave issued: drop the staging reference
 			}
 			req := t.v.sendTo(c, s.dst, s.tag, pl)
 			t.sendReqs = append(t.sendReqs, req)
-			t.waveReqs = append(t.waveReqs, req)
+			t.waves.issue(req, live)
 		}
-		t.gauge.add(t.waveBytes)
-		t.wave++
 	}
-}
-
-// sendsIssued reports whether every wave has been released (vacuously true
-// on the one-shot schedule, where start issued everything).
-func (t *p2pTransfer) sendsIssued() bool { return t.wave >= len(t.waveEnd) }
-
-// livePeak exposes the high-water footprint for the resilient pass's
-// end-of-pass report (an aborted attempt never reaches reportPeak).
-func (t *p2pTransfer) livePeak() int64 { return t.gauge.peak }
-
-// reportPeak publishes the pass's high-water footprint once, when a wave
-// schedule completes.
-func (t *p2pTransfer) reportPeak(c *mpi.Ctx) {
-	if t.reported || !t.waved() {
-		return
-	}
-	t.reported = true
-	reportPeakLive(c, t.gauge.peak)
 }
 
 // progress advances the receiver state machine without blocking and reports
@@ -302,66 +237,50 @@ func (t *p2pTransfer) progress(c *mpi.Ctx) bool {
 		}
 		t.handleRecv(c, idx, rr)
 	}
-	done := t.numRcv == 0 && t.sendsIssued() && c.Testall(t.sendReqs)
+	done := t.numRcv == 0 && t.waves.issuedAll() && c.Testall(t.sendReqs)
 	if done {
 		t.reportPeak(c)
 	}
 	return done
 }
 
-// run drives the pass to completion, blocking per Algorithm 1: a
-// Waitany-driven receive loop, then MPI_Waitall on the sends. The wave
-// schedule adds the active wave's sends to the wait set, so a rank blocked
-// on receives still releases its next wave the moment the current one
+// runBlockingAll drives the pass to completion, blocking per Algorithm 1: a
+// Waitany-driven receive loop, then MPI_Waitall on the sends. Under a
+// ceiling the wait set adds the active wave's sends, so a rank blocked on
+// receives still releases its next wave the moment the current one
 // completes — without that, two ranks could park on each other's
-// still-unissued waves.
-func (t *p2pTransfer) run(c *mpi.Ctx) {
+// still-unissued waves. Unbounded, the single wave is issued up front and
+// the loop waits on the receives alone, as Algorithm 1 does.
+func (t *p2pTransfer) runBlockingAll(c *mpi.Ctx) {
 	t.start(c)
-	if t.waved() {
-		t.runWaves(c)
-		return
-	}
-	for t.numRcv > 0 {
-		idx := c.Waitany(t.recvReqs)
-		if idx < 0 {
-			panic("core: p2p receive loop exhausted requests with messages pending")
-		}
-		rr := t.recvReqs[idx].(*mpi.RecvReq)
-		if rr.Handled() {
-			continue // already processed by an earlier progress call
-		}
-		t.handleRecv(c, idx, rr)
-	}
-	c.Waitall(t.sendReqs)
-}
-
-// runWaves is the blocking loop of the wave schedule.
-func (t *p2pTransfer) runWaves(c *mpi.Ctx) {
+	var waitSet []mpi.Request
 	for {
 		t.advanceWaves(c)
-		if t.numRcv == 0 && t.sendsIssued() {
+		if t.numRcv == 0 && t.waves.issuedAll() {
 			break
 		}
-		nr := len(t.recvReqs)
-		reqs := make([]mpi.Request, 0, nr+len(t.waveReqs))
-		reqs = append(reqs, t.recvReqs...)
-		reqs = append(reqs, t.waveReqs...)
+		reqs := t.recvReqs
+		if t.ceiling > 0 {
+			waitSet = append(append(waitSet[:0], t.recvReqs...), t.waves.reqs...)
+			reqs = waitSet
+		}
 		idx := c.Waitany(reqs)
 		if idx < 0 {
 			panic("core: p2p receive loop exhausted requests with messages pending")
 		}
-		if idx < nr {
-			rr := t.recvReqs[idx].(*mpi.RecvReq)
-			if rr.Handled() {
-				continue
-			}
+		if idx >= len(t.recvReqs) {
+			continue // a wave send completed; loop back to advance the wave
+		}
+		if rr := t.recvReqs[idx].(*mpi.RecvReq); !rr.Handled() {
 			t.handleRecv(c, idx, rr)
 		}
-		// idx >= nr: a wave send completed; loop back to advance the wave.
 	}
 	c.Waitall(t.sendReqs)
 	t.reportPeak(c)
 }
+
+// drain completes the pass from wherever progress left off.
+func (t *p2pTransfer) drain(c *mpi.Ctx) { t.runBlockingAll(c) }
 
 // handleRecv processes one completed receive: a size message posts the
 // matching values receive; a values message installs the chunk.
@@ -376,17 +295,13 @@ func (t *p2pTransfer) handleRecv(c *mpi.Ctx, idx int, rr *mpi.RecvReq) {
 				it.Name(), size, meta.src, want))
 		}
 		t.hooks.tick()
-		if t.waved() {
-			t.gauge.add(size) // incoming values are live from here to install
-		}
+		t.gauge.add(size) // incoming values are live from here to install
 		t.recvReqs = append(t.recvReqs, t.v.recvFrom(c, meta.src, meta.vtag))
 		t.recvMeta = append(t.recvMeta, p2pRecvMeta{item: meta.item, src: meta.src, lo: meta.lo, hi: meta.hi, posted: c.Now()})
 		return
 	}
 	it.Install(meta.lo, meta.hi, rr.Payload())
-	if t.waved() {
-		t.gauge.sub(rr.Payload().Size)
-	}
+	t.gauge.sub(rr.Payload().Size)
 	t.numRcv--
 	t.hooks.sample(c.Now() - meta.posted)
 	t.hooks.ack(chunkKey{item: meta.item, src: meta.src, dst: t.v.tgtRank, lo: meta.lo, hi: meta.hi})

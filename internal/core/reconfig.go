@@ -52,7 +52,8 @@ func recordPhaseSpan(c *mpi.Ctx, phase string, start float64) {
 // for Merge), and store holds the redistributed items.
 type TargetFunc func(ctx *mpi.Ctx, newComm *mpi.Comm, store *Store)
 
-// xfer abstracts one redistribution pass (P2P or COL) over some items.
+// xfer abstracts one redistribution pass (P2P, COL, RMA or CR) over some
+// items.
 type xfer interface {
 	// runBlockingAll drives the pass to completion with blocking semantics.
 	runBlockingAll(c *mpi.Ctx)
@@ -62,36 +63,26 @@ type xfer interface {
 	drain(c *mpi.Ctx)
 }
 
-type p2pXfer struct{ *p2pTransfer }
-
-func (x p2pXfer) runBlockingAll(c *mpi.Ctx) { x.run(c) }
-func (x p2pXfer) drain(c *mpi.Ctx)          { x.run(c) }
-
-type colXfer struct{ *colTransfer }
-
-func (x colXfer) runBlockingAll(c *mpi.Ctx) { x.runBlocking(c) }
-func (x colXfer) drain(c *mpi.Ctx)          { x.runNonBlockingToCompletion(c) }
-
 // newXfer builds a redistribution pass for the given items. cfg.Comm
 // selects the algorithm family (pairwise inter-communicator collectives vs
 // scattered non-blocking), matching what the sources use so both sides run
-// the same exchange; cfg.MemCeiling switches P2P and RMA onto the wave
-// schedule (waves.go). Both sides derive the same waves from the shared
-// cfg, so no extra coordination is exchanged.
+// the same exchange; cfg.MemCeiling bounds each P2P and RMA wave (zero is
+// a single unbounded wave; waves.go). Both sides derive the same waves from
+// the shared cfg, so no extra coordination is exchanged.
 func newXfer(cfg Config, v *view, items []Item, tagIdx []int) xfer {
 	switch cfg.Comm {
 	case P2P:
 		x := newP2PTransfer(v, items, tagIdx)
 		x.ceiling = cfg.MemCeiling
-		return p2pXfer{x}
+		return x
 	case RMA:
 		x := newRMATransfer(v, items)
 		x.ceiling = cfg.MemCeiling
-		return rmaXfer{x}
+		return x
 	case CR:
-		return crXfer{newCRTransfer(v, items)}
+		return newCRTransfer(v, items)
 	default:
-		return colXfer{newCOLTransfer(v, items)}
+		return newCOLTransfer(v, items)
 	}
 }
 

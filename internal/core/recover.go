@@ -754,41 +754,18 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 		}
 	}
 
-	// Wave-paced resend issue: without a ceiling everything forms one wave.
-	sizes := make([]int64, len(resends))
-	for i, s := range resends {
-		sizes[i] = s.pl.Size
-	}
-	var srcCuts []int
-	if ceiling > 0 {
-		srcCuts = waveCuts(sizes, ceiling)
-	} else if len(resends) > 0 {
-		srcCuts = []int{len(resends)}
-	}
-	srcWave, issued := 0, 0
-	var waveReqs []mpi.Request
-	var waveBytes int64
-	issueNext := func() {
-		for srcWave < len(srcCuts) && c.Testall(waveReqs) {
-			rp.gauge.sub(waveBytes)
-			waveBytes = 0
-			waveReqs = waveReqs[:0]
-			end := srcCuts[srcWave]
-			for _, s := range resends[issued:end] {
-				req := v.sendTo(c, s.dst, s.tag, s.pl)
-				reqs = append(reqs, req)
-				waveReqs = append(waveReqs, req)
-				waveBytes += s.pl.Size
-			}
-			issued = end
-			rp.gauge.add(waveBytes)
-			srcWave++
-		}
-	}
-
+	// Wave-paced resend issue. The last wave's bytes stay on the gauge
+	// until the round commits, so they are retired below, not by next.
+	waves := newWaveCursor(len(resends), func(i int) int64 { return resends[i].pl.Size }, ceiling, &rp.gauge)
 	seenDone := 0
 	done := func() bool {
-		issueNext()
+		for !waves.issuedAll() && waves.next(c) {
+			for _, s := range resends[waves.lo:waves.hi] {
+				req := v.sendTo(c, s.dst, s.tag, s.pl)
+				reqs = append(reqs, req)
+				waves.issue(req, s.pl.Size)
+			}
+		}
 		n := 0
 		for _, r := range reqs {
 			if r.Done() {
@@ -800,13 +777,13 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 			rp.ticks += n - seenDone
 			seenDone = n
 		}
-		return srcWave >= len(srcCuts) && n == len(reqs)
+		return waves.issuedAll() && n == len(reqs)
 	}
 	if reason := rp.resilientDrive(c, failedAtPlan, done,
 		fmt.Sprintf("recovery round %d", round)); reason != "" {
 		return reason
 	}
-	rp.gauge.sub(waveBytes)
+	waves.retire()
 	for _, p := range installs {
 		it := rp.items[p.item]
 		want := it.WireBytes(p.lo, p.hi)

@@ -21,50 +21,42 @@ type rmaTransfer struct {
 	items []Item
 
 	wins []*mpi.Win // one window per item (index parallel to items)
-	gets []*mpi.RMAReq
-	meta []rmaMeta
+	gets []rmaGet   // the target's staged pulls, issued wave by wave
 
-	phase     int // 0 = not started, 1 = pulling, 2 = done
-	installed bool
+	phase int // 0 = not started, 1 = pulling, 2 = done
 
 	// hooks is the recovery ladder's bookkeeping (nil outside resilient
-	// passes). With hooks attached, completed Gets install incrementally so
+	// passes). With hooks attached, completed Gets install as they land so
 	// an aborted epoch's delivered chunks are already acked when the next
-	// recovery round plans its re-pulls; without hooks the install stays a
-	// single bulk pass, preserving the non-resilient timing exactly.
+	// recovery round plans its re-pulls; without hooks a wave installs when
+	// all of its Gets have landed.
 	hooks    *ladderHooks
 	prepared map[int]bool
 
-	// ceiling is Config.MemCeiling. When positive, the target issues its
-	// Gets in waves whose payload bytes stay within the ceiling, installing
-	// each wave before pulling the next; see waves.go. Resilient passes run
-	// the same schedule, installing completions incrementally within the
-	// active wave.
-	ceiling   int64
-	pending   []rmaPendingGet
-	pWaveEnd  []int // wave cut indices into pending
-	pWave     int   // waves issued so far
-	waveStart int   // index into gets where the active wave begins
-	waveBytes int64
-	gauge     liveGauge
-	reported  bool
+	// The target issues its Gets in waves whose payload bytes stay within
+	// the ceiling, installing each wave before pulling the next; with no
+	// ceiling the single wave is the one-shot pull. See waves.go.
+	footprint
+	waves waveCursor
 }
 
-// rmaPendingGet is one deferred, possibly segmented Get on the wave
-// schedule.
-type rmaPendingGet struct {
-	item   int
-	src    int
-	off, n int64
-	lo, hi int64
-}
-
-type rmaMeta struct {
+// rmaGet is one staged, possibly segmented Get: the element range [lo, hi)
+// of item from source rank src, at wire offset off and n bytes into the
+// source's exposed block.
+type rmaGet struct {
 	item    int
+	src     int
+	off, n  int64
 	lo, hi  int64
-	key     chunkKey
-	posted  float64 // Get issue time, for the ladder's RTT samples
-	handled bool    // installed and acked
+	req     *mpi.RMAReq // nil until its wave is pulled
+	posted  float64     // issue time, for the ladder's RTT samples
+	handled bool        // installed and acked
+}
+
+// key names the Get's span in the ladder's ack ledger; dst is the pulling
+// target's rank.
+func (g *rmaGet) key(dst int) chunkKey {
+	return chunkKey{item: g.item, src: g.src, dst: dst, lo: g.lo, hi: g.hi}
 }
 
 func newRMATransfer(v *view, items []Item) *rmaTransfer {
@@ -82,7 +74,7 @@ func (t *rmaTransfer) setLadderHooks(h *ladderHooks) {
 	}
 }
 
-// setup exposes source blocks and issues the target-side Gets.
+// setup exposes source blocks and issues the target's first wave of Gets.
 func (t *rmaTransfer) setup(c *mpi.Ctx) {
 	if t.phase != 0 {
 		return
@@ -117,15 +109,11 @@ func (t *rmaTransfer) setup(c *mpi.Ctx) {
 		t.wins[i] = c.WinCreate(t.v.comm, exposures[i])
 	}
 
-	// Targets prepare new blocks and pull their chunks. On the wave
-	// schedule the pulls are staged (segmented within the ceiling) and only
-	// the first wave is issued here; each wave installs before the next is
-	// pulled, so the target's live Get payloads stay within the ceiling.
+	// Targets prepare new blocks and stage their pulls, segmented within
+	// the ceiling; only the first wave is issued here. Each wave installs
+	// before the next is pulled, so the target's live Get payloads stay
+	// within the ceiling.
 	if t.v.isTarget() {
-		var ceil int64
-		if t.waved() {
-			ceil = t.ceiling
-		}
 		for i, it := range t.items {
 			if !t.prepared[i] {
 				lo, hi := targetRange(it, t.v.nt, t.v.tgtRank)
@@ -138,246 +126,132 @@ func (t *rmaTransfer) setup(c *mpi.Ctx) {
 					continue
 				}
 				sLo := srcDist.Lo(ch.Src)
-				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, ceil) {
-					off := it.WireBytes(sLo, sp.lo)
-					n := it.WireBytes(sp.lo, sp.hi)
-					if ceil > 0 {
-						t.pending = append(t.pending, rmaPendingGet{
-							item: i, src: ch.Src, off: off, n: n, lo: sp.lo, hi: sp.hi,
-						})
-						continue
-					}
-					key := chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: sp.lo, hi: sp.hi}
-					t.hooks.markSent(key)
-					t.gets = append(t.gets, c.Get(t.wins[i], ch.Src, off, off+n))
-					t.meta = append(t.meta, rmaMeta{
-						item: i, lo: sp.lo, hi: sp.hi, key: key, posted: c.Now(),
+				for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, t.ceiling) {
+					t.gets = append(t.gets, rmaGet{
+						item: i, src: ch.Src, off: it.WireBytes(sLo, sp.lo), n: it.WireBytes(sp.lo, sp.hi),
+						lo: sp.lo, hi: sp.hi,
 					})
 				}
 			}
 		}
-		if t.waved() {
-			sizes := make([]int64, len(t.pending))
-			for i, p := range t.pending {
-				sizes[i] = p.n
-			}
-			t.pWaveEnd = waveCuts(sizes, t.ceiling)
-			t.issueGetWave(c)
-		}
+		t.waves = newWaveCursor(len(t.gets), func(i int) int64 { return t.gets[i].n }, t.ceiling, &t.gauge)
+		t.nextWave(c)
 	}
 	t.phase = 1
 }
 
-// waved reports whether this pass runs the memory-ceiling wave schedule.
-func (t *rmaTransfer) waved() bool { return t.ceiling > 0 }
-
-// livePeak exposes the high-water footprint for the resilient pass's
-// end-of-pass report (an aborted attempt never reaches reportPeak).
-func (t *rmaTransfer) livePeak() int64 { return t.gauge.peak }
-
-// issueGetWave pulls the next pending wave, reporting whether one was
-// issued.
-func (t *rmaTransfer) issueGetWave(c *mpi.Ctx) bool {
-	if t.pWave >= len(t.pWaveEnd) {
+// nextWave retires the landed active wave and pulls the next one,
+// reporting whether one was issued.
+func (t *rmaTransfer) nextWave(c *mpi.Ctx) bool {
+	if !t.waves.next(c) {
 		return false
 	}
-	start := 0
-	if t.pWave > 0 {
-		start = t.pWaveEnd[t.pWave-1]
-	}
-	t.waveStart = len(t.gets)
-	t.waveBytes = 0
-	announceWave(c, t.pWave+1)
-	for _, p := range t.pending[start:t.pWaveEnd[t.pWave]] {
-		key := chunkKey{item: p.item, src: p.src, dst: t.v.tgtRank, lo: p.lo, hi: p.hi}
-		t.hooks.markSent(key)
-		t.gets = append(t.gets, c.Get(t.wins[p.item], p.src, p.off, p.off+p.n))
-		t.meta = append(t.meta, rmaMeta{
-			item: p.item, lo: p.lo, hi: p.hi, key: key, posted: c.Now(),
-		})
-		t.waveBytes += p.n
-	}
-	t.gauge.add(t.waveBytes)
-	t.pWave++
-	return true
-}
-
-// waveDone reports whether every Get of the active wave completed.
-func (t *rmaTransfer) waveDone() bool {
-	for _, g := range t.gets[t.waveStart:] {
-		if !g.Done() {
-			return false
-		}
+	announceWave(c, t.waves.n)
+	for i := t.waves.lo; i < t.waves.hi; i++ {
+		g := &t.gets[i]
+		t.hooks.markSent(g.key(t.v.tgtRank))
+		g.req = c.Get(t.wins[g.item], g.src, g.off, g.off+g.n)
+		g.posted = c.Now()
+		t.waves.issue(g.req, g.n)
 	}
 	return true
 }
 
-// installWave stores the active wave's fetched chunks, releasing their
-// live bytes.
-func (t *rmaTransfer) installWave(c *mpi.Ctx) {
-	for i := t.waveStart; i < len(t.gets); i++ {
+// installWave installs every Get of the landed active wave and pulls the
+// next one, reporting whether one was issued.
+func (t *rmaTransfer) installWave(c *mpi.Ctx) bool {
+	for i := t.waves.lo; i < t.waves.hi; i++ {
 		t.installOne(c, i)
 	}
-	t.gauge.sub(t.waveBytes)
-	t.waveBytes = 0
+	return t.nextWave(c)
 }
 
-// reportPeak publishes the pass's high-water footprint once, when a wave
-// schedule completes.
-func (t *rmaTransfer) reportPeak(c *mpi.Ctx) {
-	if t.reported || !t.waved() {
-		return
-	}
-	t.reported = true
-	reportPeakLive(c, t.gauge.peak)
-}
-
-// getsDone reports whether every issued Get completed.
-func (t *rmaTransfer) getsDone() bool {
-	for _, g := range t.gets {
-		if !g.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// installOne stores one fetched chunk, feeds the ladder an RTT sample, and
-// acks it.
+// installOne stores one fetched chunk, releases its live bytes, feeds the
+// ladder an RTT sample, and acks it.
 func (t *rmaTransfer) installOne(c *mpi.Ctx, i int) {
-	m := &t.meta[i]
-	if m.handled {
+	g := &t.gets[i]
+	if g.handled {
 		return
 	}
-	m.handled = true
-	g := t.gets[i]
-	it := t.items[m.item]
-	it.Install(m.lo, m.hi, g.Payload())
+	g.handled = true
+	t.items[g.item].Install(g.lo, g.hi, g.req.Payload())
 	if copyRate := c.World().Options().CopyRate; copyRate > 0 {
-		c.Compute(float64(g.Payload().Size) / copyRate)
+		c.Compute(float64(g.req.Payload().Size) / copyRate)
 	}
-	t.hooks.sample(c.Now() - m.posted)
-	t.hooks.ack(m.key)
+	t.waves.release(g.n)
+	t.hooks.sample(c.Now() - g.posted)
+	t.hooks.ack(g.key(t.v.tgtRank))
 }
 
-// install stores the fetched chunks once.
-func (t *rmaTransfer) install(c *mpi.Ctx) {
-	if t.installed {
-		return
-	}
-	t.installed = true
-	for i := range t.gets {
-		t.installOne(c, i)
-	}
+// finish marks the pass done and publishes its footprint.
+func (t *rmaTransfer) finish(c *mpi.Ctx) {
 	t.phase = 2
+	t.reportPeak(c)
 }
 
 // progress advances without blocking (beyond the one-time collective
 // window creation) and reports completion. Sources are passive: their data
-// is snapshotted in the window, so their side completes at setup. Under a
-// resilient pass (hooks attached) each completed Get installs as it lands.
+// is snapshotted in the window, so their side completes at setup. The
+// ladder hooks decide only when a landed Get installs: under a resilient
+// pass as it lands, otherwise when its whole wave has landed.
 func (t *rmaTransfer) progress(c *mpi.Ctx) bool {
 	if t.phase == 0 {
 		t.setup(c)
 	}
-	if t.phase >= 2 {
+	if t.phase == 2 {
 		return true
 	}
 	if !t.v.isTarget() {
 		t.phase = 2
 		return true
 	}
-	if t.waved() {
-		for {
-			if t.hooks != nil {
-				// Resilient wave pass: install the active wave's completions
-				// as they land, so an aborted epoch's delivered spans are
-				// already acked when the next recovery round plans re-pulls.
-				for i := t.waveStart; i < len(t.gets); i++ {
-					if !t.gets[i].Done() || t.meta[i].handled {
-						continue
-					}
-					m := t.meta[i]
-					n := t.items[m.item].WireBytes(m.lo, m.hi)
-					t.gauge.sub(n)
-					t.waveBytes -= n
-					t.installOne(c, i)
-				}
-				if !t.waveDone() {
-					return false
-				}
-			} else {
-				if !t.waveDone() {
-					return false
-				}
-				t.installWave(c)
-			}
-			if !t.issueGetWave(c) {
-				t.installed = true
-				t.phase = 2
-				t.reportPeak(c)
-				return true
+	for {
+		landed := true
+		for i := t.waves.lo; i < t.waves.hi; i++ {
+			switch {
+			case !t.gets[i].req.Done():
+				landed = false
+			case t.hooks != nil:
+				t.installOne(c, i)
 			}
 		}
-	}
-	if t.hooks != nil {
-		all := true
-		for i, g := range t.gets {
-			if !g.Done() {
-				all = false
-				continue
-			}
-			t.installOne(c, i)
+		if !landed {
+			return false
 		}
-		if all {
-			t.installed = true
-			t.phase = 2
+		if !t.installWave(c) {
+			t.finish(c)
+			return true
 		}
-		return all
 	}
-	if t.getsDone() {
-		t.install(c)
-		return true
-	}
-	return false
 }
 
-// runWaves drives the wave schedule to completion, blocking per wave.
-func (t *rmaTransfer) runWaves(c *mpi.Ctx) {
+// pull blocks until every remaining wave has landed and installed.
+func (t *rmaTransfer) pull(c *mpi.Ctx) {
 	for {
-		c.Waitall(rmaRequests(t.gets[t.waveStart:]))
-		t.installWave(c)
-		if !t.issueGetWave(c) {
+		c.Waitall(t.waves.reqs)
+		if !t.installWave(c) {
 			break
 		}
 	}
-	t.installed = true
-	t.reportPeak(c)
+	t.finish(c)
 }
 
 // reap harvests Gets that completed after the epoch aborted, installing
 // and acking their chunks so the next recovery round does not re-pull
 // already-landed data.
 func (t *rmaTransfer) reap(c *mpi.Ctx) {
-	for i, g := range t.gets {
-		if g.Done() {
+	for i := range t.gets[:t.waves.hi] {
+		if t.gets[i].req.Done() {
 			t.installOne(c, i)
 		}
 	}
 }
 
-// runBlockingAll performs the fenced epoch: expose, pull, fence. On the
-// wave schedule the pull phase waits, installs, and re-pulls one wave at a
-// time instead of holding every Get's payload live at once.
+// runBlockingAll performs the fenced epoch: expose, pull, fence.
 func (t *rmaTransfer) runBlockingAll(c *mpi.Ctx) {
 	t.setup(c)
 	if t.v.isTarget() {
-		if t.waved() {
-			t.runWaves(c)
-		} else {
-			c.Waitall(rmaRequests(t.gets))
-			t.install(c)
-		}
+		t.pull(c)
 	}
 	// Closing fence: sources leave only after every pull completed.
 	if len(t.wins) > 0 {
@@ -391,30 +265,11 @@ func (t *rmaTransfer) drain(c *mpi.Ctx) {
 	if t.phase == 0 {
 		t.setup(c)
 	}
-	if t.v.isTarget() && !t.installed {
-		if t.waved() {
-			t.runWaves(c)
-		} else {
-			c.Waitall(rmaRequests(t.gets))
-			t.install(c)
-		}
+	if t.v.isTarget() && t.phase != 2 {
+		t.pull(c)
 	}
 	t.phase = 2
 }
-
-func rmaRequests(gets []*mpi.RMAReq) []mpi.Request {
-	out := make([]mpi.Request, len(gets))
-	for i, g := range gets {
-		out[i] = g
-	}
-	return out
-}
-
-// rmaXfer adapts rmaTransfer to the xfer interface.
-type rmaXfer struct{ *rmaTransfer }
-
-func (x rmaXfer) runBlockingAll(c *mpi.Ctx) { x.rmaTransfer.runBlockingAll(c) }
-func (x rmaXfer) drain(c *mpi.Ctx)          { x.rmaTransfer.drain(c) }
 
 // rmaRecoveryRound is the selective recovery path of the one-sided method
 // (rungs 0 and 2); rung 3's full checkpoint restore reuses the generic
@@ -470,20 +325,11 @@ func (rp *resilientPass) rmaRecoveryRound(c *mpi.Ctx, round int, failedAtPlan ma
 			}
 			wins[i] = c.WinCreate(v.comm, exp)
 		}
-	} else if rx, ok := rp.x.(rmaXfer); ok {
+	} else if rx, ok := rp.x.(*rmaTransfer); ok {
 		wins = rx.wins
 	}
 
-	type pendingGet struct {
-		item   int
-		src    int
-		off, n int64
-		lo, hi int64
-		req    *mpi.RMAReq
-		key    chunkKey
-		posted float64
-	}
-	var gets []pendingGet
+	var gets []rmaGet
 	if v.isTarget() {
 		for i, it := range rp.items {
 			if !rp.prepared[i] && !rp.hooks.isPrepared(i) {
@@ -514,9 +360,8 @@ func (rp *resilientPass) rmaRecoveryRound(c *mpi.Ctx, round int, failedAtPlan ma
 						n := it.WireBytes(sp.lo, sp.hi)
 						rp.acks.noteResend(key, n)
 						rp.acks.markSent(key)
-						gets = append(gets, pendingGet{
-							item: i, src: ch.Src, off: off, n: n,
-							lo: sp.lo, hi: sp.hi, key: key,
+						gets = append(gets, rmaGet{
+							item: i, src: ch.Src, off: off, n: n, lo: sp.lo, hi: sp.hi,
 						})
 					} else {
 						rp.readSpan(c, i, it, ch.Src, sp.lo, sp.hi)
@@ -528,39 +373,26 @@ func (rp *resilientPass) rmaRecoveryRound(c *mpi.Ctx, round int, failedAtPlan ma
 	}
 
 	// Wave-paced pulls: each wave's Gets install (and release their
-	// payloads) before the next is issued. Without a ceiling everything
-	// forms one wave.
-	sizes := make([]int64, len(gets))
-	for i, g := range gets {
-		sizes[i] = g.n
-	}
-	var cuts []int
-	if ceiling > 0 {
-		cuts = waveCuts(sizes, ceiling)
-	} else if len(gets) > 0 {
-		cuts = []int{len(gets)}
-	}
+	// payloads) before the next is issued.
+	waves := newWaveCursor(len(gets), func(i int) int64 { return gets[i].n }, ceiling, &rp.gauge)
 	copyRate := c.World().Options().CopyRate
-	install := func(g *pendingGet) {
+	install := func(g *rmaGet) {
 		it := rp.items[g.item]
-		want := it.WireBytes(g.lo, g.hi)
-		if got := g.req.Payload().Size; got != want {
+		if got := g.req.Payload().Size; got != g.n {
 			panic(fmt.Sprintf("core: one-sided recovery chunk of %q: got %d bytes, want %d",
-				it.Name(), got, want))
+				it.Name(), got, g.n))
 		}
 		it.Install(g.lo, g.hi, g.req.Payload())
 		if copyRate > 0 {
-			c.Compute(float64(want) / copyRate)
+			c.Compute(float64(g.n) / copyRate)
 		}
 		rp.rtt.Observe(c.Now() - g.posted)
-		rp.acks.ack(g.key)
+		rp.acks.ack(g.key(v.tgtRank))
 	}
-	prevStart, issued, wave := 0, 0, 0
-	var waveBytes int64
 	seenDone := 0
 	done := func() bool {
 		n := 0
-		for i := 0; i < issued; i++ {
+		for i := range gets[:waves.hi] {
 			if gets[i].req.Done() {
 				n++
 			}
@@ -570,36 +402,22 @@ func (rp *resilientPass) rmaRecoveryRound(c *mpi.Ctx, round int, failedAtPlan ma
 			rp.ticks += n - seenDone
 			seenDone = n
 		}
-		for {
-			for i := prevStart; i < issued; i++ {
-				if !gets[i].req.Done() {
-					return false
-				}
-			}
-			for i := prevStart; i < issued; i++ {
+		for c.Testall(waves.reqs) {
+			for i := waves.lo; i < waves.hi; i++ {
 				install(&gets[i])
 			}
-			rp.gauge.sub(waveBytes)
-			waveBytes = 0
-			prevStart = issued
-			if wave >= len(cuts) {
+			if !waves.next(c) {
 				return true
 			}
-			end := cuts[wave]
-			for i := issued; i < end; i++ {
+			for i := waves.lo; i < waves.hi; i++ {
 				g := &gets[i]
 				g.posted = c.Now()
 				g.req = c.Get(wins[g.item], g.src, g.off, g.off+g.n)
-				waveBytes += g.n
+				waves.issue(g.req, g.n)
 			}
-			issued = end
-			rp.gauge.add(waveBytes)
-			wave++
 		}
+		return false
 	}
-	if reason := rp.resilientDrive(c, failedAtPlan, done,
-		fmt.Sprintf("one-sided recovery round %d", round)); reason != "" {
-		return reason
-	}
-	return ""
+	return rp.resilientDrive(c, failedAtPlan, done,
+		fmt.Sprintf("one-sided recovery round %d", round))
 }

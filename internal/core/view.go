@@ -110,10 +110,10 @@ func itemTags(i int) (sizeTag, valueTag int) {
 }
 
 // ItemValueTag returns the value-message wire tag of the store item at
-// index i on the one-shot schedule, for fault plans that must drop a
+// index i on the unbounded schedule, for fault plans that must drop a
 // redistribution payload rather than its 8-byte size header (losing the
 // header stalls the epoch but leaves no unacknowledged span behind, so
-// nothing is retransmitted). Wave-scheduled runs (Config.MemCeiling set)
+// nothing is retransmitted). Runs under a ceiling (Config.MemCeiling set)
 // carry payloads on per-segment tags instead; see WaveValueTag.
 func ItemValueTag(i int) int {
 	_, v := itemTags(i)
@@ -135,7 +135,7 @@ const (
 
 // waveTags returns the tag pair of the seq-th segment (in ascending lo
 // order, per (item, source, target) stream) of store item itemIdx under
-// the wave schedule. Both sides derive seq from the same deterministic
+// a memory ceiling. Both sides derive seq from the same deterministic
 // chunk and segment enumeration, so no metadata is exchanged.
 func waveTags(itemIdx, seq int) (sizeTag, valueTag int) {
 	if seq >= waveSeqSpan {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // TestSegmentSpansCoverAndRespectCeiling is the segmentation property: the
@@ -86,19 +87,33 @@ func TestWaveCuts(t *testing.T) {
 			t.Fatalf("cuts %v cover %d of %d sizes", cuts, prev, len(sizes))
 		}
 	}
+
+	// An unbounded ceiling puts every entry into one wave.
+	for _, ceiling := range []int64{0, -1} {
+		if cuts := waveCuts([]int64{5, 900, 0, 7}, ceiling); len(cuts) != 1 || cuts[0] != 4 {
+			t.Fatalf("ceiling %d gave cuts %v, want one wave [4]", ceiling, cuts)
+		}
+	}
+	it := NewDenseVirtual("d", 5000, 8, true)
+	chunks := []partition.Chunk{{Src: 0, Dst: 1, Lo: 0, Hi: 1000}, {Src: 0, Dst: 2, Lo: 1000, Hi: 1250}}
+	segs, waves, peak := PlanWaveSchedule(it, chunks, 0)
+	if segs != 2 || waves != 1 || peak != 1250*8 {
+		t.Fatalf("PlanWaveSchedule(ceiling 0) = (%d, %d, %d), want (2, 1, %d)", segs, waves, peak, 1250*8)
+	}
 }
 
 // TestMemCeilingWavesDeliverIdenticalData is the end-to-end wave property:
-// every P2P and RMA variant moving real bytes under a tight ceiling (forcing
-// both segmentation and multi-wave schedules) must deliver exactly the data
-// the one-shot schedule does. runScenario verifies every target's block
-// element by element.
+// every P2P and RMA variant moving real bytes must deliver identical data
+// under the unbounded one-wave schedule, under tight ceilings (forcing both
+// segmentation and multi-wave schedules), and under a single bounded wave.
+// runScenario verifies every target's block element by element.
 func TestMemCeilingWavesDeliverIdenticalData(t *testing.T) {
 	pairs := []struct{ ns, nt int }{{2, 5}, {5, 2}, {4, 4}, {1, 6}, {6, 1}}
 	// 96 bytes sits below the 256-byte eager threshold (segments go eager)
 	// while 2000 keeps rendezvous segments; both force several waves for the
-	// 8000-byte items.
-	for _, ceiling := range []int64{96, 2000} {
+	// 8000-byte items. 1 MiB holds each rank's whole traffic in a single
+	// bounded wave, and 0 is the unbounded one-shot schedule.
+	for _, ceiling := range []int64{0, 96, 2000, 1 << 20} {
 		for _, spawn := range []SpawnMethod{Baseline, Merge} {
 			for _, comm := range []CommMethod{P2P, RMA} {
 				for _, ov := range []Overlap{Sync, NonBlocking, Thread} {

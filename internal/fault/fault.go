@@ -116,8 +116,10 @@ type Action struct {
 	// whose pulling origin drives the schedule — combined with the time
 	// window, if set. Per-rank phase, not global: at scale the ranks' wave
 	// schedules drift apart by more than a wave. Zero means time-addressed,
-	// as before. Requires a run with Config.MemCeiling set; a wave that
-	// never starts leaves the action inert.
+	// as before. A run with Config.MemCeiling set issues several waves; an
+	// unbounded pass is a single wave and announces wave 1, so Wave 1
+	// addresses its whole attempt. Recovery rounds announce no waves. A
+	// wave that never starts leaves the action inert.
 	Wave int
 
 	// FailSpawn: failed attempts before the spawn succeeds (<= 0: one).

@@ -497,7 +497,8 @@ func (c *Ctx) Probe(comm *Comm, src, tag int) Status {
 func (c *Ctx) Test(r Request) bool { return r.Done() }
 
 // Testall reports whether every request has completed, without blocking
-// (MPI_Testall). Each call charges a small progress-engine cost.
+// (MPI_Testall). It is free: it charges no virtual time, so transfers may
+// poll their active wave with it on every progress tick.
 func (c *Ctx) Testall(rs []Request) bool {
 	for _, r := range rs {
 		if !r.Done() {
