@@ -47,7 +47,12 @@ func TestChaosCampaignSmoke(t *testing.T) {
 // same master seed must generate byte-identical plans at any worker count.
 func TestChaosCampaignDeterminism(t *testing.T) {
 	s := quickSetup()
-	configs := []core.Config{{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync}}
+	configs := []core.Config{
+		{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync},
+		// The resilient wave schedules under a multi-wave ceiling.
+		{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync, MemCeiling: 8 << 10},
+		{Spawn: core.Merge, Comm: core.RMA, Overlap: core.Sync, MemCeiling: 8 << 10},
+	}
 	cp := ChaosParams{Seed: 42, Plans: 2, MaxFaults: 2}
 	run := func(workers int) []ChaosOutcome {
 		s.Workers = workers

@@ -146,6 +146,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	configs := []core.Config{
 		{Spawn: core.Baseline, Comm: core.COL, Overlap: core.Sync},
 		{Spawn: core.Merge, Comm: core.P2P, Overlap: core.NonBlocking},
+		// An 8 KiB ceiling splits every source's share of the quick data
+		// into several waves, so the wave schedule crosses the pool too.
+		{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync, MemCeiling: 8 << 10},
+		{Spawn: core.Merge, Comm: core.RMA, Overlap: core.Sync, MemCeiling: 8 << 10},
 	}
 
 	csvAt := func(workers int) []byte {

@@ -47,6 +47,24 @@ func TestInt64sRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScratchInt64RoundTripAllocatesNothing pins the size-message codec
+// the transfers' hot loops use: encoding into a caller's scratch buffer
+// and decoding one element back allocates nothing, where the
+// Int64s/AsInt64s slice path allocates twice per message.
+func TestScratchInt64RoundTripAllocatesNothing(t *testing.T) {
+	var scratch [8]byte
+	var got int64
+	allocs := testing.AllocsPerRun(200, func() {
+		got = Bytes(AppendInt64s(scratch[:0], 4096)).Int64At(0)
+	})
+	if got != 4096 {
+		t.Fatalf("round trip = %d, want 4096", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("scratch round trip allocates %v per run, want 0", allocs)
+	}
+}
+
 func TestAsFloat64sOnVirtualPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
