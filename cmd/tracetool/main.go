@@ -7,7 +7,6 @@
 //	tracetool diff [-json] cola.events.json cols.events.json
 //	tracetool top [-n 20] run.events.json
 //	tracetool report [-o report.html] run.events.json|camp.snapshot.json
-//	tracetool validate-bench BENCH_trace.json|BENCH_sweep.json|BENCH_obs.json|BENCH_scale.json|BENCH_faultscale.json
 //
 // Inputs are auto-detected: the raw event log (<prefix>.events.json), a
 // bare JSON array of events, the Chrome trace export (<prefix>.json), or —
@@ -22,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/trace/analyze"
@@ -41,8 +39,6 @@ func main() {
 		cmdTop(os.Args[2:])
 	case "report":
 		cmdReport(os.Args[2:])
-	case "validate-bench":
-		cmdValidateBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -59,8 +55,6 @@ func usage() {
   tracetool report [-o out.html] [-title T] <in>  self-contained HTML report (histograms, per-rank
                                                   utilization, fault/rung breakdown) from an event
                                                   log or an -obs-out snapshot
-  tracetool validate-bench <BENCH_*.json>         check a benchmark regression record (trace, sweep,
-                                                  obs, scale, or faultscale)
 
 <events-file> is a -trace output of malleasim or redistsweep: the raw
 event log (<prefix>.events.json) or the Chrome trace (<prefix>.json).
@@ -184,71 +178,6 @@ func loadSnapshot(path string) (obs.Snapshot, error) {
 		return obs.Snapshot{}, fmt.Errorf("%s: neither a telemetry snapshot nor an event log: %w", path, err)
 	}
 	return obs.FromEvents(events).Snapshot(), nil
-}
-
-func cmdValidateBench(args []string) {
-	fs := flag.NewFlagSet("validate-bench", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
-	}
-	raw, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fail(err)
-	}
-	// Dispatch on the record's schema field: one validate-bench entry point
-	// covers every BENCH_*.json artifact CI archives.
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
-	}
-	switch probe.Schema {
-	case harness.BenchSweepSchema:
-		bs, err := harness.ValidateBenchSweep(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%s: ok (schema %s, %d workers, %d cells, speedup %.2fx, codec allocs %.1f vs seed %.1f)\n",
-			fs.Arg(0), bs.Schema, bs.Workers, bs.Cells, bs.Speedup, bs.CodecAllocs, bs.SeedCodecAllocs)
-	case harness.BenchClusterSchema:
-		bc, err := harness.ValidateBenchCluster(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%s: ok (schema %s, %d jobs x %d cells at -j %d, malleable win %.2fx over rigid, util %.3f)\n",
-			fs.Arg(0), bc.Schema, bc.Jobs, bc.Cells, bc.Workers, bc.MakespanWin, bc.Utilization)
-	case harness.BenchObsSchema:
-		bo, err := harness.ValidateBenchObs(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%s: ok (schema %s, %d events, %.1fx smaller than the full log, quantile err %.4f <= %.4f)\n",
-			fs.Arg(0), bo.Schema, bo.Events, bo.CompressionRatio, bo.MaxQuantileErr, bo.QuantileErrBound)
-	case harness.BenchScaleSchema:
-		bsc, err := harness.ValidateBenchScale(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		top := bsc.Cells[len(bsc.Cells)-1]
-		fmt.Printf("%s: ok (schema %s, %d simulated + %d planned ranks under %d B ceiling, metadata ratio %.0fx, -j identical)\n",
-			fs.Arg(0), bsc.Schema, top.Ranks, bsc.Planner.NS, bsc.MemCeiling, bsc.Planner.MetadataRatio)
-	case harness.BenchFaultScaleSchema:
-		bfs, err := harness.ValidateBenchFaultScale(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		top := bfs.Cells[len(bfs.Cells)-1]
-		fmt.Printf("%s: ok (schema %s, %d cells to %d ranks under %d B ceiling, all survived at rung <= 2, -j identical)\n",
-			fs.Arg(0), bfs.Schema, len(bfs.Cells), top.Ranks, bfs.MemCeiling)
-	default:
-		bt, err := harness.ValidateBenchTrace(bytes.NewReader(raw))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%s: ok (%d cells, schema %s, reps %d)\n", fs.Arg(0), len(bt.Cells), bt.Schema, bt.Reps)
-	}
 }
 
 func emitJSON(v any) {

@@ -11,7 +11,7 @@
 // alongside the full recorder (see trace.Tee). Snapshot freezes a
 // Stream's state into an immutable, deterministically serialized value
 // for live campaign telemetry, the `tracetool report` renderer, and the
-// BENCH_obs.json regression gate.
+// quantile and footprint checks of harness.TestStreamMatchesRecorder.
 package obs
 
 import (

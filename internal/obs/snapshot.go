@@ -41,9 +41,9 @@ type RankStat struct {
 
 // Snapshot is the immutable, deterministically-serialized state of a
 // Stream: everything live campaign telemetry, `tracetool report`, and
-// the BENCH_obs gate consume. All slices are sorted (counters and
-// histograms by name, ranks by id), so identical streams serialize to
-// identical bytes at any worker count.
+// the stream-versus-recorder tests consume. All slices are sorted
+// (counters and histograms by name, ranks by id), so identical streams
+// serialize to identical bytes at any worker count.
 type Snapshot struct {
 	Schema string `json:"schema"`
 	Events uint64 `json:"events"`
