@@ -12,7 +12,7 @@ import (
 
 // testWorld builds a small machine for protocol tests: fast, simple
 // arithmetic, no noise.
-func testWorld(t *testing.T, nodes, cores int, opts Options) *World {
+func testWorld(t testing.TB, nodes, cores int, opts Options) *World {
 	t.Helper()
 	k := sim.NewKernel()
 	cfg := cluster.Config{

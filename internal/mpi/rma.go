@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -33,9 +34,17 @@ type Win struct {
 // the communicator, and the member it is waiting for — so a genuine wedge
 // surfaces in DeadlockError reports with the same diagnostic quality the
 // point-to-point Wait path gives.
+//
+// gen is the lowest generation some live member has not arrived at, and
+// pending counts the live members still owing it, so a waiter's test is
+// O(1). An arrival updates them in O(1), plus one recount when pending
+// reaches zero; a crash recounts. Every arrival and every crash still
+// broadcasts, keeping the wake sequence of a per-waiter rescan.
 type winBarrier struct {
 	members  []*Process
 	arrivals map[int]int // gid -> completed arrivals
+	gen      int
+	pending  int
 	sig      *sim.Signal
 }
 
@@ -55,9 +64,25 @@ func (w *World) winBarrierFor(comm *Comm) *winBarrier {
 			arrivals: make(map[int]int, len(members)),
 			sig:      newNamedSignal(comm, "winbarrier"),
 		}
+		b.recount()
 		w.winBarriers[comm.ctxID] = b
 	}
 	return b
+}
+
+// recount recomputes gen and pending from the live members' arrivals.
+func (b *winBarrier) recount() {
+	b.gen, b.pending = math.MaxInt, 0
+	for _, m := range b.members {
+		a := b.arrivals[m.gid]
+		if m.dead || a > b.gen {
+			continue
+		}
+		if a < b.gen {
+			b.gen, b.pending = a, 0
+		}
+		b.pending++
+	}
 }
 
 // arrive completes this context's generation of the barrier: it returns
@@ -67,25 +92,22 @@ func (b *winBarrier) arrive(c *Ctx, op string, comm *Comm) {
 	gid := c.proc.gid
 	gen := b.arrivals[gid]
 	b.arrivals[gid]++
-	b.sig.Broadcast()
-	straggler := func() *Process {
-		for _, m := range b.members {
-			if m.gid == gid || m.dead {
-				continue
-			}
-			if b.arrivals[m.gid] <= gen {
-				return m
-			}
+	if gen == b.gen {
+		if b.pending--; b.pending == 0 {
+			b.recount()
 		}
-		return nil
 	}
-	for {
-		m := straggler()
-		if m == nil {
-			return
+	b.sig.Broadcast()
+	reason := func() string {
+		for _, m := range b.members {
+			if !m.dead && b.arrivals[m.gid] <= gen {
+				return fmt.Sprintf("mpi: %s on comm %d: waiting for g%d", op, comm.ctxID, m.gid)
+			}
 		}
-		c.sp.WaitReason(b.sig,
-			fmt.Sprintf("mpi: %s on comm %d: waiting for g%d", op, comm.ctxID, m.gid))
+		return ""
+	}
+	for b.gen <= gen {
+		c.sp.WaitReasonFunc(b.sig, reason)
 	}
 }
 

@@ -289,9 +289,10 @@ func (w *World) KillProcess(gid int) {
 	}
 	p.outEnvs = nil
 	p.flowQueue = nil
-	// Window-epoch barriers excuse dead members: wake their waiters so the
-	// arrival predicate is re-evaluated. Sorted order keeps runs
-	// deterministic (map iteration would leak scheduling nondeterminism).
+	// Window-epoch barriers excuse dead members: recount each epoch and
+	// wake its waiters so the arrival predicate is re-evaluated. Sorted
+	// order keeps runs deterministic (map iteration would leak scheduling
+	// nondeterminism).
 	if len(w.winBarriers) > 0 {
 		ids := make([]int, 0, len(w.winBarriers))
 		for id := range w.winBarriers {
@@ -299,6 +300,7 @@ func (w *World) KillProcess(gid int) {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
+			w.winBarriers[id].recount()
 			w.winBarriers[id].sig.Broadcast()
 		}
 	}

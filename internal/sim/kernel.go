@@ -187,7 +187,7 @@ func (k *Kernel) Run() error {
 	if len(k.live) > 0 {
 		var blocked []string
 		for p := range k.live {
-			blocked = append(blocked, p.name+": "+p.blockReason)
+			blocked = append(blocked, p.name+": "+p.reason())
 		}
 		sort.Strings(blocked)
 		err := &DeadlockError{Time: k.now, Blocked: blocked}

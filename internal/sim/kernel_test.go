@@ -206,6 +206,33 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestWaitReasonFuncRendersAtReport: a lazy reason is not called while the
+// wait is woken and re-parked, and the deadlock report renders it once,
+// describing the state at report time rather than at the park.
+func TestWaitReasonFuncRendersAtReport(t *testing.T) {
+	k := NewKernel()
+	s := NewSignal("s")
+	calls, state := 0, "first"
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			p.WaitReasonFunc(s, func() string { calls++; return "on " + state })
+		}
+	})
+	k.At(1, func() { s.Broadcast() })
+	k.At(2, func() { state = "second" })
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("Run() = %v, want *DeadlockError", err)
+	}
+	if calls != 1 {
+		t.Errorf("reason rendered %d times, want once, at the report", calls)
+	}
+	if len(de.Blocked) != 1 || de.Blocked[0] != "waiter: on second" {
+		t.Fatalf("Blocked = %q, want [\"waiter: on second\"]", de.Blocked)
+	}
+}
+
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("boom", func(p *Proc) {

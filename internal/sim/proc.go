@@ -14,9 +14,14 @@ type Proc struct {
 	name   string
 	resume chan resumeMsg
 
-	blockReason string
-	started     bool
-	finished    bool
+	// The block reason for deadlock reports, rendered only when a report
+	// is built: a fixed string, a function (WaitReasonFunc), or the
+	// signal a plain Wait parked on.
+	blockReason   string
+	blockReasonFn func() string
+	blockSig      *Signal
+	started       bool
+	finished      bool
 }
 
 // procKilled is the panic value used to unwind a process goroutine during
@@ -97,10 +102,21 @@ func (p *Proc) park(reason string) {
 	p.blockReason = reason
 	p.k.yield <- yieldMsg{proc: p}
 	msg := <-p.resume
-	p.blockReason = ""
+	p.blockReason, p.blockReasonFn, p.blockSig = "", nil, nil
 	if msg.kill {
 		panic(procKilled{})
 	}
+}
+
+// reason renders the block reason of a parked process.
+func (p *Proc) reason() string {
+	switch {
+	case p.blockReasonFn != nil:
+		return p.blockReasonFn()
+	case p.blockSig != nil:
+		return "waiting on signal " + p.blockSig.name
+	}
+	return p.blockReason
 }
 
 // unpark schedules p to resume at the current virtual time.
@@ -183,7 +199,8 @@ func NewSignal(name string) *Signal { return &Signal{name: name} }
 // Wait blocks the process until the next Broadcast on s.
 func (p *Proc) Wait(s *Signal) {
 	s.waiters = append(s.waiters, p)
-	p.park("waiting on signal " + s.name)
+	p.blockSig = s
+	p.park("")
 }
 
 // WaitReason blocks like Wait but surfaces reason (instead of the signal
@@ -192,6 +209,16 @@ func (p *Proc) Wait(s *Signal) {
 func (p *Proc) WaitReason(s *Signal, reason string) {
 	s.waiters = append(s.waiters, p)
 	p.park(reason)
+}
+
+// WaitReasonFunc blocks like WaitReason, but reason is called only if a
+// deadlock report is built while the process is parked. It suits waits
+// whose description is costly to format and re-parked often; reason
+// describes the state at report time, not at the park.
+func (p *Proc) WaitReasonFunc(s *Signal, reason func() string) {
+	s.waiters = append(s.waiters, p)
+	p.blockReasonFn = reason
+	p.park("")
 }
 
 // Broadcast wakes every process currently waiting on s. The waiters resume

@@ -13,22 +13,31 @@
 package ps
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
 
 // Resource is a processor-sharing server. Create with NewResource; the zero
 // value is not usable. All methods must be called from scheduler context.
+//
+// Every operation costs O(finite tasks): load tasks have no state but their
+// count, and finite tasks sit in an index-addressed slice with O(1)
+// swap-remove. Slice order never reaches the output — every task receives
+// the same service, the next completion is a minimum, and completions fire
+// in seq order.
 type Resource struct {
 	k        *sim.Kernel
 	name     string
+	sigName  string  // Use's signal name, built once
 	capacity float64 // total service rate (e.g. cores)
 	perTask  float64 // max rate of one task (e.g. 1.0 core); 0 means no cap
 
-	tasks      map[*Task]struct{}
+	tasks      []*Task // attached finite tasks; tasks[t.idx] == t
+	loads      int     // attached load tasks
 	lastUpdate float64
 	timer      *sim.Timer
 	nextSeq    uint64
@@ -40,8 +49,9 @@ type Task struct {
 	r         *Resource
 	seq       uint64
 	remaining float64
-	infinite  bool
 	done      func()
+	idx       int // position in r.tasks while a finite task is attached
+	infinite  bool
 	stopped   bool
 }
 
@@ -54,9 +64,9 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 	return &Resource{
 		k:        k,
 		name:     name,
+		sigName:  "ps:" + name,
 		capacity: capacity,
 		perTask:  perTask,
-		tasks:    make(map[*Task]struct{}),
 	}
 }
 
@@ -67,12 +77,11 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Load reports the number of attached tasks (finite and load tasks).
-func (r *Resource) Load() int { return len(r.tasks) }
+func (r *Resource) Load() int { return r.loads + len(r.tasks) }
 
 // Rate reports the current service rate of each task.
-func (r *Resource) Rate() float64 { return r.rate(len(r.tasks)) }
-
-func (r *Resource) rate(n int) float64 {
+func (r *Resource) Rate() float64 {
+	n := r.Load()
 	if n == 0 {
 		return 0
 	}
@@ -92,10 +101,7 @@ func (r *Resource) advance() {
 		return
 	}
 	served := r.Rate() * elapsed
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
+	for _, t := range r.tasks {
 		t.remaining -= served
 		if t.remaining < 0 {
 			t.remaining = 0
@@ -110,24 +116,30 @@ func (r *Resource) reschedule() {
 		r.timer = nil
 	}
 	rate := r.Rate()
-	if rate <= 0 {
+	if rate <= 0 || len(r.tasks) == 0 {
 		return
 	}
 	earliest := math.Inf(1)
-	any := false
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
-		any = true
+	for _, t := range r.tasks {
 		if dt := t.remaining / rate; dt < earliest {
 			earliest = dt
 		}
 	}
-	if !any {
+	r.timer = r.k.After(earliest, r.onCompletion)
+}
+
+// detach marks a task stopped and removes it: a load from the count, a
+// finite task from the slice by swapping the last task into its place.
+func (r *Resource) detach(t *Task) {
+	t.stopped = true
+	if t.infinite {
+		r.loads--
 		return
 	}
-	r.timer = r.k.After(earliest, r.onCompletion)
+	last := r.tasks[len(r.tasks)-1]
+	r.tasks[t.idx], last.idx = last, t.idx
+	r.tasks[len(r.tasks)-1] = nil
+	r.tasks = r.tasks[:len(r.tasks)-1]
 }
 
 func (r *Resource) onCompletion() {
@@ -138,10 +150,7 @@ func (r *Resource) onCompletion() {
 	const eps = 1e-12
 	now := r.k.Now()
 	rate := r.Rate()
-	for t := range r.tasks {
-		if t.infinite {
-			continue
-		}
+	for _, t := range r.tasks {
 		// Done when the residue is negligible or when serving it cannot
 		// advance the clock (the completion event would re-fire at the same
 		// timestamp forever).
@@ -149,12 +158,11 @@ func (r *Resource) onCompletion() {
 			finished = append(finished, t)
 		}
 	}
-	// Map iteration order is random; completion callbacks must fire in a
-	// deterministic order for reproducible simulations.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
+	// Slice order follows attach and swap-remove history; completion
+	// callbacks fire in start order for reproducible simulations.
+	slices.SortFunc(finished, func(a, b *Task) int { return cmp.Compare(a.seq, b.seq) })
 	for _, t := range finished {
-		delete(r.tasks, t)
-		t.stopped = true
+		r.detach(t)
 	}
 	r.reschedule()
 	for _, t := range finished {
@@ -171,17 +179,16 @@ func (r *Resource) Start(work float64, done func()) *Task {
 		panic(fmt.Sprintf("ps: negative work %g on %q", work, r.name))
 	}
 	r.advance()
-	t := &Task{r: r, seq: r.nextSeq, remaining: work, done: done}
+	t := &Task{r: r, seq: r.nextSeq, remaining: work, done: done, idx: len(r.tasks)}
 	r.nextSeq++
-	r.tasks[t] = struct{}{}
+	r.tasks = append(r.tasks, t)
 	r.reschedule()
 	if work == 0 {
 		// Zero work still goes through the queue-change cycle so a burst of
 		// zero-cost tasks is deterministic, but completes immediately.
 		r.k.After(0, func() {
 			if !t.stopped {
-				delete(r.tasks, t)
-				t.stopped = true
+				r.detach(t)
 				r.advance()
 				r.reschedule()
 				if t.done != nil {
@@ -200,7 +207,7 @@ func (r *Resource) AddLoad() *Task {
 	r.advance()
 	t := &Task{r: r, seq: r.nextSeq, infinite: true}
 	r.nextSeq++
-	r.tasks[t] = struct{}{}
+	r.loads++
 	r.reschedule()
 	return t
 }
@@ -211,9 +218,8 @@ func (t *Task) Stop() bool {
 	if t.stopped {
 		return false
 	}
-	t.stopped = true
 	t.r.advance()
-	delete(t.r.tasks, t)
+	t.r.detach(t)
 	t.r.reschedule()
 	return true
 }
@@ -225,7 +231,7 @@ func (t *Task) Remaining() float64 { return t.remaining }
 // delivered under processor sharing. It is the standard way for a simulated
 // computation to consume CPU.
 func (r *Resource) Use(p *sim.Proc, work float64) {
-	done := sim.NewSignal(fmt.Sprintf("ps:%s", r.name))
+	done := sim.NewSignal(r.sigName)
 	r.Start(work, done.Broadcast)
 	p.Wait(done)
 }
