@@ -247,6 +247,9 @@ type AlltoallvReq struct {
 	reqState
 	sends []*SendReq
 	recvs []*RecvReq
+	// sent and recvd count the prefixes of sends and recvs known complete;
+	// completion never reverts, so Done resumes its scan there.
+	sent, recvd int
 }
 
 // Done reports whether every underlying transfer has completed.
@@ -254,15 +257,17 @@ func (r *AlltoallvReq) Done() bool {
 	if r.done {
 		return true
 	}
-	for _, s := range r.sends {
-		if !s.Done() {
-			return false
-		}
+	for r.sent < len(r.sends) && r.sends[r.sent].done {
+		r.sent++
 	}
-	for _, rr := range r.recvs {
-		if !rr.Done() {
-			return false
-		}
+	if r.sent < len(r.sends) {
+		return false
+	}
+	for r.recvd < len(r.recvs) && r.recvs[r.recvd].done {
+		r.recvd++
+	}
+	if r.recvd < len(r.recvs) {
+		return false
 	}
 	r.done = true
 	return true

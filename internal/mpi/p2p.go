@@ -405,13 +405,12 @@ func (c *Ctx) Wait(r Request) {
 
 // Waitall blocks until every request completes.
 func (c *Ctx) Waitall(rs []Request) {
+	next := 0 // rs[:next] are complete, and completion never reverts
 	pred := func() bool {
-		for _, r := range rs {
-			if !r.Done() {
-				return false
-			}
+		for next < len(rs) && rs[next].Done() {
+			next++
 		}
-		return true
+		return next == len(rs)
 	}
 	c.waitUntilDesc(pred, func() string {
 		pending, first := 0, ""
@@ -484,12 +483,13 @@ func (c *Ctx) Iprobe(comm *Comm, src, tag int) (Status, bool) {
 // status without consuming it (MPI_Probe).
 func (c *Ctx) Probe(comm *Comm, src, tag int) Status {
 	var st Status
-	reason := fmt.Sprintf("Probe src=%s tag=%s comm=%d", wildName(src), wildName(tag), comm.ctxID)
 	c.waitUntilDesc(func() bool {
 		s, ok := c.Iprobe(comm, src, tag)
 		st = s
 		return ok
-	}, func() string { return reason })
+	}, func() string {
+		return fmt.Sprintf("Probe src=%s tag=%s comm=%d", wildName(src), wildName(tag), comm.ctxID)
+	})
 	return st
 }
 

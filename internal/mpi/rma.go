@@ -264,6 +264,9 @@ func (c *Ctx) WaitDrained(win *Win) {
 			s = sim.NewSignal(fmt.Sprintf("mpi.win.drained.g%d", gid))
 			win.drained[gid] = s
 		}
+		// The reason stays eager: s is broadcast only when the count
+		// reaches zero, so a lazy one would print the count at report
+		// time, not at the park. An exposer parks here about once.
 		c.sp.WaitReason(s,
 			fmt.Sprintf("mpi: WaitDrained on comm %d: %d Gets outstanding", win.comm.ctxID, win.pending[gid]))
 	}

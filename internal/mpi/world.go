@@ -465,9 +465,12 @@ func (c *Ctx) waitUntil(pred func() bool) {
 	c.waitUntilDesc(pred, nil)
 }
 
-// waitUntilDesc blocks like waitUntil; when desc is non-nil it is
-// re-evaluated at every park so deadlock reports describe the operation
-// still pending rather than just the progress signal.
+// waitUntilDesc blocks like waitUntil; when desc is non-nil, deadlock
+// reports describe the operation still pending rather than just the
+// progress signal. desc is called only when a report is built. Every
+// change to the state it reads (a request completing) is followed by a
+// Broadcast on the progress signal, and a report is built only once every
+// wake has run, so it renders what the last park would have.
 func (c *Ctx) waitUntilDesc(pred func() bool, desc func() string) {
 	if pred() {
 		return
@@ -481,7 +484,7 @@ func (c *Ctx) waitUntilDesc(pred func() bool, desc func() string) {
 		if desc == nil {
 			c.sp.Wait(c.proc.progress)
 		} else {
-			c.sp.WaitReason(c.proc.progress, desc())
+			c.sp.WaitReasonFunc(c.proc.progress, desc)
 		}
 	}
 }

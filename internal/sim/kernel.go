@@ -47,16 +47,17 @@ type resumeMsg struct {
 	kill bool
 }
 
-// event is a scheduled callback. Events compare by (time, seq) so that
-// simultaneous events fire in scheduling order, which keeps runs
-// deterministic.
+// event is a scheduled callback or process wake. Events compare by (time,
+// seq) so that simultaneous events fire in scheduling order, which keeps
+// runs deterministic.
 type event struct {
 	at       float64
 	seq      uint64
 	fn       func()
-	canceled bool
-	index    int // calendar bucket index, -1 when popped
+	proc     *Proc // when non-nil, the event resumes proc instead of calling fn
+	index    int   // calendar bucket index, -1 when popped
 	gen      uint32
+	canceled bool
 }
 
 // NewKernel returns a kernel with the clock at zero and no events.
@@ -122,7 +123,7 @@ const maxFreeEvents = 4096
 // is released to the collector instead.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn = nil
+	e.fn, e.proc = nil, nil
 	if len(k.free) >= maxFreeEvents {
 		return
 	}
@@ -138,6 +139,17 @@ func (k *Kernel) At(at float64, fn func()) *Timer {
 	e := k.newEvent(at, fn)
 	k.events.Push(e)
 	return &Timer{ev: e, gen: e.gen, when: at}
+}
+
+// schedule wakes p at virtual time at. It stamps the next sequence number
+// exactly as At does, so wakes interleave with callbacks in the same order,
+// but it allocates neither a Timer nor a closure: the event carries p and
+// Run resumes it. Nothing can cancel the wake, so a process that holds one
+// is never deadlocked. The caller guarantees at >= now.
+func (k *Kernel) schedule(at float64, p *Proc) {
+	e := k.newEvent(at, nil)
+	e.proc = p
+	k.events.Push(e)
 }
 
 // After schedules fn to run d seconds of virtual time from now.
@@ -175,9 +187,13 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.now = e.at
-		fn := e.fn
+		fn, p := e.fn, e.proc
 		k.recycle(e) // before fn: the callback may schedule and reuse it
-		fn()
+		if p == nil {
+			fn()
+		} else if !p.finished {
+			k.resumeProc(p, resumeMsg{})
+		}
 		if k.failure != nil {
 			k.shutdown()
 			return k.failure

@@ -20,7 +20,6 @@ type Proc struct {
 	blockReason   string
 	blockReasonFn func() string
 	blockSig      *Signal
-	started       bool
 	finished      bool
 }
 
@@ -44,13 +43,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
 	k.live[p] = struct{}{}
 	go p.run(fn)
-	k.At(k.now, func() {
-		if p.finished {
-			return
-		}
-		p.started = true
-		k.resumeProc(p, resumeMsg{})
-	})
+	k.schedule(k.now, p)
 	return p
 }
 
@@ -119,17 +112,6 @@ func (p *Proc) reason() string {
 	return p.blockReason
 }
 
-// unpark schedules p to resume at the current virtual time.
-func (p *Proc) unpark() {
-	k := p.k
-	k.At(k.now, func() {
-		if p.finished {
-			return
-		}
-		k.resumeProc(p, resumeMsg{})
-	})
-}
-
 // Kill terminates the process: its goroutine unwinds (deferred functions
 // run) and it never executes again. Kill must be called from scheduler
 // context and not by the process on itself. It is the failure-injection
@@ -150,13 +132,17 @@ func (k *Kernel) KillAt(t float64, p *Proc) *Timer {
 	return k.At(t, func() { k.Kill(p) })
 }
 
+// Sleep, SleepUntil and Yield park with fixed reasons: the process holds
+// its own pending wake, so the event queue cannot drain while it sleeps
+// and no deadlock report ever names it.
+
 // Sleep suspends the process for d seconds of virtual time.
 func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Sleep(%g) with negative duration", d))
 	}
-	p.k.After(d, p.unparkFn())
-	p.park(fmt.Sprintf("sleeping %.9gs", d))
+	p.k.schedule(p.k.now+d, p)
+	p.park("sleeping")
 }
 
 // SleepUntil suspends the process until virtual time t. Times in the past
@@ -165,24 +151,15 @@ func (p *Proc) SleepUntil(t float64) {
 	if t < p.k.now {
 		t = p.k.now
 	}
-	p.k.At(t, p.unparkFn())
-	p.park(fmt.Sprintf("sleeping until %.9g", t))
+	p.k.schedule(t, p)
+	p.park("sleeping")
 }
 
 // Yield reschedules the process behind all events already pending at the
 // current instant, giving other runnable processes a chance to run.
 func (p *Proc) Yield() {
-	p.k.At(p.k.now, p.unparkFn())
+	p.k.schedule(p.k.now, p)
 	p.park("yielding")
-}
-
-func (p *Proc) unparkFn() func() {
-	return func() {
-		if p.finished {
-			return
-		}
-		p.k.resumeProc(p, resumeMsg{})
-	}
 }
 
 // Signal is a broadcast condition in virtual time. Processes wait on it;
@@ -222,13 +199,15 @@ func (p *Proc) WaitReasonFunc(s *Signal, reason func() string) {
 }
 
 // Broadcast wakes every process currently waiting on s. The waiters resume
-// at the current virtual time, in the order they called Wait.
+// at the current virtual time, in the order they called Wait. Scheduling a
+// wake runs no process, so no waiter can join s mid-loop, and the slice is
+// kept for the next round of waiters.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
-		p.unpark()
+	for i, p := range s.waiters {
+		p.k.schedule(p.k.now, p)
+		s.waiters[i] = nil
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // NumWaiters reports how many processes are blocked on s.
