@@ -23,29 +23,50 @@ const goldenFile = "testdata/transfer_golden.json"
 // goldenCell is one re-simulated reconfiguration of the transfer golden
 // file. Resilient cells run the recovery protocol; crash cells kill source
 // gid 3 in the middle of the variable-data redistribution, drop cells lose
-// the first redistribution message a source sends.
+// the first redistribution message a source sends, and rung-3 cells lose
+// every payload of one method for good, so the selective round fails too
+// and the pass restores from the checkpoint. MaxRung (the highest
+// "escalate" tag, -1 for none) and CRRestores (checkpoint span reads) pin
+// how far up the recovery ladder each cell climbs.
 type goldenCell struct {
-	cfg           Config
-	ns, nt        int
-	resilient     bool
-	crash, drop   bool
-	Name          string `json:"name"`
-	ReconfigEnd   string `json:"reconfig_end"`
-	AppEnd        string `json:"app_end"`
-	Checksum      string `json:"checksum"`
-	Sends         int64  `json:"sends"`
-	Recvs         int64  `json:"recvs"`
-	SendBytes     int64  `json:"send_bytes"`
-	RecvBytes     int64  `json:"recv_bytes"`
-	redistVarMid  float64
-	redistVarSeen bool
+	cfg                Config
+	ns, nt             int
+	resilient          bool
+	crash, drop, rung3 bool
+	Name               string `json:"name"`
+	ReconfigEnd        string `json:"reconfig_end"`
+	AppEnd             string `json:"app_end"`
+	Checksum           string `json:"checksum"`
+	Sends              int64  `json:"sends"`
+	Recvs              int64  `json:"recvs"`
+	SendBytes          int64  `json:"send_bytes"`
+	RecvBytes          int64  `json:"recv_bytes"`
+	MaxRung            int    `json:"max_rung"`
+	CRRestores         int64  `json:"cr_restores"`
+	redistVarMid       float64
+	redistVarSeen      bool
+	// The variable-redistribution traffic window, the crash point of cells
+	// whose surviving ranks record only an instant redist-var span (a
+	// passive RMA source in Baseline: the spawned targets do the pulling).
+	wireLo, wireHi float64
+	wireSeen       bool
 }
 
-// goldenSink counts the world's point-to-point traffic and remembers the
-// first variable-redistribution phase span, where crash cells strike.
+// goldenSink counts the world's point-to-point traffic, checkpoint reads and
+// ladder escalations, and remembers the first variable-redistribution phase
+// span and traffic window, where crash cells strike.
 type goldenSink struct{ cell *goldenCell }
 
 func (s goldenSink) Record(ev trace.Event) {
+	if (ev.Kind == trace.EvSend || ev.Kind == trace.EvRecv) && ev.Phase == trace.PhaseRedistVar {
+		if !s.cell.wireSeen || ev.Start < s.cell.wireLo {
+			s.cell.wireLo = ev.Start
+		}
+		if !s.cell.wireSeen || ev.End > s.cell.wireHi {
+			s.cell.wireHi = ev.End
+		}
+		s.cell.wireSeen = true
+	}
 	switch ev.Kind {
 	case trace.EvSend:
 		s.cell.Sends++
@@ -58,13 +79,22 @@ func (s goldenSink) Record(ev trace.Event) {
 			s.cell.redistVarSeen = true
 			s.cell.redistVarMid = (ev.Start + ev.End) / 2
 		}
+	case trace.EvFault:
+		if ev.Op == "escalate" && ev.Tag > s.cell.MaxRung {
+			s.cell.MaxRung = ev.Tag
+		}
+	case trace.EvCompute:
+		if ev.Op == "cr-restore" {
+			s.cell.CRRestores++
+		}
 	}
 }
 
 // goldenCells lists the pinned grid: every paper configuration at a shrink
-// and an expansion, P2P and RMA again under a multi-wave memory ceiling, and
-// resilient P2P and RMA passes fault-free, after a crash and after a drop,
-// both unbounded and under the ceiling.
+// and an expansion, P2P and RMA again under a multi-wave memory ceiling,
+// resilient Baseline and Merge passes of every method fault-free, after a
+// crash and after a drop (P2P and RMA both unbounded and under the
+// ceiling), and one rung-3 checkpoint fallback each for P2P and RMA.
 func goldenCells() []*goldenCell {
 	const ceiling = 512
 	pairs := [][2]int{{4, 2}, {2, 5}}
@@ -76,6 +106,8 @@ func goldenCells() []*goldenCell {
 			mode = "/crash"
 		case c.drop:
 			mode = "/drop"
+		case c.rung3:
+			mode = "/rung3"
 		case c.resilient:
 			mode = "/resilient"
 		}
@@ -98,14 +130,23 @@ func goldenCells() []*goldenCell {
 		}
 	}
 	for _, ceil := range []int64{0, ceiling} {
-		for _, comm := range []CommMethod{P2P, RMA} {
-			cfg := Config{Spawn: Merge, Comm: comm, Overlap: Sync, MemCeiling: ceil}
-			for _, p := range pairs {
-				add(&goldenCell{cfg: cfg, ns: p[0], nt: p[1], resilient: true})
+		for _, spawn := range []SpawnMethod{Baseline, Merge} {
+			for _, comm := range []CommMethod{P2P, RMA, COL} {
+				if ceil > 0 && comm == COL {
+					continue
+				}
+				cfg := Config{Spawn: spawn, Comm: comm, Overlap: Sync, MemCeiling: ceil}
+				for _, p := range pairs {
+					add(&goldenCell{cfg: cfg, ns: p[0], nt: p[1], resilient: true})
+				}
+				add(&goldenCell{cfg: cfg, ns: 4, nt: 2, resilient: true, crash: true})
+				add(&goldenCell{cfg: cfg, ns: 4, nt: 2, resilient: true, drop: true})
 			}
-			add(&goldenCell{cfg: cfg, ns: 4, nt: 2, resilient: true, crash: true})
-			add(&goldenCell{cfg: cfg, ns: 4, nt: 2, resilient: true, drop: true})
 		}
+	}
+	for _, comm := range []CommMethod{P2P, RMA} {
+		cfg := Config{Spawn: Merge, Comm: comm, Overlap: Sync}
+		add(&goldenCell{cfg: cfg, ns: 4, nt: 2, resilient: true, rung3: true})
 	}
 	return cells
 }
@@ -115,17 +156,28 @@ func goldenCells() []*goldenCell {
 func (g *goldenCell) simulate(t *testing.T, crashAt float64) {
 	t.Helper()
 	const n = 1000
-	g.Sends, g.Recvs, g.SendBytes, g.RecvBytes, g.redistVarSeen = 0, 0, 0, 0, false
+	g.Sends, g.Recvs, g.SendBytes, g.RecvBytes, g.redistVarSeen, g.wireSeen = 0, 0, 0, 0, false, false
+	g.MaxRung, g.CRRestores = -1, 0
 	w := testWorld(t)
 	w.SetSink(goldenSink{g})
 	var res *Resilience
 	if g.resilient {
 		res = &Resilience{}
-		if g.drop {
+		var rule *msgFault
+		switch {
+		case g.drop:
+			rule = &msgFault{srcGID: 3, minTag: -1, maxTag: math.MaxInt32, count: 1, drop: true}
+		case g.rung3 && g.cfg.Comm == RMA:
+			// Every Get (sentinel tag -1), the attempt's and the re-pulls.
+			rule = &msgFault{srcGID: -1, minTag: -1, maxTag: -1, count: -1, drop: true}
+		case g.rung3:
+			// Every value and recovery message of one source; the 77-family
+			// size messages pass (TestRung3CheckpointFallback's rule).
+			rule = &msgFault{srcGID: 3, minTag: 88, maxTag: 1<<20 - 1, count: -1, drop: true}
+		}
+		if rule != nil {
 			res.Timeout = 0.5
-			w.SetFaultHooks(&testMsgFaults{rules: []*msgFault{
-				{srcGID: 3, minTag: -1, maxTag: math.MaxInt32, count: 1, drop: true},
-			}})
+			w.SetFaultHooks(&testMsgFaults{rules: []*msgFault{rule}})
 		}
 		det := newStubDetector(w)
 		if crashAt >= 0 {
@@ -217,10 +269,14 @@ func TestTransferGolden(t *testing.T) {
 		if g.crash {
 			// Strike mid-redistribution of the same cell run fault-free.
 			g.simulate(t, -1)
-			if !g.redistVarSeen {
-				t.Fatalf("%s: fault-free probe recorded no %s span", g.Name, trace.PhaseRedistVar)
+			switch {
+			case g.redistVarSeen:
+				crashAt = g.redistVarMid
+			case g.wireSeen:
+				crashAt = (g.wireLo + g.wireHi) / 2
+			default:
+				t.Fatalf("%s: fault-free probe recorded no %s span or traffic", g.Name, trace.PhaseRedistVar)
 			}
-			crashAt = g.redistVarMid
 		}
 		g.simulate(t, crashAt)
 	}
