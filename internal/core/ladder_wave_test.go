@@ -152,3 +152,33 @@ func TestCrashMidWaveDataIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryTagsCoverWaveSequences drops one late segment of a long
+// stream: under a 16-byte ceiling each 250-element block of "x" travels as
+// 125 two-element segments, and the lost one is segment 100. The selective
+// round must resend it under its own recovery tag, on rung 0, byte-exact,
+// without touching the checkpoint: recovery tags admit every segment
+// sequence the wave tags do.
+func TestRecoveryTagsCoverWaveSequences(t *testing.T) {
+	cfg := Config{Spawn: Merge, Comm: P2P, Overlap: Sync, MemCeiling: 16}
+	const ns, nt = 4, 2
+	tag := WaveValueTag(2, 100)
+	hooks := &testMsgFaults{rules: []*msgFault{
+		{srcGID: 3, minTag: tag, maxTag: tag, count: 1, drop: true},
+	}}
+	err, events := ladderRun(t, cfg, ns, nt, &Resilience{Timeout: 0.5}, hooks, -1, -1, true)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	if n := countFaultEvents(events, "escalate", rungRetransmit); n != 1 {
+		t.Errorf("rung-0 escalations = %d, want 1", n)
+	}
+	for r := rungReplan; r <= rungUnrecoverable; r++ {
+		if n := countFaultEvents(events, "escalate", r); n != 0 {
+			t.Errorf("rung-%d escalations = %d, want 0: one dropped segment stays on rung 0", r, n)
+		}
+	}
+	if n := countComputeOps(events, "cr-restore"); n != 0 {
+		t.Errorf("checkpoint reads = %d, want 0: the live source resends the segment", n)
+	}
+}
