@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // The graduated recovery ladder. Instead of one abort-everything rung, the
@@ -288,9 +287,6 @@ func (h *ladderHooks) markPrepared(i int) {
 	h.prepared[i] = true
 }
 
-// isPrepared reports whether item i's target block has been Prepared.
-func (h *ladderHooks) isPrepared(i int) bool { return h != nil && h.prepared[i] }
-
 // ackAware is implemented by transfers that participate in the ladder's
 // chunk acknowledgement tracking; the resilient pass type-asserts it on
 // the xfer it drives. Non-resilient passes never call it, so transfers
@@ -311,33 +307,4 @@ type reaper interface {
 // footprint it reports.
 type livePeaker interface {
 	livePeak() int64
-}
-
-// recordEscalation emits the typed rung-transition event: an instant
-// EvFault with Op "escalate" and Tag carrying the rung index, which is how
-// the trace analyzer attributes recovery cost per rung.
-func recordEscalation(c *mpi.Ctx, rung int) {
-	rec := c.World().Sink()
-	if rec == nil {
-		return
-	}
-	now := c.Now()
-	rec.Record(trace.Event{
-		Kind: trace.EvFault, Rank: c.Proc().GID(), Start: now, End: now,
-		Peer: -1, Tag: rung, Comm: -1, Op: "escalate", Phase: c.Phase(),
-	})
-}
-
-// recordExtend emits the per-rank rung-1 event: one EvFault with Op
-// "extend" and Tag 1 per fruitless deadline extension.
-func recordExtend(c *mpi.Ctx) {
-	rec := c.World().Sink()
-	if rec == nil {
-		return
-	}
-	now := c.Now()
-	rec.Record(trace.Event{
-		Kind: trace.EvFault, Rank: c.Proc().GID(), Start: now, End: now,
-		Peer: -1, Tag: rungAdaptive, Comm: -1, Op: "extend", Phase: c.Phase(),
-	})
 }

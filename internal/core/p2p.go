@@ -320,3 +320,66 @@ func (t *p2pTransfer) reap(c *mpi.Ctx) {
 		t.handleRecv(c, idx, rr)
 	}
 }
+
+// resendRecovery is the two-sided re-issue of a recovery round (P2P, COL,
+// and the full rounds of every method, which re-issue nothing). A live
+// source resends each span from its retained staging copy or, when its
+// block is still pristine, a fresh extraction, under round-scoped tags;
+// the target posts the matching receive during its walk and installs once
+// the round's drive has succeeded.
+type resendRecovery struct{ *recovery }
+
+func newResendRecovery(r *recovery) resendRecovery {
+	rp, v := r.rp, r.rp.v
+	r.what = "recovery round"
+	if r.full || !v.isSource() || r.failed[v.sourceGID(v.srcRank)] {
+		return resendRecovery{r}
+	}
+	for i, it := range rp.items {
+		occ := map[int]int{}
+		for _, ch := range sendChunksFor(it, v.ns, v.nt, v.srcRank) {
+			for _, sp := range segmentSpans(it, ch.Lo, ch.Hi, rp.cfg.MemCeiling) {
+				// Every span owns one tag slot on both sides, acked or not,
+				// so a skip can never shift the pairing.
+				seq := occ[ch.Dst]
+				occ[ch.Dst]++
+				key := chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: sp.lo, hi: sp.hi}
+				if rp.acks.acked(key) || r.failed[v.targetGID(ch.Dst)] {
+					continue // already delivered, or no survivor to receive it
+				}
+				pl, ok := rp.acks.retainedCopy(key)
+				if !ok && r.pristine(v.srcRank) {
+					pl, ok = it.Extract(sp.lo, sp.hi), true
+				}
+				if !ok {
+					continue // copy gone: the target reads the checkpoint
+				}
+				rp.acks.noteResend(key, pl.Size)
+				rp.acks.markSent(key)
+				r.ops = append(r.ops, wireOp{key: key, n: pl.Size, tag: recoveryTag(r.round, rp.tagIdx[i], seq), pl: pl})
+			}
+		}
+	}
+	return resendRecovery{r}
+}
+
+func (n resendRecovery) reissue(c *mpi.Ctx, key chunkKey, seq int) bool {
+	if n.failed[n.rp.v.sourceGID(key.src)] {
+		return false
+	}
+	if _, ok := n.rp.acks.retainedCopy(key); !ok && !n.pristine(key.src) {
+		return false
+	}
+	op := wireOp{key: key, req: n.rp.v.recvFrom(c, key.src, recoveryTag(n.round, n.rp.tagIdx[key.item], seq))}
+	n.reqs = append(n.reqs, op.req)
+	n.received = append(n.received, op)
+	return true
+}
+
+func (n resendRecovery) issue(c *mpi.Ctx, op *wireOp) mpi.Request {
+	return n.rp.v.sendTo(c, op.key.dst, op.tag, op.pl)
+}
+
+// land has nothing to do: a resent span lands in its target's receive,
+// installed once the round commits.
+func (resendRecovery) land(*mpi.Ctx, []wireOp) {}
