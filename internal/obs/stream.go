@@ -158,15 +158,14 @@ func (s *Stream) Record(ev trace.Event) {
 		}
 	}
 
-	// Wire accounting mirrors trace.RunMetrics: point-to-point sends count
-	// at issue, one-sided Gets at the origin's delivery, so collective
-	// traffic (built from sends) is counted once.
-	if ev.Kind == trace.EvSend || (ev.Kind == trace.EvRecv && ev.Op == "Get") {
+	// Wire accounting is trace.RunMetrics': one predicate decides what
+	// counts as a message on the wire.
+	if bytes, ok := trace.OnWire(ev); ok {
 		pk := phaseKey(ev.Phase)
 		s.counters["wire/msgs/"+pk]++
-		s.counters["wire/bytes/"+pk] += ev.Bytes
+		s.counters["wire/bytes/"+pk] += bytes
 		s.counters["msgs/op/"+ev.Op]++
-		s.hBytes.Observe(float64(ev.Bytes))
+		s.hBytes.Observe(float64(bytes))
 	}
 }
 

@@ -68,10 +68,12 @@ type RunMetrics struct {
 	OverlapEfficiency float64 `json:"overlapEfficiency"`
 }
 
-// onWire reports whether the event represents one message put on the wire,
+// OnWire reports whether the event represents one message put on the wire,
 // and its byte count. Point-to-point sends count at issue; one-sided Gets
-// have no send event and count at the origin's delivery.
-func onWire(ev Event) (int64, bool) {
+// have no send event and count at the origin's delivery. Collective traffic
+// is built from sends, so it is counted once. RunMetrics and obs.Stream
+// both count the wire through it.
+func OnWire(ev Event) (int64, bool) {
 	switch {
 	case ev.Kind == EvSend:
 		return ev.Bytes, true
@@ -132,7 +134,7 @@ func (r *Recorder) Metrics() RunMetrics {
 			}
 			m.Faults[ev.Op]++
 		}
-		if bytes, ok := onWire(ev); ok {
+		if bytes, ok := OnWire(ev); ok {
 			m.MsgsByOp[ev.Op]++
 			pm, ok := perPhase[ev.Phase]
 			if !ok {
