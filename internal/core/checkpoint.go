@@ -83,9 +83,7 @@ func (t *crTransfer) runBlockingAll(c *mpi.Ctx) {
 	// Checkpoint phase: every source streams its blocks to disk.
 	if t.v.isSource() {
 		for i, it := range t.items {
-			d := distFor(it, t.v.ns)
-			lo, hi := d.Lo(t.v.srcRank), d.Hi(t.v.srcRank)
-			pl := it.Extract(lo, hi)
+			pl := t.v.sourceBlock(it)
 			t.files.blocks[crKey{item: i, src: t.v.srcRank}] = mpi.Payload{
 				Size: pl.Size, Data: append([]byte(nil), pl.Data...),
 			}

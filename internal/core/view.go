@@ -94,6 +94,13 @@ func (v *view) peers() int {
 	return v.comm.Size()
 }
 
+// sourceBlock extracts this source rank's whole block of it under the
+// ns-part distribution.
+func (v *view) sourceBlock(it Item) mpi.Payload {
+	d := distFor(it, v.ns)
+	return it.Extract(d.Lo(v.srcRank), d.Hi(v.srcRank))
+}
+
 // targetRange returns the block [lo, hi) target t owns for item it under
 // its nt-part distribution.
 func targetRange(it Item, nt, t int) (int64, int64) {
