@@ -123,11 +123,11 @@ func (g *liveGauge) add(n int64) {
 func (g *liveGauge) sub(n int64) { g.live -= n }
 
 // waveCursor paces a staged entry list through its waves. The P2P and RMA
-// attempts and both recovery rounds stage their transfers, then release
-// one wave at a time: next retires the active wave once its requests have
-// all completed and opens the following one, whose entries [lo, hi) the
-// caller issues through issue. Issued payload bytes stay live on the gauge
-// until they are released (an RMA install) or their wave retires.
+// attempts and the recovery round stage their transfers, then release one
+// wave at a time: next retires the active wave once its requests have all
+// completed and opens the following one, whose entries [lo, hi) the caller
+// issues through issue. Issued payload bytes stay live on the gauge until
+// they are released (an RMA attempt's install) or their wave retires.
 type waveCursor struct {
 	cuts   []int         // exclusive end index of each wave (waveCuts)
 	n      int           // waves opened so far; the active wave is number n
