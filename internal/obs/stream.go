@@ -186,6 +186,19 @@ func (s *Stream) ObserveNamed(name string, v float64) {
 	s.counters["observe/"+name]++
 }
 
+// ObserveNamedN folds n copies of one sample, exactly as n ObserveNamed
+// calls would, with a single name lookup.
+func (s *Stream) ObserveNamedN(name string, v float64, n int) {
+	if n <= 0 {
+		return
+	}
+	h := s.phaseHist(name)
+	for i := 0; i < n; i++ {
+		h.Observe(v)
+	}
+	s.counters["observe/"+name] += int64(n)
+}
+
 // phaseHist returns the named phase histogram, reviving a parked one from
 // the spare list before allocating. Every histogram in hPhase has at least
 // one observation: Reset moves entries to the spare list rather than

@@ -170,6 +170,31 @@ func TestStreamResetReuse(t *testing.T) {
 	}
 }
 
+// ObserveNamedN must leave the stream exactly as n ObserveNamed calls do,
+// down to the histogram sum's bits (0.1 is inexact, so a multiplied sum
+// would differ).
+func TestObserveNamedNMatchesRepeats(t *testing.T) {
+	bulk, each := NewStream(), NewStream()
+	for i, v := range []float64{0.1, 3, 0.1, -2, 7.25} {
+		n := 1 + 37*i
+		bulk.ObserveNamedN("queue/depth", v, n)
+		for k := 0; k < n; k++ {
+			each.ObserveNamed("queue/depth", v)
+		}
+	}
+	bulk.ObserveNamedN("queue/depth", 5, 0)
+	var got, want bytes.Buffer
+	if err := bulk.Snapshot().WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := each.Snapshot().WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("ObserveNamedN snapshot differs from repeated ObserveNamed:\n%s\nvs\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
 func TestFlightRecorderRetention(t *testing.T) {
 	f := NewFlightRecorder(8, 4)
 	for i := 0; i < 100; i++ {

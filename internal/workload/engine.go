@@ -1,9 +1,10 @@
 package workload
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -91,23 +92,58 @@ type jobRun struct {
 	reconfigSec  float64
 }
 
-// eventQueue orders pending wake-ups (arrivals, estimated completions,
-// reconfiguration pause expiries).
-type eventQueue []float64
-
-func (q eventQueue) Len() int           { return len(q) }
-func (q eventQueue) Less(i, j int) bool { return q[i] < q[j] }
-func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)        { *q = append(*q, x.(float64)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	v := old[n-1]
-	*q = old[:n-1]
-	return v
+// wakeQueue is a min-heap of the distinct pending wake-up instants
+// (arrivals, estimated completions, reconfiguration pause expiries), each
+// carrying how many wake-ups were armed for it. Passes re-arm the same
+// completion estimate until something changes, so most wake-ups are
+// duplicates; merging them lets the event loop pay once per instant.
+type wakeQueue struct {
+	ts    []float64
+	count map[float64]int
 }
-func (q *eventQueue) add(t float64) { heap.Push(q, t) }
-func (q *eventQueue) pop() float64  { return heap.Pop(q).(float64) }
+
+// add arms k wake-ups at t, merging with an instant already queued.
+func (q *wakeQueue) add(t float64, k int) {
+	if n, ok := q.count[t]; ok {
+		q.count[t] = n + k
+		return
+	}
+	q.count[t] = k
+	q.ts = append(q.ts, t)
+	for i := len(q.ts) - 1; i > 0; {
+		up := (i - 1) / 2
+		if q.ts[up] <= q.ts[i] {
+			break
+		}
+		q.ts[up], q.ts[i] = q.ts[i], q.ts[up]
+		i = up
+	}
+}
+
+// pop removes the earliest instant and returns it with its multiplicity.
+func (q *wakeQueue) pop() (float64, int) {
+	t := q.ts[0]
+	k := q.count[t]
+	delete(q.count, t)
+	n := len(q.ts) - 1
+	q.ts[0] = q.ts[n]
+	q.ts = q.ts[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && q.ts[l] < q.ts[m] {
+			m = l
+		}
+		if r := 2*i + 2; r < n && q.ts[r] < q.ts[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q.ts[m], q.ts[i] = q.ts[i], q.ts[m]
+		i = m
+	}
+	return t, k
+}
 
 const (
 	workEps = 1e-9
@@ -128,17 +164,55 @@ type engine struct {
 	used      float64
 	peakCores int
 	maxQueue  int
+
+	// Per-pass scratch, reused across passes: the policy's job view and
+	// the blocked head's release schedule.
+	pjs  []PolicyJob
+	prun []*jobRun
+	rels []release
+
+	// pops counts the instants taken off the wake queue; folded duplicate
+	// wake-ups do not count.
+	pops int
+}
+
+// release is one running job's estimated completion and the cores it
+// then gives back.
+type release struct {
+	t     float64
+	cores int
+}
+
+// pass is what one scheduling pass reports back to the event loop.
+type pass struct {
+	// changed is set when the pass admitted an arrival, started a job,
+	// dropped a finished one, or changed any job's allocation state
+	// (alloc, lastAllocSet, pausedUntil, reconfigs).
+	changed bool
+	// queued is the queue depth the pass observed.
+	queued int
+	// nextDone is the completion wake-up the pass armed (+Inf: none).
+	nextDone float64
 }
 
 // Run simulates the job trace to completion under the given parameters.
 // Everything is virtual time and seeded state: the same trace and params
 // produce the same Result at any host parallelism.
 func Run(jobs []rms.Job, p Params) (Result, error) {
+	e, err := newEngine(jobs, p)
+	if err != nil {
+		return Result{}, err
+	}
+	return e.run()
+}
+
+// newEngine validates and normalizes the trace into FCFS order.
+func newEngine(jobs []rms.Job, p Params) (*engine, error) {
 	if p.Policy == nil {
-		return Result{}, fmt.Errorf("workload: Params.Policy is required")
+		return nil, fmt.Errorf("workload: Params.Policy is required")
 	}
 	if p.Cluster.Nodes < 1 || p.Cluster.CoresPerNode < 1 {
-		return Result{}, fmt.Errorf("workload: invalid cluster inventory %d nodes x %d cores",
+		return nil, fmt.Errorf("workload: invalid cluster inventory %d nodes x %d cores",
 			p.Cluster.Nodes, p.Cluster.CoresPerNode)
 	}
 	e := &engine{
@@ -155,7 +229,7 @@ func Run(jobs []rms.Job, p Params) (Result, error) {
 	}
 	for _, j := range jobs {
 		if err := rms.ValidateJob(j, e.total); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		// Normalize like rms.Submit: MaxProcs defaults to Procs and is
 		// capped by the machine.
@@ -169,33 +243,60 @@ func Run(jobs []rms.Job, p Params) (Result, error) {
 	}
 	// FCFS order: arrival time, submission index breaking ties.
 	sort.SliceStable(e.jobs, func(a, b int) bool { return e.jobs[a].Arrival < e.jobs[b].Arrival })
+	return e, nil
+}
 
-	var q eventQueue
+// run drives the event loop. Every wake-up is one scheduling pass, but a
+// pass that changes no scheduling state leaves the next pass at the same
+// instant with exactly its own inputs (advance(now, now) is a no-op), so
+// the remaining wake-ups at that instant are folded: they re-arm the
+// same completion estimate and observe the same queue depth, without
+// running. Every pass that could change state still runs, in order.
+func (e *engine) run() (Result, error) {
+	q := wakeQueue{count: make(map[float64]int)}
 	for _, j := range e.jobs {
-		q.add(j.Arrival)
+		q.add(j.Arrival, 1)
 	}
 	now := 0.0
 	remainingJobs := len(e.jobs)
-	// A hard iteration ceiling turns a scheduling livelock into an error
-	// instead of a hang; real traces stay far below it (a pass per
-	// arrival, completion, and pause expiry).
+	// A hard ceiling on popped instants turns a scheduling livelock into
+	// an error instead of a hang; real traces stay far below it (an
+	// instant per arrival, completion, and pause expiry).
 	maxEvents := 4000*len(e.jobs) + 65536
-	for q.Len() > 0 && remainingJobs > 0 {
-		if maxEvents--; maxEvents < 0 {
+	for len(q.ts) > 0 && remainingJobs > 0 {
+		if e.pops++; e.pops > maxEvents {
 			return Result{}, fmt.Errorf("workload: scheduler stalled after too many events (%d jobs unfinished)", remainingJobs)
 		}
-		t := q.pop()
+		t, k := q.pop()
 		if t < now {
 			t = now
 		}
 		remainingJobs -= e.advance(now, t)
 		now = t
-		e.schedule(now, &q)
+		ps := e.schedule(now, &q)
+		for k--; k > 0 && remainingJobs > 0; k-- {
+			if !ps.changed {
+				e.fold(ps, k, &q)
+				break
+			}
+			ps = e.schedule(now, &q)
+		}
 	}
 	if remainingJobs > 0 {
 		return Result{}, fmt.Errorf("workload: scheduler stalled with %d jobs unfinished at t=%g", remainingJobs, now)
 	}
 	return e.result(), nil
+}
+
+// fold stands in for k repeats of the unchanged pass ps: it re-arms their
+// completion wake-ups and makes their queue-depth observations.
+func (e *engine) fold(ps pass, k int, q *wakeQueue) {
+	if !math.IsInf(ps.nextDone, 1) {
+		q.add(ps.nextDone, k)
+	}
+	if s := e.p.Telemetry; s != nil {
+		s.ObserveNamedN("queue/depth", float64(ps.queued), k)
+	}
 }
 
 // advance progresses running jobs over [from, to] and returns how many
@@ -263,8 +364,9 @@ func boundedSlowdown(wait, run, tau float64) float64 {
 // (FCFS with conservative EASY backfill), let the policy distribute spare
 // cores among running malleable jobs, price the allocation changes, and
 // arm the next wake-ups.
-func (e *engine) schedule(now float64, q *eventQueue) {
+func (e *engine) schedule(now float64, q *wakeQueue) pass {
 	// Newly arrived jobs join the FIFO queue.
+	arrived := e.nextArr
 	for e.nextArr < len(e.jobs) && e.jobs[e.nextArr].Arrival <= now+timeEps {
 		e.waiting = append(e.waiting, e.jobs[e.nextArr])
 		e.nextArr++
@@ -276,6 +378,7 @@ func (e *engine) schedule(now float64, q *eventQueue) {
 			alive = append(alive, j)
 		}
 	}
+	changed := e.nextArr != arrived || len(alive) != len(e.active)
 	e.active = alive
 
 	// Free cores after minimum holds: a reconfiguring job holds its new
@@ -315,6 +418,7 @@ func (e *engine) schedule(now float64, q *eventQueue) {
 		break
 	}
 	if started > 0 {
+		changed = true
 		still := e.waiting[:0]
 		for _, j := range e.waiting {
 			if !j.started {
@@ -332,8 +436,7 @@ func (e *engine) schedule(now float64, q *eventQueue) {
 	}
 
 	// Policy pass over unpaused malleable jobs.
-	var pjs []PolicyJob
-	var prun []*jobRun
+	pjs, prun := e.pjs[:0], e.prun[:0]
 	for _, j := range e.active {
 		if !j.Malleable || now < j.pausedUntil {
 			continue
@@ -344,22 +447,24 @@ func (e *engine) schedule(now float64, q *eventQueue) {
 		})
 		prun = append(prun, j)
 	}
+	e.pjs, e.prun = pjs, prun
 	if len(pjs) > 0 {
 		targets := e.p.Policy.Target(pjs, free, queued, e.cost)
 		if len(targets) != len(pjs) {
 			panic(fmt.Sprintf("workload: policy %s returned %d targets for %d jobs",
 				e.p.Policy.Name(), len(targets), len(pjs)))
 		}
-		e.applyTargets(now, q, pjs, prun, targets, free)
+		if e.applyTargets(now, q, pjs, prun, targets, free) {
+			changed = true
+		}
 	}
 
 	// Arm the next completion wake-up and track the allocation peak. Only
 	// the earliest estimate is armed: allocations change only at events,
 	// so nothing can complete before it, and the pass it triggers re-arms
-	// the following one. Arming every job's estimate instead would flood
-	// the queue with duplicates — each pop re-arming every active job
-	// grows the duplicate count exponentially in the number of
-	// concurrently running jobs.
+	// the following one. Every pass re-arms it, so the queue still sees
+	// one duplicate per pass until the estimate comes due; the queue
+	// merges them and the event loop folds the passes they would trigger.
 	allocated := 0
 	nextDone := math.Inf(1)
 	for _, j := range e.active {
@@ -376,11 +481,12 @@ func (e *engine) schedule(now float64, q *eventQueue) {
 		}
 	}
 	if !math.IsInf(nextDone, 1) {
-		q.add(nextDone)
+		q.add(nextDone, 1)
 	}
 	if allocated > e.peakCores {
 		e.peakCores = allocated
 	}
+	return pass{changed: changed, queued: queued, nextDone: nextDone}
 }
 
 // startJob launches a queued job at its minimum allocation. The launch
@@ -399,11 +505,7 @@ func (e *engine) startJob(j *jobRun, now float64) {
 // completions (current allocation, no further malleability). Backfill
 // candidates must finish before this instant.
 func (e *engine) reservation(now float64, need, free int) float64 {
-	type release struct {
-		t     float64
-		cores int
-	}
-	rels := make([]release, 0, len(e.active))
+	rels := e.rels[:0]
 	for _, j := range e.active {
 		if j.done {
 			continue
@@ -422,7 +524,10 @@ func (e *engine) reservation(now float64, need, free int) float64 {
 		}
 		rels = append(rels, release{t: startAt + j.remaining/float64(alloc), cores: hold})
 	}
-	sort.Slice(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
+	e.rels = rels
+	// The order of equal instants is immaterial: the answer is an instant,
+	// and every release at it is counted before a later one.
+	slices.SortFunc(rels, func(a, b release) int { return cmp.Compare(a.t, b.t) })
 	avail := free
 	for _, r := range rels {
 		avail += r.cores
@@ -434,8 +539,10 @@ func (e *engine) reservation(now float64, need, free int) float64 {
 }
 
 // applyTargets clamps, budget-trims, prices, and installs the policy's
-// allocation targets.
-func (e *engine) applyTargets(now float64, q *eventQueue, pjs []PolicyJob, prun []*jobRun, targets []int, free int) {
+// allocation targets, reporting whether any job's allocation state
+// changed.
+func (e *engine) applyTargets(now float64, q *wakeQueue, pjs []PolicyJob, prun []*jobRun, targets []int, free int) bool {
+	changed := false
 	extra := 0
 	for i, pj := range pjs {
 		t := targets[i]
@@ -475,13 +582,16 @@ func (e *engine) applyTargets(now float64, q *eventQueue, pjs []PolicyJob, prun 
 				t = j.alloc
 			}
 		}
+		if !j.lastAllocSet || t != j.alloc {
+			changed = true
+		}
 		if j.lastAllocSet && t != j.alloc {
 			j.reconfigs++
 			c := e.cost(j.alloc, t, j.DataBytes)
 			if !math.IsNaN(c) && !math.IsInf(c, 0) && c > 0 {
 				j.pausedUntil = now + c
 				j.reconfigSec += c
-				q.add(j.pausedUntil)
+				q.add(j.pausedUntil, 1)
 				if s := e.p.Telemetry; s != nil {
 					s.Record(trace.Event{Kind: trace.EvPhase, Op: "job/reconfig",
 						Start: now, End: now + c, Bytes: j.DataBytes})
@@ -491,6 +601,7 @@ func (e *engine) applyTargets(now float64, q *eventQueue, pjs []PolicyJob, prun 
 		j.alloc = t
 		j.lastAllocSet = true
 	}
+	return changed
 }
 
 // result assembles the final report in FCFS order.

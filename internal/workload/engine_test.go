@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -33,54 +35,124 @@ func runPolicy(t *testing.T, kind GenKind, pol Policy, frac float64) Result {
 	return res
 }
 
-// The scheduler invariants, over every generator × policy combination:
+// checkInvariants asserts the scheduler invariants on one run of jobs:
 // allocated cores never exceed the inventory, no job finishes before
 // arrival + Work/MaxProcs (its fastest possible shape), rigid jobs never
 // reconfigure, every start respects the arrival, and work is conserved.
+func checkInvariants(t *testing.T, label string, jobs []rms.Job, res Result, total int) {
+	t.Helper()
+	if res.PeakCores > total {
+		t.Fatalf("%s: peak allocation %d exceeds %d cores", label, res.PeakCores, total)
+	}
+	if res.Utilization > 1+1e-9 {
+		t.Fatalf("%s: utilization %g > 1", label, res.Utilization)
+	}
+	if len(res.Jobs) != len(jobs) {
+		t.Fatalf("%s: %d job results for %d jobs", label, len(res.Jobs), len(jobs))
+	}
+	var totalWork float64
+	byID := map[int]rms.Job{}
+	for _, j := range jobs {
+		byID[j.ID] = j
+		totalWork += j.Work
+	}
+	for _, jr := range res.Jobs {
+		j := byID[jr.ID]
+		maxProcs := j.MaxProcs
+		if !j.Malleable || maxProcs < j.Procs {
+			maxProcs = j.Procs
+		}
+		if minEnd := j.Arrival + j.Work/float64(maxProcs); jr.End < minEnd-1e-6 {
+			t.Fatalf("%s: job %d finished at %g, before physical minimum %g", label, jr.ID, jr.End, minEnd)
+		}
+		if jr.Start < j.Arrival-1e-9 {
+			t.Fatalf("%s: job %d started %g before arrival %g", label, jr.ID, jr.Start, j.Arrival)
+		}
+		if !j.Malleable && jr.Reconfigs != 0 {
+			t.Fatalf("%s: rigid job %d reconfigured %d times", label, jr.ID, jr.Reconfigs)
+		}
+		if jr.Slowdown < 1 {
+			t.Fatalf("%s: job %d slowdown %g < 1", label, jr.ID, jr.Slowdown)
+		}
+	}
+	if d := math.Abs(res.UsedCoreSeconds - totalWork); d > 1e-6*totalWork {
+		t.Fatalf("%s: used %g core-seconds, submitted %g", label, res.UsedCoreSeconds, totalWork)
+	}
+}
+
+// The scheduler invariants hold over every generator × policy combination.
 func TestSchedulerInvariants(t *testing.T) {
 	cl := testCluster()
 	total := cl.Nodes * cl.CoresPerNode
 	for _, kind := range GenKinds {
+		jobs, err := Generate(GenSpec{Kind: kind, Seed: 1, Jobs: 300, Cores: total, Load: 1.0, MalleableFrac: 0.6})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, pol := range Policies() {
 			res := runPolicy(t, kind, pol, 0.6)
-			if res.PeakCores > total {
-				t.Fatalf("%s/%s: peak allocation %d exceeds %d cores", kind, pol.Name(), res.PeakCores, total)
-			}
-			if res.Utilization > 1+1e-9 {
-				t.Fatalf("%s/%s: utilization %g > 1", kind, pol.Name(), res.Utilization)
-			}
-			jobs, err := Generate(GenSpec{Kind: kind, Seed: 1, Jobs: 300, Cores: total, Load: 1.0, MalleableFrac: 0.6})
+			checkInvariants(t, string(kind)+"/"+pol.Name(), jobs, res, total)
+		}
+	}
+}
+
+// A long fully malleable bursty trace completes under every policy. The
+// stall ceiling counts popped instants, not the duplicate wake-ups merged
+// into them: greedy arms millions of duplicates on this trace while
+// running only tens of thousands of passes.
+func TestLongTraceCompletes(t *testing.T) {
+	cl := testCluster()
+	total := cl.Nodes * cl.CoresPerNode
+	jobs, err := Generate(GenSpec{Kind: GenBursty, Seed: 1, Jobs: 4800, Cores: total, Load: 1.0, MalleableFrac: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range Policies() {
+		res, err := Run(jobs, Params{Cluster: cl, Cost: testCost(), Policy: pol})
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		checkInvariants(t, "bursty/j4800/"+pol.Name(), jobs, res, total)
+	}
+}
+
+// A job whose completion estimate rounds to its own instant (1e17 + 1 ==
+// 1e17 in float64) never progresses and re-arms the instant it is at on
+// every pass. The stall ceiling must still end the run with an error —
+// one cheap pop per pass, so it returns in milliseconds — rather than
+// spin forever on the folded instant.
+func TestRunStallsOnSelfRearmingWake(t *testing.T) {
+	jobs := []rms.Job{{ID: 0, Arrival: 1e17, Work: 1, Procs: 1}}
+	_, err := Run(jobs, Params{Cluster: testCluster(), Policy: RigidPolicy{}})
+	if err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("self-rearming wake-up: got %v, want a stall error", err)
+	}
+}
+
+// Duplicate wake-ups are folded: the event loop pops each distinct
+// instant once, so on the perfbench-sized traces the popped entries stay
+// within a small multiple of the job count (without folding, greedy pops
+// over a thousand entries per job on the bursty trace).
+func TestDuplicateWakeupsFolded(t *testing.T) {
+	cl := testCluster()
+	total := cl.Nodes * cl.CoresPerNode
+	const n = 600
+	for _, kind := range GenKinds {
+		jobs, err := Generate(GenSpec{Kind: kind, Seed: 1, Jobs: n, Cores: total, Load: 1.0, MalleableFrac: 1.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range Policies() {
+			e, err := newEngine(jobs, Params{Cluster: cl, Cost: testCost(), Policy: pol})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var totalWork float64
-			byID := map[int]rms.Job{}
-			for _, j := range jobs {
-				byID[j.ID] = j
-				totalWork += j.Work
+			if _, err := e.run(); err != nil {
+				t.Fatalf("%s/%s: %v", kind, pol.Name(), err)
 			}
-			for _, jr := range res.Jobs {
-				j := byID[jr.ID]
-				maxProcs := j.MaxProcs
-				if !j.Malleable || maxProcs < j.Procs {
-					maxProcs = j.Procs
-				}
-				if minEnd := j.Arrival + j.Work/float64(maxProcs); jr.End < minEnd-1e-6 {
-					t.Fatalf("%s/%s: job %d finished at %g, before physical minimum %g",
-						kind, pol.Name(), jr.ID, jr.End, minEnd)
-				}
-				if jr.Start < j.Arrival-1e-9 {
-					t.Fatalf("%s/%s: job %d started %g before arrival %g", kind, pol.Name(), jr.ID, jr.Start, j.Arrival)
-				}
-				if !j.Malleable && jr.Reconfigs != 0 {
-					t.Fatalf("%s/%s: rigid job %d reconfigured %d times", kind, pol.Name(), jr.ID, jr.Reconfigs)
-				}
-				if jr.Slowdown < 1 {
-					t.Fatalf("%s/%s: job %d slowdown %g < 1", kind, pol.Name(), jr.ID, jr.Slowdown)
-				}
-			}
-			if d := math.Abs(res.UsedCoreSeconds - totalWork); d > 1e-6*totalWork {
-				t.Fatalf("%s/%s: used %g core-seconds, submitted %g", kind, pol.Name(), res.UsedCoreSeconds, totalWork)
+			t.Logf("%s/%s: %d pops (%.2f per job)", kind, pol.Name(), e.pops, float64(e.pops)/n)
+			if e.pops > 10*n {
+				t.Fatalf("%s/%s: popped %d wake-ups for %d jobs, want <= %d", kind, pol.Name(), e.pops, n, 10*n)
 			}
 		}
 	}
@@ -230,5 +302,28 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run([]rms.Job{{ID: 0, Work: -1, Procs: 1}},
 		Params{Cluster: cl, Policy: RigidPolicy{}}); err == nil {
 		t.Fatal("invalid job accepted")
+	}
+}
+
+// BenchmarkSchedule times one Run of an n-job fully malleable bursty trace
+// under the greedy policy, the scheduler's costliest shape; the time is
+// per Run.
+func BenchmarkSchedule(b *testing.B) {
+	cl := testCluster()
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			jobs, err := Generate(GenSpec{Kind: GenBursty, Seed: 1, Jobs: n,
+				Cores: cl.Nodes * cl.CoresPerNode, Load: 1.0, MalleableFrac: 1.0})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := Params{Cluster: cl, Cost: testCost(), Policy: GreedyPolicy{}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(jobs, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -108,22 +108,19 @@ func Generate(spec GenSpec) ([]rms.Job, error) {
 	arrRng := rand.New(rand.NewSource(spec.Seed ^ 0x1e3779b97f4a7c15))
 	malRng := rand.New(rand.NewSource(spec.Seed ^ 0x5851f42d4c957f2d))
 
-	type size struct {
-		procs    int
-		work     float64
-		maxProcs int
-	}
-	sizes := make([]size, spec.Jobs)
+	// Sizes first, built in place; arrivals and malleability flags come
+	// from their own streams once the total work sizes the window.
+	jobs := make([]rms.Job, spec.Jobs)
 	var totalWork float64
-	maxProcsCap := spec.Cores
-	for i := range sizes {
-		// Log-uniform core ask in [1, Cores/4] (at least 1): several jobs
-		// must fit side by side for scheduling to be interesting.
-		hi := spec.Cores / 4
-		if hi < 1 {
-			hi = 1
-		}
-		procs := int(math.Exp(sizeRng.Float64() * math.Log(float64(hi))))
+	// Log-uniform core ask in [1, Cores/4] (at least 1): several jobs
+	// must fit side by side for scheduling to be interesting.
+	hi := spec.Cores / 4
+	if hi < 1 {
+		hi = 1
+	}
+	logHi := math.Log(float64(hi))
+	for i := range jobs {
+		procs := int(math.Exp(sizeRng.Float64() * logHi))
 		if procs < 1 {
 			procs = 1
 		}
@@ -137,35 +134,26 @@ func Generate(spec GenSpec) ([]rms.Job, error) {
 		if service > genMaxService {
 			service = genMaxService
 		}
-		maxProcs := procs * genExpandFactor
-		if maxProcs > maxProcsCap {
-			maxProcs = maxProcsCap
-		}
-		sizes[i] = size{procs: procs, work: float64(procs) * service, maxProcs: maxProcs}
-		totalWork += sizes[i].work
+		j := &jobs[i]
+		j.ID = i
+		j.Work = float64(procs) * service
+		j.Procs = procs
+		totalWork += j.Work
 	}
 
 	// The arrival window delivers totalWork at Load×Cores core-seconds/s.
 	window := totalWork / (spec.Load * float64(spec.Cores))
 	arrivals := genArrivals(spec.Kind, arrRng, spec.Jobs, window)
 
-	jobs := make([]rms.Job, spec.Jobs)
 	for i := range jobs {
-		mal := malRng.Float64() < spec.MalleableFrac
-		j := rms.Job{
-			ID:      i,
-			Arrival: arrivals[i],
-			Work:    sizes[i].work,
-			Procs:   sizes[i].procs,
-		}
-		if mal {
+		j := &jobs[i]
+		j.Arrival = arrivals[i]
+		j.MaxProcs = j.Procs
+		if malRng.Float64() < spec.MalleableFrac {
 			j.Malleable = true
-			j.MaxProcs = sizes[i].maxProcs
-			j.DataBytes = int64(sizes[i].procs) * genBytesPerProc
-		} else {
-			j.MaxProcs = j.Procs
+			j.MaxProcs = min(j.Procs*genExpandFactor, spec.Cores)
+			j.DataBytes = int64(j.Procs) * genBytesPerProc
 		}
-		jobs[i] = j
 	}
 	return jobs, nil
 }
@@ -185,12 +173,15 @@ func genArrivals(kind GenKind, rng *rand.Rand, n int, window float64) []float64 
 	case GenBursty:
 		// Geometric bursts (mean 8 jobs) of near-simultaneous submissions
 		// separated by exponential gaps 50x the intra-burst spacing.
+		// The burst length is 1 + a geometric draw (success probability
+		// 1/meanBurst, support 0, 1, 2, ...) by inversion.
 		const meanBurst = 8
+		logQ := math.Log(1 - 1.0/meanBurst)
 		cum := 0.0
 		left := 0
 		for i := range ts {
 			if left == 0 {
-				left = 1 + geometric(rng, 1.0/meanBurst)
+				left = 1 + int(math.Floor(math.Log(1-rng.Float64())/logQ))
 				cum += rng.ExpFloat64() * 50
 			} else {
 				cum += rng.ExpFloat64() * 0.02
@@ -244,10 +235,4 @@ func rescale(ts []float64, window float64) {
 	for i := range ts {
 		ts[i] = (ts[i] - lo) / span * window
 	}
-}
-
-// geometric draws from a geometric distribution with success probability p
-// (support 0, 1, 2, ...).
-func geometric(rng *rand.Rand, p float64) int {
-	return int(math.Floor(math.Log(1-rng.Float64()) / math.Log(1-p)))
 }

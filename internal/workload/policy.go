@@ -32,6 +32,10 @@ type PolicyJob struct {
 // over-commits (Σ(target−Procs) must stay ≤ free), then prices every
 // allocation change through the campaign's rms.CostModel and freezes the
 // job for the reconfiguration.
+//
+// Target must be a pure function of its arguments and must not retain
+// jobs: the engine reuses that slice across passes, and it skips a
+// repeated pass whose inputs are unchanged instead of asking again.
 type Policy interface {
 	Name() string
 	Target(jobs []PolicyJob, free int, queued int, cost rms.CostModel) []int
