@@ -2,11 +2,13 @@
 // with cooperative processes running in virtual time.
 //
 // The kernel owns a virtual clock and a priority queue of events. Simulated
-// processes are goroutines that run one at a time: the scheduler hands
-// control to a process, and the process hands control back when it blocks on
-// a timer, a Signal, or process exit. Because exactly one goroutine executes
-// at any instant and ties are broken by sequence number, a simulation with a
-// fixed set of inputs always produces the same trace.
+// processes are coroutines that run one at a time: the scheduler switches to
+// a process, and the process switches back when it blocks on a timer, a
+// Signal, or process exit. A switch transfers control directly between the
+// two stacks, without a trip through the Go scheduler's run queue. Because
+// exactly one coroutine executes at any instant and ties are broken by
+// sequence number, a simulation with a fixed set of inputs always produces
+// the same trace.
 //
 // All kernel methods must be called from scheduler context: either from
 // inside a running process or from an event callback. The kernel is not safe
@@ -27,7 +29,6 @@ type Kernel struct {
 	free   []*event // recycled events; see newEvent/recycle
 
 	current *Proc
-	yield   chan yieldMsg
 
 	live    map[*Proc]struct{}
 	nextPID int
@@ -35,16 +36,6 @@ type Kernel struct {
 	running bool
 	dead    bool
 	failure error
-}
-
-type yieldMsg struct {
-	proc *Proc
-	done bool
-	err  error
-}
-
-type resumeMsg struct {
-	kill bool
 }
 
 // event is a scheduled callback or process wake. Events compare by (time,
@@ -64,7 +55,6 @@ type event struct {
 func NewKernel() *Kernel {
 	return &Kernel{
 		events: newCalQueue(),
-		yield:  make(chan yieldMsg),
 		live:   make(map[*Proc]struct{}),
 	}
 }
@@ -192,7 +182,7 @@ func (k *Kernel) Run() error {
 		if p == nil {
 			fn()
 		} else if !p.finished {
-			k.resumeProc(p, resumeMsg{})
+			k.resumeProc(p)
 		}
 		if k.failure != nil {
 			k.shutdown()
@@ -215,30 +205,37 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// shutdown kills every live process goroutine so that Run leaks nothing.
+// shutdown kills every live process so that Run leaks no coroutine.
 func (k *Kernel) shutdown() {
 	k.dead = true
 	for len(k.live) > 0 {
-		var p *Proc
-		for q := range k.live {
-			p = q
+		for p := range k.live {
+			k.Kill(p)
 			break
 		}
-		k.resumeProc(p, resumeMsg{kill: true})
 	}
 }
 
-// resumeProc hands control to p and waits for it to yield back.
-func (k *Kernel) resumeProc(p *Proc, msg resumeMsg) {
+// resumeProc switches to p's coroutine and returns when p parks or exits.
+// The coroutine is created at p's first resume, so a process killed before
+// it ever ran exits without one.
+func (k *Kernel) resumeProc(p *Proc) {
+	if p.next == nil {
+		if p.killed {
+			p.finished = true
+			delete(k.live, p)
+			return
+		}
+		p.start()
+	}
 	prev := k.current
 	k.current = p
-	p.resume <- msg
-	y := <-k.yield
+	_, parked := p.next()
 	k.current = prev
-	if y.done {
-		delete(k.live, y.proc)
-	}
-	if y.err != nil && k.failure == nil {
-		k.failure = y.err
+	if !parked {
+		delete(k.live, p)
+		if p.err != nil && k.failure == nil {
+			k.failure = p.err
+		}
 	}
 }

@@ -5,14 +5,24 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that runs in virtual time under
+// Proc is a simulated process: a coroutine that runs in virtual time under
 // the kernel's cooperative scheduler. A Proc may only call kernel methods
 // while it is the running process.
 type Proc struct {
-	k      *Kernel
-	pid    int
-	name   string
-	resume chan resumeMsg
+	k    *Kernel
+	pid  int
+	name string
+
+	// The coroutine, created at the first resume (start): fn is the body
+	// until then. next switches into the coroutine and returns when it
+	// parks (true) or exits (false); yield, called inside it, switches
+	// back.
+	fn    func(p *Proc)
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+
+	killed bool  // set by Kill: the process unwinds at its next resume
+	err    error // the panic that ended the process, for Run to return
 
 	// The block reason for deadlock reports, rendered only when a report
 	// is built: a fixed string, a function (WaitReasonFunc), or the
@@ -23,8 +33,8 @@ type Proc struct {
 	finished      bool
 }
 
-// procKilled is the panic value used to unwind a process goroutine during
-// kernel shutdown. It never escapes the package.
+// procKilled is the panic value used to unwind a killed process. It never
+// escapes the package.
 type procKilled struct{}
 
 // Spawn creates a process named name running fn and schedules it to start at
@@ -34,43 +44,33 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	if k.dead {
 		panic("sim: Spawn on finished kernel")
 	}
-	p := &Proc{
-		k:      k,
-		pid:    k.nextPID,
-		name:   name,
-		resume: make(chan resumeMsg),
-	}
+	p := &Proc{k: k, pid: k.nextPID, name: name, fn: fn}
 	k.nextPID++
 	k.live[p] = struct{}{}
-	go p.run(fn)
 	k.schedule(k.now, p)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	msg := <-p.resume // wait for first schedule
-	if msg.kill {
-		p.finished = true
-		p.k.yield <- yieldMsg{proc: p, done: true}
-		return
-	}
+// run is the body of p's coroutine. It turns a panic into p.err, except
+// the procKilled that unwinds a killed process.
+func (p *Proc) run() {
 	defer func() {
 		r := recover()
 		p.finished = true
-		var err error
 		if r != nil {
 			if _, killed := r.(procKilled); !killed {
 				// Preserve typed error panic values so callers can unwrap
 				// them (errors.As) from Kernel.Run's return.
 				if perr, ok := r.(error); ok {
-					err = fmt.Errorf("sim: process %q panicked: %w\n%s", p.name, perr, debug.Stack())
+					p.err = fmt.Errorf("sim: process %q panicked: %w\n%s", p.name, perr, debug.Stack())
 				} else {
-					err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+					p.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 				}
 			}
 		}
-		p.k.yield <- yieldMsg{proc: p, done: true, err: err}
 	}()
+	fn := p.fn
+	p.fn = nil
 	fn(p)
 }
 
@@ -93,10 +93,9 @@ func (p *Proc) park(reason string) {
 		panic("sim: park called by a process that is not running")
 	}
 	p.blockReason = reason
-	p.k.yield <- yieldMsg{proc: p}
-	msg := <-p.resume
+	p.yield(struct{}{})
 	p.blockReason, p.blockReasonFn, p.blockSig = "", nil, nil
-	if msg.kill {
+	if p.killed {
 		panic(procKilled{})
 	}
 }
@@ -112,11 +111,12 @@ func (p *Proc) reason() string {
 	return p.blockReason
 }
 
-// Kill terminates the process: its goroutine unwinds (deferred functions
-// run) and it never executes again. Kill must be called from scheduler
-// context and not by the process on itself. It is the failure-injection
-// primitive: peers blocked on a killed process surface as a DeadlockError
-// when the event queue drains.
+// Kill terminates the process: it unwinds (deferred functions run) and
+// never executes again. Kill must be called from scheduler context and not
+// by the process on itself; called from another running process, it
+// returns to that process at the same virtual instant once the victim has
+// unwound. It is the failure-injection primitive: peers blocked on a killed
+// process surface as a DeadlockError when the event queue drains.
 func (k *Kernel) Kill(p *Proc) {
 	if p == nil || p.finished {
 		return
@@ -124,7 +124,8 @@ func (k *Kernel) Kill(p *Proc) {
 	if k.current == p {
 		panic("sim: a process cannot Kill itself")
 	}
-	k.resumeProc(p, resumeMsg{kill: true})
+	p.killed = true
+	k.resumeProc(p)
 }
 
 // KillAt schedules the process's termination at virtual time t.
