@@ -37,34 +37,18 @@ type crKey struct {
 	src  int
 }
 
-// crStore returns the shared file namespace for this transfer's matching
+// crStoreFor returns the shared file namespace for this transfer's matching
 // context (both sides of a Baseline intercomm see the same one).
 func crStoreFor(c *mpi.Ctx, v *view) *crFiles {
-	w := c.World()
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if crNamespaces == nil {
-		crNamespaces = map[*mpi.World]map[int]*crFiles{}
-	}
-	per := crNamespaces[w]
-	if per == nil {
-		per = map[int]*crFiles{}
-		crNamespaces[w] = per
-	}
+	reg := registryOf(c.World())
 	id := v.comm.CtxID()
-	f := per[id]
+	f := reg.files[id]
 	if f == nil {
 		f = &crFiles{blocks: map[crKey]mpi.Payload{}, complete: map[int]bool{}}
-		per[id] = f
+		reg.files[id] = f
 	}
 	return f
 }
-
-// crNamespaces keys file tables by world then matching context. The
-// simulation is single-threaded per kernel; worlds are short-lived, so the
-// map is cleaned up by garbage collection with them... entries are removed
-// when a transfer completes its read phase.
-var crNamespaces map[*mpi.World]map[int]*crFiles
 
 func newCRTransfer(v *view, items []Item) *crTransfer {
 	requireItems(items, "checkpoint-restart")

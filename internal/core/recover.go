@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -198,9 +197,8 @@ func recoveryTag(round, itemIdx, seq int) int {
 
 // epochState is the shared coordination block of one resilient pass: soft
 // barriers (arrival sets keyed by label), per-round abort flags, the chunk
-// acknowledgement map, and the recovery ladder's agreed rung. Like
-// crNamespaces it is keyed by world and matching context; the simulation is
-// single-threaded per kernel.
+// acknowledgement map, and the recovery ladder's agreed rung. It is kept
+// per world and matching context (passRegistry).
 type epochState struct {
 	arrived map[string]*softBarrier
 	abort   map[int]bool
@@ -218,33 +216,34 @@ type epochState struct {
 	escalated map[int]bool
 }
 
-var epochStates map[*mpi.World]map[int]*epochState
+// passRegistry is one world's shared state of resilient passes and
+// checkpoint/restart transfers, by matching context. It lives in the
+// world's extension slot, so it is collected with the world, and it needs
+// no lock: only the world's own kernel touches it.
+type passRegistry struct {
+	epochs map[int]*epochState
+	files  map[int]*crFiles
+}
 
-// registryMu guards the cross-world registries (crNamespaces, epochStates):
-// the parallel sweep engine simulates many worlds at once, and while each
-// world stays single-threaded under its kernel, the registry maps are
-// shared by all of them. The *crFiles/*epochState values themselves remain
-// lock-free — only the owning world's kernel touches them.
-var registryMu sync.Mutex
+func registryOf(w *mpi.World) *passRegistry {
+	slot := w.Ext()
+	r, _ := (*slot).(*passRegistry)
+	if r == nil {
+		r = &passRegistry{epochs: map[int]*epochState{}, files: map[int]*crFiles{}}
+		*slot = r
+	}
+	return r
+}
 
 func epochStateFor(w *mpi.World, ctxID int) *epochState {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if epochStates == nil {
-		epochStates = map[*mpi.World]map[int]*epochState{}
-	}
-	per := epochStates[w]
-	if per == nil {
-		per = map[int]*epochState{}
-		epochStates[w] = per
-	}
-	st := per[ctxID]
+	reg := registryOf(w)
+	st := reg.epochs[ctxID]
 	if st == nil {
 		st = &epochState{
 			arrived: map[string]*softBarrier{}, abort: map[int]bool{},
 			acks: newAckTracker(), rung: -1, escalated: map[int]bool{},
 		}
-		per[ctxID] = st
+		reg.epochs[ctxID] = st
 	}
 	return st
 }

@@ -151,9 +151,10 @@ func goldenCells() []*goldenCell {
 	return cells
 }
 
-// simulate runs the cell's reconfiguration and fills in its record. crashAt
-// is the victim's crash time (negative for none).
-func (g *goldenCell) simulate(t *testing.T, crashAt float64) {
+// simulate runs the cell's reconfiguration, fills in its record and
+// returns the finished world. crashAt is the victim's crash time (negative
+// for none).
+func (g *goldenCell) simulate(t *testing.T, crashAt float64) *mpi.World {
 	t.Helper()
 	const n = 1000
 	g.Sends, g.Recvs, g.SendBytes, g.RecvBytes, g.redistVarSeen, g.wireSeen = 0, 0, 0, 0, false, false
@@ -254,6 +255,7 @@ func (g *goldenCell) simulate(t *testing.T, crashAt float64) {
 	g.Checksum = fmt.Sprintf("%016x", h.Sum64())
 	g.ReconfigEnd = fmt.Sprintf("%016x", math.Float64bits(reconfigEnd))
 	g.AppEnd = fmt.Sprintf("%016x", math.Float64bits(w.Kernel().Now()))
+	return w
 }
 
 // TestTransferGolden re-simulates a fixed grid of reconfigurations and

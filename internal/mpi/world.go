@@ -109,6 +109,8 @@ type World struct {
 	sink trace.Sink // nil when event tracing is off
 
 	envFree []*envelope // recycled envelopes; see newEnvelope/freeEnvelope
+
+	ext any // owned by a layer above mpi; see Ext
 }
 
 // NewWorld creates a world on machine m.
@@ -198,6 +200,12 @@ func (w *World) SetSink(s trace.Sink) { w.sink = s }
 
 // Sink returns the attached event sink, or nil when tracing is off.
 func (w *World) Sink() trace.Sink { return w.sink }
+
+// Ext returns the world's extension slot. A layer above mpi keeps its
+// per-world state there (internal/core: resilient-pass coordination and
+// checkpoint files), so that state is collected with the world. mpi never
+// reads it.
+func (w *World) Ext() *any { return &w.ext }
 
 // Process is one MPI process: a rank's mailbox, placement, and identity.
 // Its code runs in one or more execution contexts (main thread plus any
