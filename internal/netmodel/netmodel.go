@@ -14,9 +14,10 @@
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -110,6 +111,8 @@ type Fabric struct {
 
 	// scratch per-node flow counters, reused across recomputes.
 	txCount, rxCount, memCount []int
+	// completed is onCompletion's scratch list, reused across completions.
+	completed []*Flow
 
 	// degrade scales each node's NIC bandwidth (fault injection of link
 	// degradation); nil means every node runs at full rate.
@@ -319,7 +322,7 @@ func (f *Fabric) onCompletion() {
 	f.advance()
 	const eps = 1e-9 // sub-byte residue
 	now := f.k.Now()
-	var finished []*Flow
+	finished := f.completed[:0]
 	for _, fl := range f.flows {
 		// A flow is done when its residue is sub-byte, or so small that its
 		// completion time rounds to the current instant — otherwise the
@@ -329,7 +332,7 @@ func (f *Fabric) onCompletion() {
 		}
 	}
 	// Deterministic delivery order regardless of list order.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
+	slices.SortFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
 	for _, fl := range finished {
 		f.detach(fl)
 		fl.finished = true
@@ -340,4 +343,6 @@ func (f *Fabric) onCompletion() {
 			fl.done()
 		}
 	}
+	clear(finished)
+	f.completed = finished[:0]
 }

@@ -41,6 +41,7 @@ type Resource struct {
 	lastUpdate float64
 	timer      *sim.Timer
 	nextSeq    uint64
+	completed  []*Task // onCompletion's scratch list, reused across completions
 }
 
 // Task is a unit of demand attached to a Resource. Finite tasks complete
@@ -146,7 +147,7 @@ func (r *Resource) onCompletion() {
 	r.timer = nil
 	r.advance()
 	// Collect completions first: done callbacks may attach new tasks.
-	var finished []*Task
+	finished := r.completed[:0]
 	const eps = 1e-12
 	now := r.k.Now()
 	rate := r.Rate()
@@ -170,6 +171,8 @@ func (r *Resource) onCompletion() {
 			t.done()
 		}
 	}
+	clear(finished)
+	r.completed = finished[:0]
 }
 
 // Start attaches a finite task demanding work units of service; done runs
