@@ -1,8 +1,8 @@
 package harness
 
 // Paper-scale behaviour golden: the 24 from160 synchronous cells of the
-// paper's CG emulation on Ethernet (rep 0), re-simulated and compared with
-// testdata/paper_golden.txt as exact float bits. A performance change must
+// paper's CG emulation on Ethernet and on Infiniband (rep 0), re-simulated
+// and compared with testdata/paper_golden.txt as exact float bits. A performance change must
 // leave the file byte-identical; only an intended behaviour change
 // regenerates it, with `go test ./internal/harness -run TestPaperGolden
 // -update`.
@@ -28,23 +28,25 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 func TestPaperGolden(t *testing.T) {
-	s := DefaultSetup(netmodel.Ethernet10G())
-	s.Reps = 1
-	s.Workers = 2
 	configs := SyncConfigs()
-	m, err := s.Sweep(From160(), configs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bits := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 	var out bytes.Buffer
-	for _, p := range From160() {
-		for _, cfg := range configs {
-			key := CellKey{Pair: p, Config: cfg}
-			r := m[key][0]
-			fmt.Fprintf(&out, "%s reconfig=%s total=%s iter_before=%s iter_during=%s iter_after=%s overlapped=%d\n",
-				key, bits(r.ReconfigTime()), bits(r.TotalTime),
-				bits(r.IterTimeBefore), bits(r.IterTimeDuring), bits(r.IterTimeAfter), r.OverlappedIterations)
+	for _, net := range []netmodel.Params{netmodel.Ethernet10G(), netmodel.InfinibandEDR()} {
+		s := DefaultSetup(net)
+		s.Reps = 1
+		s.Workers = 2
+		m, err := s.Sweep(From160(), configs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range From160() {
+			for _, cfg := range configs {
+				key := CellKey{Pair: p, Config: cfg}
+				r := m[key][0]
+				fmt.Fprintf(&out, "%s %s reconfig=%s total=%s iter_before=%s iter_during=%s iter_after=%s overlapped=%d\n",
+					net.Name, key, bits(r.ReconfigTime()), bits(r.TotalTime),
+					bits(r.IterTimeBefore), bits(r.IterTimeDuring), bits(r.IterTimeAfter), r.OverlappedIterations)
+			}
 		}
 	}
 
