@@ -121,9 +121,14 @@ type envelope struct {
 	launching bool    // transfer launched or deferred on a timer; never relaunch
 	lost      bool    // sender crashed before the payload arrived
 	delay     float64 // injected extra latency before the payload moves
-	flow      *netmodel.Flow
+	outIdx    int     // position in sender.outEnvs until the payload arrives
 	sreq      *SendReq
 	rreq      *RecvReq
+
+	// Kept across recycling: the payload's transfer, started in place, and
+	// its done callback (onFlowDone), bound once when the envelope is made.
+	flow     netmodel.Flow
+	flowDone func()
 }
 
 // newEnvelope takes an envelope off the world's freelist or allocates one.
@@ -137,7 +142,9 @@ func (w *World) newEnvelope() *envelope {
 		w.envFree = w.envFree[:n-1]
 		return e
 	}
-	return &envelope{}
+	e := &envelope{}
+	e.flowDone = e.onFlowDone
+	return e
 }
 
 // freeEnvelope recycles a fully delivered envelope. Only complete() may
@@ -146,7 +153,7 @@ func (w *World) newEnvelope() *envelope {
 // outEnvs entry is gone, and no mailbox or queue holds the pointer. Lost or
 // dropped envelopes are never recycled — the garbage collector takes them.
 func (w *World) freeEnvelope(e *envelope) {
-	*e = envelope{}
+	*e = envelope{flowDone: e.flowDone}
 	w.envFree = append(w.envFree, e)
 }
 
@@ -209,10 +216,13 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 		payload: clonePayload(payload),
 		eager:   payload.Size <= w.opts.EagerThreshold,
 		delay:   verdict.Delay,
+		outIdx:  len(c.proc.outEnvs),
+
+		flowDone: env.flowDone,
 	}
 	sreq := &SendReq{env: env}
 	env.sreq = sreq
-	c.proc.outEnvs[env] = true
+	c.proc.outEnvs = append(c.proc.outEnvs, env)
 
 	// Matching follows MPI's non-overtaking rule: the envelope becomes
 	// visible to the receiver immediately, in send order.
@@ -232,7 +242,7 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 // startFlow launches the network transfer for the envelope's payload, or
 // queues it when the sender's pipeline is full.
 func (e *envelope) startFlow() {
-	if e.flow != nil || e.queued || e.launching {
+	if e.queued || e.launching {
 		return
 	}
 	s := e.sender
@@ -259,12 +269,18 @@ func (e *envelope) launchFlow() {
 		over := float64(cpu.Load())/cpu.Capacity() - 1
 		if over > 0 {
 			delay := q * over * 0.5
-			w.k.After(delay, func() { e.launchFlowNow() })
+			w.k.AfterHandler(delay, (*envLaunch)(e))
 			return
 		}
 	}
 	e.launchFlowNow()
 }
+
+// envLaunch is the event of a deferred launch: the envelope itself, under
+// a type whose Fire launches its flow.
+type envLaunch envelope
+
+func (l *envLaunch) Fire() { (*envelope)(l).launchFlowNow() }
 
 func (e *envelope) launchFlowNow() {
 	s := e.sender
@@ -273,29 +289,42 @@ func (e *envelope) launchFlowNow() {
 	}
 	if d := e.delay; d > 0 {
 		e.delay = 0
-		s.w.k.After(d, e.launchFlowNow)
+		s.w.k.AfterHandler(d, (*envLaunch)(e))
 		return
 	}
-	f := e.comm.w.machine.Fabric()
-	e.flow = f.Transfer(s.node, e.dst.node, e.payload.Size, func() {
-		if e.lost {
-			// The sender crashed mid-stream: the partial payload is garbage
-			// and the message never completes on either side.
-			return
-		}
-		e.dataReady = true
-		delete(s.outEnvs, e)
-		s.flowsActive--
-		s.drainFlowQueue()
-		// An eager send completes locally once the data has left, whether or
-		// not a receive has matched; a rendezvous send completes with the
-		// delivery (it only started once matched).
-		if e.eager && !e.sreq.done {
-			e.sreq.done = true
-			e.sender.progress.Broadcast()
-		}
-		e.complete()
-	})
+	s.w.machine.Fabric().Start(&e.flow, s.node, e.dst.node, e.payload.Size, e.flowDone)
+}
+
+// onFlowDone runs when the payload's last byte arrives.
+func (e *envelope) onFlowDone() {
+	if e.lost {
+		// The sender crashed mid-stream: the partial payload is garbage
+		// and the message never completes on either side.
+		return
+	}
+	s := e.sender
+	e.dataReady = true
+	s.dropOutEnv(e)
+	s.flowsActive--
+	s.drainFlowQueue()
+	// An eager send completes locally once the data has left, whether or
+	// not a receive has matched; a rendezvous send completes with the
+	// delivery (it only started once matched).
+	if e.eager && !e.sreq.done {
+		e.sreq.done = true
+		s.progress.Broadcast()
+	}
+	e.complete()
+}
+
+// dropOutEnv removes e from p.outEnvs in O(1) by swapping the last entry
+// into its place.
+func (p *Process) dropOutEnv(e *envelope) {
+	last := len(p.outEnvs) - 1
+	moved := p.outEnvs[last]
+	p.outEnvs[e.outIdx], moved.outIdx = moved, e.outIdx
+	p.outEnvs[last] = nil
+	p.outEnvs = p.outEnvs[:last]
 }
 
 // drainFlowQueue starts queued sends while pipeline slots are free.
@@ -400,6 +429,9 @@ func (c *Ctx) Sendrecv(comm *Comm, dst, sendTag int, payload Payload, src, recvT
 
 // Wait blocks until the request completes.
 func (c *Ctx) Wait(r Request) {
+	if r.Done() {
+		return // before building the closures below
+	}
 	c.waitUntilDesc(r.Done, func() string { return "Wait: " + r.describe() })
 }
 

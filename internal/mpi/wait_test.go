@@ -5,9 +5,9 @@ import "testing"
 // maxWaitAllocs bounds the allocations of one Wait that parks on a pending
 // Irecv until an eager message from a sleeping peer completes it. The
 // count covers the whole round: the Wait's reason closure and polling load
-// (2), the peer's SendReq (1), and the fabric transfer with its completion
-// timers (8). Parks and wakes themselves allocate nothing.
-const maxWaitAllocs = 11
+// (2) and the peer's SendReq (1). Parks, wakes, the envelope, its flow and
+// the timers allocate nothing.
+const maxWaitAllocs = 3
 
 // TestWaitAllocations: a Wait that parks formats no deadlock reason and
 // schedules its wake without a Timer, so a round allocates no more than
@@ -45,5 +45,44 @@ func TestWaitAllocations(t *testing.T) {
 	}
 	if allocs > maxWaitAllocs {
 		t.Errorf("Wait on a pending Irecv: %g allocs per round, want at most %d", allocs, maxWaitAllocs)
+	}
+}
+
+// maxRoundTripAllocs bounds the allocations of one P2P round trip: an
+// eager message each way, each an Isend, an Irecv posted before it, a
+// Wait on both, and the flow's completion. What remains is the two
+// SendReqs and two RecvReqs, and each parked Wait's reason closure and
+// polling-load task. Envelopes, flows, timers, deferred launches and the
+// copy cost's Use waiters are recycled or bound once.
+const maxRoundTripAllocs = 11
+
+// TestRoundTripAllocations: a ping-pong between ranks on two nodes, with
+// the default copy cost and scheduler quantum, allocates no more per round
+// trip than its requests and parked Waits need.
+func TestRoundTripAllocations(t *testing.T) {
+	const runs = 100
+	w := testWorld(t, 2, 4, DefaultOptions())
+	var allocs float64
+	w.Launch(2, func(r int) int { return r }, func(c *Ctx, comm *Comm) {
+		switch comm.Rank(c) {
+		case 0:
+			tag := 0
+			allocs = testing.AllocsPerRun(runs, func() {
+				r := c.Irecv(comm, 1, tag)
+				c.Wait(c.Isend(comm, 1, tag, Virtual(8)))
+				c.Wait(r)
+				tag++
+			})
+		case 1:
+			for tag := 0; tag <= runs; tag++ { // AllocsPerRun adds a warm-up call
+				r := c.Irecv(comm, 0, tag)
+				c.Wait(r)
+				c.Wait(c.Isend(comm, 0, tag, Virtual(8)))
+			}
+		}
+	})
+	runWorld(t, w)
+	if allocs > maxRoundTripAllocs {
+		t.Errorf("P2P round trip: %g allocs, want at most %d", allocs, maxRoundTripAllocs)
 	}
 }

@@ -227,7 +227,7 @@ type Process struct {
 	flowsActive int         // outgoing transfers currently on the wire
 	flowQueue   []*envelope // sends waiting for a pipeline slot
 
-	outEnvs map[*envelope]bool // sent envelopes whose payload has not yet arrived
+	outEnvs []*envelope // sent envelopes whose payload has not yet arrived; outEnvs[e.outIdx] == e
 
 	simProcs []*sim.Proc // every execution context ever started for this rank
 	dead     bool        // set by KillProcess; the rank never executes again
@@ -253,7 +253,6 @@ func (w *World) newProcess(node int) *Process {
 		gid:      w.nextGID,
 		node:     node,
 		progress: sim.NewSignal(fmt.Sprintf("mpi.progress.g%d", w.nextGID)),
-		outEnvs:  map[*envelope]bool{},
 	}
 	w.nextGID++
 	w.procs[p.gid] = p
@@ -283,7 +282,9 @@ func (w *World) KillProcess(gid int) {
 	for _, sp := range p.simProcs {
 		w.k.Kill(sp)
 	}
-	for env := range p.outEnvs {
+	// The walk's order cannot reach the output: it only flags each
+	// envelope and removes it from its own destination's mailbox.
+	for _, env := range p.outEnvs {
 		env.lost = true
 		// An unmatched envelope parked in the destination mailbox would
 		// otherwise match a later receive and then never deliver.

@@ -106,8 +106,10 @@ type Fabric struct {
 
 	flows      []*Flow
 	lastUpdate float64
-	timer      *sim.Timer
+	timer      sim.Timer
 	nextSeq    uint64
+	// onCompletion bound once: arming the timer allocates no method value.
+	completeFn func()
 
 	// scratch per-node flow counters, reused across recomputes.
 	txCount, rxCount, memCount []int
@@ -129,7 +131,7 @@ type Flow struct {
 	done      func()
 	started   bool // past the latency phase
 	finished  bool
-	latTimer  *sim.Timer
+	latTimer  sim.Timer
 	index     int // position in the fabric's flow list, -1 when detached
 }
 
@@ -142,7 +144,7 @@ func NewFabric(k *sim.Kernel, params Params, nodes int) *Fabric {
 	if err := params.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Fabric{
+	f := &Fabric{
 		k:        k,
 		params:   params,
 		nodes:    nodes,
@@ -150,6 +152,8 @@ func NewFabric(k *sim.Kernel, params Params, nodes int) *Fabric {
 		rxCount:  make([]int, nodes),
 		memCount: make([]int, nodes),
 	}
+	f.completeFn = f.onCompletion
+	return f
 }
 
 // Params returns the interconnect parameters.
@@ -193,34 +197,49 @@ func (f *Fabric) nicBandwidth(node int) float64 {
 // done when the last byte arrives. A zero-size transfer still pays latency.
 // The returned Flow may be canceled before completion.
 func (f *Fabric) Transfer(src, dst int, size int64, done func()) *Flow {
+	fl := new(Flow)
+	f.Start(fl, src, dst, size, done)
+	return fl
+}
+
+// Start is Transfer into a caller-owned flow: it overwrites fl, which must
+// not be in flight, so a caller that sends one message at a time per flow
+// (an mpi envelope) reuses it instead of allocating one per message.
+func (f *Fabric) Start(fl *Flow, src, dst int, size int64, done func()) {
 	if src < 0 || src >= f.nodes || dst < 0 || dst >= f.nodes {
 		panic(fmt.Sprintf("netmodel: transfer %d->%d outside fabric of %d nodes", src, dst, f.nodes))
 	}
 	if size < 0 {
 		panic(fmt.Sprintf("netmodel: negative transfer size %d", size))
 	}
-	fl := &Flow{f: f, seq: f.nextSeq, src: src, dst: dst, remaining: float64(size), done: done}
+	*fl = Flow{f: f, seq: f.nextSeq, src: src, dst: dst, remaining: float64(size), done: done}
 	f.nextSeq++
 	lat := f.params.Latency
 	if src == dst {
 		lat = f.params.IntraLatency
 	}
-	fl.latTimer = f.k.After(lat, func() {
-		fl.latTimer = nil
-		if fl.remaining <= 0 {
-			fl.finished = true
-			if fl.done != nil {
-				fl.done()
-			}
-			return
+	fl.latTimer = f.k.AfterHandler(lat, (*flowLatency)(fl))
+}
+
+// flowLatency is the event that ends a flow's latency phase: the flow
+// itself, under a type whose Fire starts it streaming.
+type flowLatency Flow
+
+func (l *flowLatency) Fire() {
+	fl := (*Flow)(l)
+	f := fl.f
+	if fl.remaining <= 0 {
+		fl.finished = true
+		if fl.done != nil {
+			fl.done()
 		}
-		fl.started = true
-		f.advance()
-		fl.index = len(f.flows)
-		f.flows = append(f.flows, fl)
-		f.recompute()
-	})
-	return fl
+		return
+	}
+	fl.started = true
+	f.advance()
+	fl.index = len(f.flows)
+	f.flows = append(f.flows, fl)
+	f.recompute()
 }
 
 // Cancel aborts the flow; done will not run. It reports whether the flow was
@@ -230,9 +249,8 @@ func (fl *Flow) Cancel() bool {
 		return false
 	}
 	fl.finished = true
-	if fl.latTimer != nil {
+	if !fl.started {
 		fl.latTimer.Cancel()
-		fl.latTimer = nil
 		return true
 	}
 	fl.f.advance()
@@ -275,10 +293,7 @@ func (f *Fabric) advance() {
 // recompute reassigns flow rates (min of fair shares at each crossed
 // resource) and rearms the completion timer.
 func (f *Fabric) recompute() {
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
+	f.timer.Cancel()
 	if len(f.flows) == 0 {
 		return
 	}
@@ -314,11 +329,10 @@ func (f *Fabric) recompute() {
 			earliest = dt
 		}
 	}
-	f.timer = f.k.After(earliest, f.onCompletion)
+	f.timer = f.k.After(earliest, f.completeFn)
 }
 
 func (f *Fabric) onCompletion() {
-	f.timer = nil
 	f.advance()
 	const eps = 1e-9 // sub-byte residue
 	now := f.k.Now()

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -382,4 +383,43 @@ func TestSetNodeDegradationValidation(t *testing.T) {
 		}()
 		f.SetNodeDegradation(5, 0.5)
 	}()
+}
+
+// BenchmarkTransfer mirrors perfbench's netmodel.transfer_ns probe: the
+// start-to-done time of one 4 KiB transfer on an 8-node Ethernet fabric
+// that n long-lived background flows share. Each transfer starts from the
+// previous one's done callback; the clock runs from when the background
+// flows stream until the last transfer is done.
+func BenchmarkTransfer(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			k := sim.NewKernel()
+			f := NewFabric(k, Ethernet10G(), 8)
+			bg := make([]*Flow, n)
+			for i := range bg {
+				bg[i] = f.Transfer(i%8, (i+1+i/8)%8, 1<<50, nil)
+			}
+			left := b.N
+			var next func()
+			next = func() {
+				if left > 0 {
+					left--
+					f.Transfer(left%8, (left+3)%8, 4096, next)
+					return
+				}
+				b.StopTimer()
+				for _, fl := range bg {
+					fl.Cancel()
+				}
+			}
+			b.ReportAllocs()
+			k.At(1e-3, func() { // after the background flows pass their latency
+				b.ResetTimer()
+				next()
+			})
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

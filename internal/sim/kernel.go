@@ -42,17 +42,40 @@ type Kernel struct {
 	failure error
 }
 
-// event is a scheduled callback or process wake. Events compare by (time,
-// seq) so that simultaneous events fire in scheduling order, which keeps
-// runs deterministic.
+// event is a scheduled handler. Events compare by (time, seq) so that
+// simultaneous events fire in scheduling order, which keeps runs
+// deterministic.
 type event struct {
 	at    float64
 	seq   uint64
-	fn    func()
-	proc  *Proc   // when non-nil, the event resumes proc instead of calling fn
+	h     Handler // a callback (funcHandler), a typed handler, or a wake
 	k     *Kernel // the owner, set once at allocation, for Timer.Cancel
 	index int32   // heap position when >= 0, else unqueued, inLane or canceledLane
 	gen   uint32
+}
+
+// Handler is an event callback that carries its own state. A component
+// that schedules the same kind of event over and over (a flow's latency
+// phase, a deferred message launch) implements Handler on a type it
+// already owns, so scheduling allocates neither a closure nor a Timer.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts a plain callback. A func value is pointer-shaped, so
+// storing one in a Handler does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
+// wake is the handler that resumes a process: Proc itself, under a type
+// whose Fire switches to the process's coroutine.
+type wake Proc
+
+func (w *wake) Fire() {
+	if p := (*Proc)(w); !p.finished {
+		p.k.resumeProc(p)
+	}
 }
 
 // NewKernel returns a kernel with the clock at zero and no events.
@@ -63,11 +86,12 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
 
-// Timer is a handle to a scheduled event. Cancel prevents a pending event
-// from firing. Fired and cancelled events are recycled, so the Timer
-// snapshots the event's generation: a stale handle (its event already fired
-// or was cancelled, and was reused for a later schedule) can never cancel
-// the new occupant.
+// Timer is a handle to a scheduled event, returned by value: taking one
+// allocates nothing. Cancel prevents a pending event from firing. Fired
+// and cancelled events are recycled, so the Timer snapshots the event's
+// generation: a stale handle (its event already fired or was cancelled,
+// and was reused for a later schedule) can never cancel the new occupant.
+// The zero Timer is a handle to nothing; its Cancel reports false.
 type Timer struct {
 	ev   *event
 	gen  uint32
@@ -77,8 +101,8 @@ type Timer struct {
 // Cancel stops the timer. It reports whether the event was still pending.
 // A pending heap event is removed and recycled at once; one in the now
 // lane is flagged and skipped when the lane reaches it.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen {
+func (t Timer) Cancel() bool {
+	if t.ev == nil || t.ev.gen != t.gen {
 		return false
 	}
 	e := t.ev
@@ -95,19 +119,19 @@ func (t *Timer) Cancel() bool {
 }
 
 // When reports the virtual time the timer fires at.
-func (t *Timer) When() float64 { return t.when }
+func (t Timer) When() float64 { return t.when }
 
 // newEvent takes an event off the freelist (or allocates one) and stamps
 // the next sequence number on it.
-func (k *Kernel) newEvent(at float64, fn func()) *event {
+func (k *Kernel) newEvent(at float64, h Handler) *event {
 	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		e.at, e.fn = at, fn
+		e.at, e.h = at, h
 	} else {
-		e = &event{at: at, fn: fn, k: k}
+		e = &event{at: at, h: h, k: k}
 	}
 	e.seq = k.seq
 	k.seq++
@@ -126,7 +150,7 @@ const maxFreeEvents = 4096
 func (k *Kernel) recycle(e *event) {
 	e.gen++
 	e.index = unqueued
-	e.fn, e.proc = nil, nil
+	e.h = nil
 	if len(k.free) >= maxFreeEvents {
 		return
 	}
@@ -135,32 +159,40 @@ func (k *Kernel) recycle(e *event) {
 
 // At schedules fn to run at virtual time at. Scheduling in the past is an
 // error and panics: it would break causality.
-func (k *Kernel) At(at float64, fn func()) *Timer {
+func (k *Kernel) At(at float64, fn func()) Timer {
+	return k.AtHandler(at, funcHandler(fn))
+}
+
+// AtHandler schedules h.Fire to run at virtual time at. It stamps the next
+// sequence number exactly as At does.
+func (k *Kernel) AtHandler(at float64, h Handler) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", at, k.now))
 	}
-	e := k.newEvent(at, fn)
+	e := k.newEvent(at, h)
 	k.push(e)
-	return &Timer{ev: e, gen: e.gen, when: at}
+	return Timer{ev: e, gen: e.gen, when: at}
 }
 
 // schedule wakes p at virtual time at. It stamps the next sequence number
-// exactly as At does, so wakes interleave with callbacks in the same order,
-// but it allocates neither a Timer nor a closure: the event carries p and
-// Run resumes it. Nothing can cancel the wake, so a process that holds one
-// is never deadlocked. The caller guarantees at >= now.
+// exactly as At does, so wakes interleave with callbacks in the same order.
+// Nothing can cancel the wake, so a process that holds one is never
+// deadlocked. The caller guarantees at >= now.
 func (k *Kernel) schedule(at float64, p *Proc) {
-	e := k.newEvent(at, nil)
-	e.proc = p
-	k.push(e)
+	k.push(k.newEvent(at, (*wake)(p)))
 }
 
 // After schedules fn to run d seconds of virtual time from now.
-func (k *Kernel) After(d float64, fn func()) *Timer {
+func (k *Kernel) After(d float64, fn func()) Timer {
+	return k.AfterHandler(d, funcHandler(fn))
+}
+
+// AfterHandler schedules h.Fire to run d seconds of virtual time from now.
+func (k *Kernel) AfterHandler(d float64, h Handler) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
 	}
-	return k.At(k.now+d, fn)
+	return k.AtHandler(k.now+d, h)
 }
 
 // DeadlockError is returned by Run when live processes remain but no event
@@ -189,13 +221,9 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.now = e.at
-		fn, p := e.fn, e.proc
-		k.recycle(e) // before fn: the callback may schedule and reuse it
-		if p == nil {
-			fn()
-		} else if !p.finished {
-			k.resumeProc(p)
-		}
+		h := e.h
+		k.recycle(e) // before Fire: the handler may schedule and reuse it
+		h.Fire()
 		if k.failure != nil {
 			k.shutdown()
 			return k.failure

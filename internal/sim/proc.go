@@ -129,7 +129,7 @@ func (k *Kernel) Kill(p *Proc) {
 }
 
 // KillAt schedules the process's termination at virtual time t.
-func (k *Kernel) KillAt(t float64, p *Proc) *Timer {
+func (k *Kernel) KillAt(t float64, p *Proc) Timer {
 	return k.At(t, func() { k.Kill(p) })
 }
 

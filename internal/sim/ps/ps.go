@@ -39,9 +39,21 @@ type Resource struct {
 	tasks      []*Task // attached finite tasks; tasks[t.idx] == t
 	loads      int     // attached load tasks
 	lastUpdate float64
-	timer      *sim.Timer
+	timer      sim.Timer
 	nextSeq    uint64
-	completed  []*Task // onCompletion's scratch list, reused across completions
+	completed  []*Task   // onCompletion's scratch list, reused across completions
+	completeFn func()    // onCompletion bound once, so arming allocates nothing
+	waiters    []*waiter // Use's freelist
+}
+
+// waiter is what one Use blocks on: the task, a signal its completion
+// broadcasts, and that Broadcast bound once. A Use takes one from the
+// resource's freelist and returns it after the wake, so a steady stream of
+// Use calls allocates nothing.
+type waiter struct {
+	task Task
+	sig  *sim.Signal
+	wake func()
 }
 
 // Task is a unit of demand attached to a Resource. Finite tasks complete
@@ -62,13 +74,15 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ps: resource %q with non-positive capacity %g", name, capacity))
 	}
-	return &Resource{
+	r := &Resource{
 		k:        k,
 		name:     name,
 		sigName:  "ps:" + name,
 		capacity: capacity,
 		perTask:  perTask,
 	}
+	r.completeFn = r.onCompletion
+	return r
 }
 
 // Name returns the resource name.
@@ -112,10 +126,7 @@ func (r *Resource) advance() {
 
 // reschedule arms the completion timer for the earliest finishing task.
 func (r *Resource) reschedule() {
-	if r.timer != nil {
-		r.timer.Cancel()
-		r.timer = nil
-	}
+	r.timer.Cancel()
 	rate := r.Rate()
 	if rate <= 0 || len(r.tasks) == 0 {
 		return
@@ -126,7 +137,7 @@ func (r *Resource) reschedule() {
 			earliest = dt
 		}
 	}
-	r.timer = r.k.After(earliest, r.onCompletion)
+	r.timer = r.k.After(earliest, r.completeFn)
 }
 
 // detach marks a task stopped and removes it: a load from the count, a
@@ -144,7 +155,6 @@ func (r *Resource) detach(t *Task) {
 }
 
 func (r *Resource) onCompletion() {
-	r.timer = nil
 	r.advance()
 	// Collect completions first: done callbacks may attach new tasks.
 	finished := r.completed[:0]
@@ -178,11 +188,18 @@ func (r *Resource) onCompletion() {
 // Start attaches a finite task demanding work units of service; done runs
 // when the task completes. It returns a handle that can cancel the task.
 func (r *Resource) Start(work float64, done func()) *Task {
+	t := new(Task)
+	r.start(t, work, done)
+	return t
+}
+
+// start is Start into a caller-owned task, which must not be attached.
+func (r *Resource) start(t *Task, work float64, done func()) {
 	if work < 0 {
 		panic(fmt.Sprintf("ps: negative work %g on %q", work, r.name))
 	}
 	r.advance()
-	t := &Task{r: r, seq: r.nextSeq, remaining: work, done: done, idx: len(r.tasks)}
+	*t = Task{r: r, seq: r.nextSeq, remaining: work, done: done, idx: len(r.tasks)}
 	r.nextSeq++
 	r.tasks = append(r.tasks, t)
 	r.reschedule()
@@ -200,7 +217,6 @@ func (r *Resource) Start(work float64, done func()) *Task {
 			}
 		})
 	}
-	return t
 }
 
 // AddLoad attaches a pure-load task: it consumes a fair share of the
@@ -234,7 +250,19 @@ func (t *Task) Remaining() float64 { return t.remaining }
 // delivered under processor sharing. It is the standard way for a simulated
 // computation to consume CPU.
 func (r *Resource) Use(p *sim.Proc, work float64) {
-	done := sim.NewSignal(r.sigName)
-	r.Start(work, done.Broadcast)
-	p.Wait(done)
+	var w *waiter
+	if n := len(r.waiters); n > 0 {
+		w = r.waiters[n-1]
+		r.waiters[n-1] = nil
+		r.waiters = r.waiters[:n-1]
+	} else {
+		w = &waiter{sig: sim.NewSignal(r.sigName)}
+		w.wake = w.sig.Broadcast
+	}
+	r.start(&w.task, work, w.wake)
+	p.Wait(w.sig)
+	// Only the completion wakes w.sig, so the task is detached and w is
+	// free again. A process killed in Wait never gets here; its waiter is
+	// left to the garbage collector.
+	r.waiters = append(r.waiters, w)
 }

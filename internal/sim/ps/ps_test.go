@@ -88,6 +88,33 @@ func TestOversubscriptionDilatesCompute(t *testing.T) {
 	}
 }
 
+// TestUseAllocations: once the resource's waiter freelist and the
+// kernel's event freelist are warm, a Use that blocks while a second user
+// shares the resource (so every start and completion cancels and re-arms
+// the completion timer) allocates nothing.
+func TestUseAllocations(t *testing.T) {
+	k := sim.NewKernel()
+	r := NewResource(k, "node0", 1, 0)
+	done := false
+	var allocs float64
+	k.Spawn("other", func(p *sim.Proc) {
+		for !done {
+			r.Use(p, 0.3)
+		}
+	})
+	k.Spawn("user", func(p *sim.Proc) {
+		r.Use(p, 1)
+		allocs = testing.AllocsPerRun(100, func() { r.Use(p, 0.5) })
+		done = true
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Use with a second user attached: %g allocs per op, want 0", allocs)
+	}
+}
+
 func TestNoDilationWhenUnderCapacity(t *testing.T) {
 	// 20-core node, 10 single-core tasks: no slowdown.
 	k := sim.NewKernel()

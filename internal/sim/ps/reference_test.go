@@ -21,7 +21,7 @@ type refResource struct {
 	perTask    float64
 	tasks      map[*refTask]struct{}
 	lastUpdate float64
-	timer      *sim.Timer
+	timer      sim.Timer
 	nextSeq    uint64
 }
 
@@ -72,10 +72,8 @@ func (r *refResource) advance() {
 }
 
 func (r *refResource) reschedule() {
-	if r.timer != nil {
-		r.timer.Cancel()
-		r.timer = nil
-	}
+	r.timer.Cancel()
+	r.timer = sim.Timer{}
 	rate := r.Rate()
 	if rate <= 0 {
 		return
@@ -98,7 +96,7 @@ func (r *refResource) reschedule() {
 }
 
 func (r *refResource) onCompletion() {
-	r.timer = nil
+	r.timer = sim.Timer{}
 	r.advance()
 	var finished []*refTask
 	const eps = 1e-12

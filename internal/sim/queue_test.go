@@ -57,7 +57,7 @@ func TestQueueMatchesHeapEventForEvent(t *testing.T) {
 	k := NewKernel()
 	var h refHeap
 	type handle struct {
-		t   *Timer
+		t   Timer
 		seq uint64
 	}
 	var handles []handle
@@ -203,7 +203,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			k := NewKernel()
 			rng := rand.New(rand.NewSource(1))
-			timers := make([]*Timer, n)
+			timers := make([]Timer, n)
 			fires := make([]func(), n)
 			for i := range timers {
 				i := i
@@ -216,9 +216,9 @@ func BenchmarkTimerRearm(b *testing.B) {
 				timers[j].Cancel()
 				timers[j] = k.After(rng.Float64(), fires[j])
 				e := popLive(k)
-				fn := e.fn
+				h := e.h
 				k.recycle(e)
-				fn()
+				h.Fire()
 			}
 		})
 	}

@@ -121,9 +121,50 @@ func TestParkWakeAllocations(t *testing.T) {
 	if sleep != 0 {
 		t.Errorf("Sleep round trip: %g allocs per op, want 0", sleep)
 	}
-	// The wake's process pointer fits in the 48-byte size class.
+	// The handler interface (a wake is a *Proc under another type) fits
+	// in the 48-byte size class.
 	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(event{}) != 48 {
 		t.Errorf("sizeof(event) = %d, want 48", unsafe.Sizeof(event{}))
+	}
+}
+
+// countHandler is a typed handler that counts its fires.
+type countHandler int
+
+func (c *countHandler) Fire() { *c++ }
+
+// TestHandlerAllocations: once the event freelist is warm, scheduling a
+// typed handler or a prebuilt callback, cancelling and re-arming it, and
+// firing it allocate nothing: the Timer is a value and the event holds the
+// handler itself.
+func TestHandlerAllocations(t *testing.T) {
+	k := NewKernel()
+	var c countHandler
+	fn := func() { c++ }
+	var handler, callback float64
+	k.Spawn("driver", func(p *Proc) {
+		handler = testing.AllocsPerRun(100, func() {
+			k.AfterHandler(2, &c).Cancel()
+			k.AtHandler(p.Now()+0.5, &c)
+			p.Sleep(1)
+		})
+		callback = testing.AllocsPerRun(100, func() {
+			k.After(2, fn).Cancel()
+			k.At(p.Now()+0.5, fn)
+			p.Sleep(1)
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c != 202 { // AllocsPerRun adds a warm-up call to each 100 runs
+		t.Fatalf("handlers fired %d times, want 202", c)
+	}
+	if handler != 0 {
+		t.Errorf("AtHandler, Cancel and fire: %g allocs per op, want 0", handler)
+	}
+	if callback != 0 {
+		t.Errorf("At of a prebuilt callback, Cancel and fire: %g allocs per op, want 0", callback)
 	}
 }
 
