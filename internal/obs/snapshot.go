@@ -112,6 +112,7 @@ func (s Snapshot) HistNamed(name string) (HistSnapshot, bool) {
 // Snapshot freezes the stream into an immutable value. The result shares
 // nothing with the live stream: further Record calls do not disturb it.
 func (s *Stream) Snapshot() Snapshot {
+	s.fold()
 	snap := Snapshot{
 		Schema:         SnapshotSchema,
 		Events:         s.events,

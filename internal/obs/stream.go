@@ -36,12 +36,23 @@ type Stream struct {
 	counters map[string]int64
 	gauges   map[string]float64 // high-water gauges: SetGauge keeps the max
 
+	// Per-event counts kept apart from counters so that Record builds no
+	// key string: fold adds them into counters, under "events/<kind>",
+	// "wire/msgs/<phase>", "wire/bytes/<phase>" and "msgs/op/<op>", before
+	// anything reads counters.
+	kinds [1 << 8]int64         // by trace.EventKind, a uint8
+	wire  map[string]*wireCount // by phase tag
+	ops   map[string]int64      // wire messages by Op
+
 	ranks map[int]*RankTelemetry
 
 	events      uint64
 	first, last float64
 	curRung     int
 }
+
+// wireCount is one phase's wire traffic.
+type wireCount struct{ msgs, bytes int64 }
 
 // RankTelemetry is one rank's streaming activity totals.
 type RankTelemetry struct {
@@ -71,6 +82,8 @@ func NewStreamCap(recentCap, anomalyCap int) *Stream {
 		hPhase:   map[string]*Hist{},
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
+		wire:     map[string]*wireCount{},
+		ops:      map[string]int64{},
 		ranks:    map[int]*RankTelemetry{},
 	}
 	for i := range s.hRung {
@@ -107,7 +120,7 @@ func (s *Stream) Record(ev trace.Event) {
 		s.last = ev.End
 	}
 	s.events++
-	s.counters["events/"+ev.Kind.String()]++
+	s.kinds[ev.Kind]++
 
 	rt := s.rank(ev.Rank)
 	if rt.First < 0 || ev.Start < rt.First {
@@ -161,12 +174,46 @@ func (s *Stream) Record(ev trace.Event) {
 	// Wire accounting is trace.RunMetrics': one predicate decides what
 	// counts as a message on the wire.
 	if bytes, ok := trace.OnWire(ev); ok {
-		pk := phaseKey(ev.Phase)
-		s.counters["wire/msgs/"+pk]++
-		s.counters["wire/bytes/"+pk] += bytes
-		s.counters["msgs/op/"+ev.Op]++
+		s.wireCount(ev.Phase).add(1, bytes)
+		s.ops[ev.Op]++
 		s.hBytes.Observe(float64(bytes))
 	}
+}
+
+func (s *Stream) wireCount(phase string) *wireCount {
+	c := s.wire[phase]
+	if c == nil {
+		c = &wireCount{}
+		s.wire[phase] = c
+	}
+	return c
+}
+
+func (c *wireCount) add(msgs, bytes int64) {
+	c.msgs += msgs
+	c.bytes += bytes
+}
+
+// fold moves the per-event counts into counters and clears them. Only
+// kinds, phases and ops that were seen get a key, as when Record added to
+// counters directly, so snapshots are unchanged.
+func (s *Stream) fold() {
+	for k, n := range s.kinds {
+		if n != 0 {
+			s.counters["events/"+trace.EventKind(k).String()] += n
+		}
+	}
+	clear(s.kinds[:])
+	for phase, c := range s.wire {
+		pk := phaseKey(phase)
+		s.counters["wire/msgs/"+pk] += c.msgs
+		s.counters["wire/bytes/"+pk] += c.bytes
+	}
+	clear(s.wire)
+	for op, n := range s.ops {
+		s.counters["msgs/op/"+op] += n
+	}
+	clear(s.ops)
 }
 
 func rungKey(rung int) string {
@@ -235,7 +282,10 @@ func (s *Stream) Gauge(name string) float64 { return s.gauges[name] }
 func (s *Stream) Events() uint64 { return s.events }
 
 // Counter returns one monotone counter's value (0 when never touched).
-func (s *Stream) Counter(key string) int64 { return s.counters[key] }
+func (s *Stream) Counter(key string) int64 {
+	s.fold()
+	return s.counters[key]
+}
 
 // Makespan returns the stream's observed time envelope: latest event end
 // minus earliest event start.
@@ -279,6 +329,15 @@ func (s *Stream) Merge(other *Stream) {
 	}
 	for k, v := range other.counters {
 		s.counters[k] += v
+	}
+	for k, n := range other.kinds {
+		s.kinds[k] += n
+	}
+	for phase, c := range other.wire {
+		s.wireCount(phase).add(c.msgs, c.bytes)
+	}
+	for op, n := range other.ops {
+		s.ops[op] += n
 	}
 	for k, v := range other.gauges {
 		s.SetGauge(k, v)
@@ -329,6 +388,9 @@ func (s *Stream) Reset() {
 	for k := range s.counters {
 		delete(s.counters, k)
 	}
+	clear(s.kinds[:])
+	clear(s.wire)
+	clear(s.ops)
 	for k := range s.gauges {
 		delete(s.gauges, k)
 	}
@@ -344,6 +406,7 @@ func (s *Stream) Reset() {
 // constant in the event count (only the O(ranks) table grows, with the
 // world, not the log).
 func (s *Stream) MemoryBytes() int64 {
+	s.fold()
 	n := s.flight.memoryBytes()
 	hists := []*Hist{s.hCompute, s.hBarrier, s.hColl, s.hSpawn, s.hRTT, s.hBytes}
 	for _, h := range s.hPhase {

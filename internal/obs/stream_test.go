@@ -112,8 +112,11 @@ func TestStreamMergeMatchesSequential(t *testing.T) {
 	for _, ev := range events[:400] {
 		a.Record(ev)
 	}
-	for _, ev := range events[400:] {
+	for i, ev := range events[400:] {
 		b.Record(ev)
+		if i == 200 {
+			b.Counter("events/send") // folds: b merges half folded, half not
+		}
 	}
 	a.Merge(b)
 
