@@ -427,35 +427,82 @@ func (c *Ctx) Sendrecv(comm *Comm, dst, sendTag int, payload Payload, src, recvT
 	return r.payload, r.status
 }
 
-// Wait blocks until the request completes.
+// Wait blocks until the request completes. The request is its own
+// condition.
 func (c *Ctx) Wait(r Request) {
 	if r.Done() {
-		return // before building the closures below
+		return // before building the reason closure below
 	}
-	c.waitUntilDesc(r.Done, func() string { return "Wait: " + r.describe() })
+	c.waitUntilDesc(r, func() string { return "Wait: " + r.describe() })
+}
+
+// allDone is Waitall's condition. next is the length of the prefix of rs
+// known complete: completion never reverts, so each test resumes there.
+type allDone struct {
+	rs   []Request
+	next int
+}
+
+func (a *allDone) Done() bool {
+	for a.next < len(a.rs) && a.rs[a.next].Done() {
+		a.next++
+	}
+	return a.next == len(a.rs)
+}
+
+// String describes the pending requests for deadlock reports.
+func (a *allDone) String() string {
+	pending, first := 0, ""
+	for _, r := range a.rs {
+		if !r.Done() {
+			if pending == 0 {
+				first = r.describe()
+			}
+			pending++
+		}
+	}
+	return fmt.Sprintf("Waitall: %d pending, next %s", pending, first)
 }
 
 // Waitall blocks until every request completes.
 func (c *Ctx) Waitall(rs []Request) {
-	next := 0 // rs[:next] are complete, and completion never reverts
-	pred := func() bool {
-		for next < len(rs) && rs[next].Done() {
-			next++
-		}
-		return next == len(rs)
+	head := allDone{rs: rs}
+	if head.Done() {
+		return // before the condition below escapes to the heap
 	}
-	c.waitUntilDesc(pred, func() string {
-		pending, first := 0, ""
-		for _, r := range rs {
-			if !r.Done() {
-				if pending == 0 {
-					first = r.describe()
-				}
-				pending++
-			}
+	a := &allDone{rs: rs, next: head.next}
+	c.waitUntilDesc(a, nil)
+}
+
+// anyDone is Waitany's condition: it holds once some request is complete
+// and not yet consumed, and idx is the first such index.
+type anyDone struct {
+	rs  []Request
+	idx int
+}
+
+func (a *anyDone) Done() bool {
+	for i, r := range a.rs {
+		if r.Done() && !r.isConsumed() {
+			a.idx = i
+			return true
 		}
-		return fmt.Sprintf("Waitall: %d pending, next %s", pending, first)
-	})
+	}
+	return false
+}
+
+// String describes the pending requests for deadlock reports.
+func (a *anyDone) String() string {
+	pending, first := 0, ""
+	for _, r := range a.rs {
+		if !r.Done() && !r.isConsumed() {
+			if pending == 0 {
+				first = r.describe()
+			}
+			pending++
+		}
+	}
+	return fmt.Sprintf("Waitany: %d pending, next %s", pending, first)
 }
 
 // Waitany blocks until at least one not-yet-consumed request completes and
@@ -472,29 +519,14 @@ func (c *Ctx) Waitany(rs []Request) int {
 	if all {
 		return -1
 	}
-	idx := -1
-	c.waitUntilDesc(func() bool {
-		for i, r := range rs {
-			if r.Done() && !r.isConsumed() {
-				idx = i
-				return true
-			}
-		}
-		return false
-	}, func() string {
-		pending, first := 0, ""
-		for _, r := range rs {
-			if !r.Done() && !r.isConsumed() {
-				if pending == 0 {
-					first = r.describe()
-				}
-				pending++
-			}
-		}
-		return fmt.Sprintf("Waitany: %d pending, next %s", pending, first)
-	})
-	rs[idx].setConsumed()
-	return idx
+	head := anyDone{rs: rs}
+	if !head.Done() { // test before the condition below escapes to the heap
+		a := &anyDone{rs: rs}
+		c.waitUntilDesc(a, nil)
+		head.idx = a.idx
+	}
+	rs[head.idx].setConsumed()
+	return head.idx
 }
 
 // Iprobe reports whether a message matching (src, tag) on comm is
@@ -511,18 +543,32 @@ func (c *Ctx) Iprobe(comm *Comm, src, tag int) (Status, bool) {
 	return Status{}, false
 }
 
+// probeMatch is Probe's condition: it holds once a matching message is in
+// the mailbox, and st is that message's status.
+type probeMatch struct {
+	c        *Ctx
+	comm     *Comm
+	src, tag int
+	st       Status
+}
+
+func (m *probeMatch) Done() bool {
+	st, ok := m.c.Iprobe(m.comm, m.src, m.tag)
+	m.st = st
+	return ok
+}
+
+// String describes the probe for deadlock reports.
+func (m *probeMatch) String() string {
+	return fmt.Sprintf("Probe src=%s tag=%s comm=%d", wildName(m.src), wildName(m.tag), m.comm.ctxID)
+}
+
 // Probe blocks until a matching message is available and returns its
 // status without consuming it (MPI_Probe).
 func (c *Ctx) Probe(comm *Comm, src, tag int) Status {
-	var st Status
-	c.waitUntilDesc(func() bool {
-		s, ok := c.Iprobe(comm, src, tag)
-		st = s
-		return ok
-	}, func() string {
-		return fmt.Sprintf("Probe src=%s tag=%s comm=%d", wildName(src), wildName(tag), comm.ctxID)
-	})
-	return st
+	m := &probeMatch{c: c, comm: comm, src: src, tag: tag}
+	c.waitUntilDesc(m, nil)
+	return m.st
 }
 
 // Test reports whether the request has completed, without blocking.

@@ -39,13 +39,43 @@ type Win struct {
 // pending counts the live members still owing it, so a waiter's test is
 // O(1). An arrival updates them in O(1), plus one recount when pending
 // reaches zero; a crash recounts. Every arrival and every crash still
-// broadcasts, keeping the wake sequence of a per-waiter rescan.
+// broadcasts, keeping the wake sequence of a per-waiter rescan; a wake
+// that leaves the waiter's generation incomplete re-parks it inside the
+// kernel instead of resuming it.
 type winBarrier struct {
 	members  []*Process
-	arrivals map[int]int // gid -> completed arrivals
+	arrivals map[int]*epochWait // gid -> the member's arrivals and wait
+	ctxID    int                // the communicator's matching context
 	gen      int
 	pending  int
 	sig      *sim.Signal
+}
+
+// epochWait is one member's state at a winBarrier: how often it has
+// arrived, and the condition of its wait, which also describes it in
+// deadlock reports. It is made at the member's first arrival and reused,
+// so an arrival allocates nothing.
+type epochWait struct {
+	b       *winBarrier
+	arrived int
+	op      string // the epoch operation of the latest arrival
+}
+
+// Done reports whether every live member has arrived as often as this one.
+// The member cannot arrive again while it waits, so its generation is
+// arrived-1.
+func (e *epochWait) Done() bool { return e.b.gen >= e.arrived }
+
+// String names the first live member that has not reached this wait's
+// generation, at report time.
+func (e *epochWait) String() string {
+	b := e.b
+	for _, m := range b.members {
+		if !m.dead && b.arrived(m.gid) < e.arrived {
+			return fmt.Sprintf("mpi: %s on comm %d: waiting for g%d", e.op, b.ctxID, m.gid)
+		}
+	}
+	return ""
 }
 
 // winBarrierFor returns the window-epoch barrier shared by all windows and
@@ -61,7 +91,8 @@ func (w *World) winBarrierFor(comm *Comm) *winBarrier {
 		members = append(members, comm.remote...)
 		b = &winBarrier{
 			members:  members,
-			arrivals: make(map[int]int, len(members)),
+			arrivals: make(map[int]*epochWait, len(members)),
+			ctxID:    comm.ctxID,
 			sig:      newNamedSignal(comm, "winbarrier"),
 		}
 		b.recount()
@@ -70,11 +101,19 @@ func (w *World) winBarrierFor(comm *Comm) *winBarrier {
 	return b
 }
 
+// arrived reports how often the member gid has arrived.
+func (b *winBarrier) arrived(gid int) int {
+	if e := b.arrivals[gid]; e != nil {
+		return e.arrived
+	}
+	return 0
+}
+
 // recount recomputes gen and pending from the live members' arrivals.
 func (b *winBarrier) recount() {
 	b.gen, b.pending = math.MaxInt, 0
 	for _, m := range b.members {
-		a := b.arrivals[m.gid]
+		a := b.arrived(m.gid)
 		if m.dead || a > b.gen {
 			continue
 		}
@@ -88,27 +127,23 @@ func (b *winBarrier) recount() {
 // arrive completes this context's generation of the barrier: it returns
 // once every member has arrived at least as often — or died. op names the
 // epoch operation for deadlock reports.
-func (b *winBarrier) arrive(c *Ctx, op string, comm *Comm) {
+func (b *winBarrier) arrive(c *Ctx, op string) {
 	gid := c.proc.gid
-	gen := b.arrivals[gid]
-	b.arrivals[gid]++
+	e := b.arrivals[gid]
+	if e == nil {
+		e = &epochWait{b: b}
+		b.arrivals[gid] = e
+	}
+	gen := e.arrived
+	e.arrived++
+	e.op = op
 	if gen == b.gen {
 		if b.pending--; b.pending == 0 {
 			b.recount()
 		}
 	}
 	b.sig.Broadcast()
-	reason := func() string {
-		for _, m := range b.members {
-			if !m.dead && b.arrivals[m.gid] <= gen {
-				return fmt.Sprintf("mpi: %s on comm %d: waiting for g%d", op, comm.ctxID, m.gid)
-			}
-		}
-		return ""
-	}
-	for b.gen <= gen {
-		c.sp.WaitReasonFunc(b.sig, reason)
-	}
+	c.sp.WaitUntil(b.sig, e, nil)
 }
 
 // WinCreate collectively creates a window over comm, exposing this
@@ -137,7 +172,7 @@ func (c *Ctx) WinCreate(comm *Comm, local Payload) *Win {
 	win.exposed[gid] = clonePayload(local)
 	win.nodeOf[gid] = c.proc.node
 	// Exposure epoch: every live member registers before anyone accesses.
-	w.winBarrierFor(comm).arrive(c, "WinCreate", comm)
+	w.winBarrierFor(comm).arrive(c, "WinCreate")
 	return win
 }
 
@@ -276,7 +311,7 @@ func (c *Ctx) WaitDrained(win *Win) {
 // MPI_Win_fence). All members must call it; crashed members are excused.
 func (c *Ctx) Fence(win *Win) {
 	defer c.span(trace.EvBarrier, win.comm.ctxID, "Fence", 0)()
-	win.comm.w.winBarrierFor(win.comm).arrive(c, "Fence", win.comm)
+	win.comm.w.winBarrierFor(win.comm).arrive(c, "Fence")
 }
 
 // peerProcFor resolves peer rank r from the calling context's view of the

@@ -1,12 +1,15 @@
 package mpi
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // maxWaitAllocs bounds the allocations of one Wait that parks on a pending
 // Irecv until an eager message from a sleeping peer completes it. The
 // count covers the whole round: the Wait's reason closure and polling load
 // (2) and the peer's SendReq (1). Parks, wakes, the envelope, its flow and
-// the timers allocate nothing.
+// the timers allocate nothing; the request itself is the wait's condition.
 const maxWaitAllocs = 3
 
 // TestWaitAllocations: a Wait that parks formats no deadlock reason and
@@ -84,5 +87,79 @@ func TestRoundTripAllocations(t *testing.T) {
 	runWorld(t, w)
 	if allocs > maxRoundTripAllocs {
 		t.Errorf("P2P round trip: %g allocs, want at most %d", allocs, maxRoundTripAllocs)
+	}
+}
+
+// TestWaitallResumesOnce: a rank that Waitalls on n receives completing at
+// distinct times is woken once per completion but resumed only once, by
+// the last: the kernel re-parks it on the other n-1 wakes.
+func TestWaitallResumesOnce(t *testing.T) {
+	const n = 8
+	w := testWorld(t, 2, 4, defaultTestOptions())
+	var resumes, reparks uint64
+	w.Launch(2, func(r int) int { return r }, func(c *Ctx, comm *Comm) {
+		switch comm.Rank(c) {
+		case 0:
+			// Distinct sizes finish at distinct times. The sender exits
+			// at once, so rank 1 is the only process left to resume.
+			for tag := 0; tag < n; tag++ {
+				c.Isend(comm, 1, tag, Virtual(int64(1000*(tag+1))))
+			}
+		case 1:
+			rs := make([]Request, n)
+			for tag := range rs {
+				rs[tag] = c.Irecv(comm, 0, tag)
+			}
+			k := c.SimProc().Kernel()
+			before := k.Stats()
+			c.Waitall(rs)
+			after := k.Stats()
+			resumes, reparks = after.Resumes-before.Resumes, after.Reparks-before.Reparks
+		}
+	})
+	runWorld(t, w)
+	if resumes != 1 {
+		t.Errorf("the Waitall rank was resumed %d times after it parked, want 1", resumes)
+	}
+	if reparks != n-1 {
+		t.Errorf("%d wakes were re-parked in the kernel, want %d", reparks, n-1)
+	}
+}
+
+// BenchmarkWaitall times one Waitall over n pending receives whose
+// messages arrive one at a time, so each completion is one wake of the
+// waiting rank; the time and allocations are per Waitall, the receiver's
+// Irecvs and the sender's Isends and Sleeps included.
+func BenchmarkWaitall(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := testWorld(b, 2, 4, defaultTestOptions())
+			w.Launch(2, func(r int) int { return r }, func(c *Ctx, comm *Comm) {
+				switch comm.Rank(c) {
+				case 0:
+					// Each send follows the previous delivery, and the
+					// first of a round follows the receiver's posts.
+					for i := 0; i < b.N; i++ {
+						for tag := 0; tag < n; tag++ {
+							c.Sleep(1e-3)
+							c.Isend(comm, 1, tag, Virtual(8))
+						}
+					}
+				case 1:
+					rs := make([]Request, n)
+					for i := 0; i < b.N; i++ {
+						for tag := range rs {
+							rs[tag] = c.Irecv(comm, 0, tag)
+						}
+						c.Waitall(rs)
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := w.Kernel().Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -468,48 +468,46 @@ func (w *World) Launch(n int, nodeOf func(rank int) int, main func(c *Ctx, comm 
 	return comm
 }
 
-// waitUntil blocks the context until pred holds, waking on the process's
-// progress signal. In polling mode the wait occupies a core.
-func (c *Ctx) waitUntil(pred func() bool) {
-	c.waitUntilDesc(pred, nil)
-}
-
-// waitUntilDesc blocks like waitUntil; when desc is non-nil, deadlock
-// reports describe the operation still pending rather than just the
-// progress signal. desc is called only when a report is built. Every
-// change to the state it reads (a request completing) is followed by a
-// Broadcast on the progress signal, and a report is built only once every
-// wake has run, so it renders what the last park would have.
-func (c *Ctx) waitUntilDesc(pred func() bool, desc func() string) {
-	if pred() {
+// waitUntilDesc blocks the context until cond holds, waking on the
+// process's progress signal. In polling mode the wait occupies a core.
+// The wait parks through sim.Proc.WaitUntil, so a wake that finds cond
+// still false re-parks inside the kernel without resuming the context;
+// cond must therefore be pure (see sim.Cond). Deadlock reports describe
+// the operation still pending rather than just the progress signal: desc
+// renders it when non-nil, and a nil desc leaves it to cond's String (the
+// condition objects of Waitall, Waitany and Probe). Either is called only
+// when a report is built. Every change to the state it reads (a request
+// completing) is followed by a Broadcast on the progress signal, and a
+// report is built only once every wake has run, so it renders what the
+// last park would have.
+func (c *Ctx) waitUntilDesc(cond sim.Cond, desc func() string) {
+	if cond.Done() {
 		return
 	}
-	var load *ps.Task
 	if c.proc.w.opts.WaitMode == PollingWait {
-		load = c.cpu().AddLoad()
+		load := c.cpu().AddLoad()
 		defer load.Stop()
 	}
-	for !pred() {
-		if desc == nil {
-			c.sp.Wait(c.proc.progress)
-		} else {
-			c.sp.WaitReasonFunc(c.proc.progress, desc)
-		}
-	}
+	c.sp.WaitUntil(c.proc.progress, cond, desc)
 }
 
 // WaitUntil blocks the context until pred holds, waking on the process's
 // progress signal (any message delivery, send completion, or World.WakeAll).
 // reason is surfaced in deadlock reports. In polling mode the wait occupies
-// a core.
+// a core. pred is tested in scheduler context after each wake, so it must
+// not block or schedule (no sends, no Compute, no Broadcast): it may only
+// read state. A predicate that drives the protocol belongs in
+// WaitUntilDeadline.
 func (c *Ctx) WaitUntil(pred func() bool, reason string) {
-	c.waitUntilDesc(pred, func() string { return reason })
+	c.waitUntilDesc(sim.CondFunc(pred), func() string { return reason })
 }
 
 // WaitUntilDeadline blocks like WaitUntil but gives up when the virtual
 // clock reaches deadline, reporting whether pred held on return. The
 // resilient redistribution protocol uses it to bound epochs: a false return
-// is the timeout that triggers failure probing.
+// is the timeout that triggers failure probing. Unlike WaitUntil, pred runs
+// in the waiting context after every wake, so it may block and send: the
+// resilient drive advances its transfer from inside the predicate.
 func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float64) bool {
 	if pred() {
 		return true

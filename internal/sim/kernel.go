@@ -40,7 +40,26 @@ type Kernel struct {
 	running bool
 	dead    bool
 	failure error
+
+	stats Stats
 }
+
+// Stats counts the kernel's work since NewKernel.
+type Stats struct {
+	// Events is the number of events fired: callbacks, typed handlers and
+	// wakes. A cancelled event is not counted.
+	Events uint64
+	// Resumes is the number of switches into a process's coroutine: its
+	// start, each wake that resumes it, and a Kill that unwinds it.
+	Resumes uint64
+	// Reparks is the number of wakes absorbed by the scheduler: a wake of
+	// a WaitUntil whose condition was still false, which put the process
+	// back on its signal without resuming it.
+	Reparks uint64
+}
+
+// Stats reports the kernel's counters.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // event is a scheduled handler. Events compare by (time, seq) so that
 // simultaneous events fire in scheduling order, which keeps runs
@@ -69,13 +88,32 @@ type funcHandler func()
 func (f funcHandler) Fire() { f() }
 
 // wake is the handler that resumes a process: Proc itself, under a type
-// whose Fire switches to the process's coroutine.
+// whose Fire switches to the process's coroutine. A process inside
+// WaitUntil is resumed only once its condition holds; until then Fire
+// appends it to its signal again, as the Wait the process would call on
+// resuming would, and the wake costs no coroutine switch.
 type wake Proc
 
 func (w *wake) Fire() {
-	if p := (*Proc)(w); !p.finished {
-		p.k.resumeProc(p)
+	p := (*Proc)(w)
+	if p.finished {
+		return
 	}
+	k := p.k
+	if c := p.cond; c != nil {
+		seq := k.seq
+		done := c.Done()
+		if k.seq != seq {
+			panic(fmt.Sprintf("sim: the WaitUntil condition of process %q scheduled an event", p.name))
+		}
+		if !done {
+			s := p.blockSig
+			s.waiters = append(s.waiters, p)
+			k.stats.Reparks++
+			return
+		}
+	}
+	k.resumeProc(p)
 }
 
 // NewKernel returns a kernel with the clock at zero and no events.
@@ -223,6 +261,7 @@ func (k *Kernel) Run() error {
 		k.now = e.at
 		h := e.h
 		k.recycle(e) // before Fire: the handler may schedule and reuse it
+		k.stats.Events++
 		h.Fire()
 		if k.failure != nil {
 			k.shutdown()
@@ -270,6 +309,7 @@ func (k *Kernel) resumeProc(p *Proc) {
 	}
 	prev := k.current
 	k.current = p
+	k.stats.Resumes++
 	_, parked := p.next()
 	k.current = prev
 	if !parked {

@@ -206,17 +206,17 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestWaitReasonFuncRendersAtReport: a lazy reason is not called while the
-// wait is woken and re-parked, and the deadlock report renders it once,
-// describing the state at report time rather than at the park.
-func TestWaitReasonFuncRendersAtReport(t *testing.T) {
+// TestWaitUntilReasonRendersAtReport: a WaitUntil's lazy reason is not
+// called while the wait is woken and re-parked, and the deadlock report
+// renders it once, describing the state at report time rather than at the
+// park.
+func TestWaitUntilReasonRendersAtReport(t *testing.T) {
 	k := NewKernel()
 	s := NewSignal("s")
 	calls, state := 0, "first"
 	k.Spawn("waiter", func(p *Proc) {
-		for {
-			p.WaitReasonFunc(s, func() string { calls++; return "on " + state })
-		}
+		p.WaitUntil(s, CondFunc(func() bool { return false }),
+			func() string { calls++; return "on " + state })
 	})
 	k.At(1, func() { s.Broadcast() })
 	k.At(2, func() { state = "second" })

@@ -21,16 +21,21 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
-	killed bool  // set by Kill: the process unwinds at its next resume
-	err    error // the panic that ended the process, for Run to return
+	killed   bool  // set by Kill: the process unwinds at its next resume
+	finished bool  // the body has returned or unwound
+	err      error // the panic that ended the process, for Run to return
 
 	// The block reason for deadlock reports, rendered only when a report
-	// is built: a fixed string, a function (WaitReasonFunc), or the
-	// signal a plain Wait parked on.
+	// is built: a fixed string, a function or a fmt.Stringer condition
+	// (WaitUntil), or the signal a plain Wait parked on.
 	blockReason   string
 	blockReasonFn func() string
 	blockSig      *Signal
-	finished      bool
+
+	// cond is the condition of a WaitUntil in progress: a wake tests it in
+	// scheduler context and, while it is false, puts the process back on
+	// blockSig instead of resuming it.
+	cond Cond
 }
 
 // procKilled is the panic value used to unwind a killed process. It never
@@ -90,11 +95,11 @@ func (p *Proc) Now() float64 { return p.k.now }
 // surfaced in deadlock reports.
 func (p *Proc) park(reason string) {
 	if p.k.current != p {
-		panic("sim: park called by a process that is not running")
+		panic(fmt.Sprintf("sim: park called by process %q while it is not running (a WaitUntil condition must not block)", p.name))
 	}
 	p.blockReason = reason
 	p.yield(struct{}{})
-	p.blockReason, p.blockReasonFn, p.blockSig = "", nil, nil
+	p.blockReason, p.blockReasonFn, p.blockSig, p.cond = "", nil, nil, nil
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -102,10 +107,13 @@ func (p *Proc) park(reason string) {
 
 // reason renders the block reason of a parked process.
 func (p *Proc) reason() string {
-	switch {
-	case p.blockReasonFn != nil:
+	if p.blockReasonFn != nil {
 		return p.blockReasonFn()
-	case p.blockSig != nil:
+	}
+	if c, ok := p.cond.(fmt.Stringer); ok {
+		return c.String()
+	}
+	if p.blockSig != nil {
 		return "waiting on signal " + p.blockSig.name
 	}
 	return p.blockReason
@@ -189,13 +197,45 @@ func (p *Proc) WaitReason(s *Signal, reason string) {
 	p.park(reason)
 }
 
-// WaitReasonFunc blocks like WaitReason, but reason is called only if a
-// deadlock report is built while the process is parked. It suits waits
-// whose description is costly to format and re-parked often; reason
-// describes the state at report time, not at the park.
-func (p *Proc) WaitReasonFunc(s *Signal, reason func() string) {
+// Cond is the condition of a WaitUntil. Done is called in the waiting
+// process before it parks and then once per wake in scheduler context,
+// where no process is running, so it must be pure: it may read simulation
+// state and update private bookkeeping (a cursor, the index it found), but
+// it must not block, schedule an event, Broadcast or spawn. A wake whose
+// condition schedules panics.
+type Cond interface {
+	Done() bool
+}
+
+// CondFunc adapts a predicate to Cond. A func value is pointer-shaped, so
+// the conversion allocates nothing.
+type CondFunc func() bool
+
+// Done calls f.
+func (f CondFunc) Done() bool { return f() }
+
+// WaitUntil blocks the process until c holds, waking on Broadcasts of s.
+// It behaves exactly like the loop
+//
+//	for !c.Done() { p.Wait(s) }
+//
+// with one difference in cost: a wake that finds c still false puts the
+// process back on s from inside the kernel, without switching to its
+// coroutine. The wake keeps its sequence number, and the process rejoins
+// s's waiters where the loop's next Wait would have put it, so event
+// order, and with it every output, is the same. When c holds, the process
+// resumes and WaitUntil returns without testing c again.
+// reason, if non-nil, is called only if a deadlock report is built while
+// the process is parked; it describes the state at report time. With a nil
+// reason, a condition that implements fmt.Stringer describes itself the
+// same way, which spares a condition object a second allocation for a
+// bound reason; otherwise the report names the signal.
+func (p *Proc) WaitUntil(s *Signal, c Cond, reason func() string) {
+	if c.Done() {
+		return
+	}
 	s.waiters = append(s.waiters, p)
-	p.blockReasonFn = reason
+	p.blockSig, p.blockReasonFn, p.cond = s, reason, c
 	p.park("")
 }
 

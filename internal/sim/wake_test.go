@@ -83,40 +83,52 @@ func TestWakesKeepScheduleOrder(t *testing.T) {
 }
 
 // TestParkWakeAllocations: once the event freelist is warm, a Broadcast
-// that resumes a waiter which re-parks, and a Sleep round trip, allocate
-// nothing: wakes carry the process instead of a Timer and a closure, and
-// park reasons are not formatted.
+// that resumes a waiter which re-parks, a Broadcast whose wake a WaitUntil
+// absorbs in the kernel, and a Sleep round trip allocate nothing: wakes
+// carry the process instead of a Timer and a closure, and park reasons are
+// not formatted.
 func TestParkWakeAllocations(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal("s")
+	s, u := NewSignal("s"), NewSignal("u")
 	done := false
-	var broadcast, sleep float64
-	k.Spawn("waiter", func(p *Proc) {
-		reason := func() string { return "lazy" }
-		for !done {
-			p.WaitReasonFunc(s, reason)
-		}
-	})
+	var resume, repark, sleep float64
+	var reparks uint64
 	k.Spawn("plain", func(p *Proc) {
 		for !done {
 			p.Wait(s)
 		}
 	})
+	k.Spawn("until", func(p *Proc) {
+		p.WaitUntil(u, CondFunc(func() bool { return done }), func() string { return "lazy" })
+	})
 	k.Spawn("leader", func(p *Proc) {
 		p.Yield() // let both waiters park
-		broadcast = testing.AllocsPerRun(100, func() {
+		resume = testing.AllocsPerRun(100, func() {
 			s.Broadcast()
-			p.Yield() // behind the two wakes: both have re-parked
+			p.Yield() // behind the wake: the waiter has resumed and re-parked
 		})
+		before := k.Stats().Reparks
+		repark = testing.AllocsPerRun(100, func() {
+			u.Broadcast()
+			p.Yield() // behind the wake: the kernel has re-parked the waiter
+		})
+		reparks = k.Stats().Reparks - before
 		sleep = testing.AllocsPerRun(100, func() { p.Sleep(0.5) })
 		done = true
 		s.Broadcast()
+		u.Broadcast()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if broadcast != 0 {
-		t.Errorf("Broadcast, resume and re-park of two waiters: %g allocs per op, want 0", broadcast)
+	if resume != 0 {
+		t.Errorf("Broadcast, resume and re-park of a Wait loop: %g allocs per op, want 0", resume)
+	}
+	if repark != 0 {
+		t.Errorf("Broadcast and kernel re-park of a WaitUntil: %g allocs per op, want 0", repark)
+	}
+	if reparks != 101 { // AllocsPerRun adds a warm-up call
+		t.Errorf("the WaitUntil was re-parked %d times, want 101", reparks)
 	}
 	if sleep != 0 {
 		t.Errorf("Sleep round trip: %g allocs per op, want 0", sleep)
