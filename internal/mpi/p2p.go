@@ -229,7 +229,7 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 	if r := dstProc.matchPosted(env); r != nil {
 		env.rreq = r
 	} else {
-		dstProc.inbox = append(dstProc.inbox, env)
+		dstProc.inbox.push(env)
 		// Wake receivers blocked in Probe (they poll the mailbox).
 		dstProc.progress.Broadcast()
 	}
@@ -371,13 +371,55 @@ func (e *envelope) complete() {
 // matchPosted scans the process's posted receives for the first match, in
 // post order, removing and returning it.
 func (p *Process) matchPosted(env *envelope) *RecvReq {
-	for i, r := range p.posted {
+	for i, r := range p.posted.all() {
 		if env.matches(r) {
-			p.posted = append(p.posted[:i], p.posted[i+1:]...)
+			p.posted.remove(i)
 			return r
 		}
 	}
 	return nil
+}
+
+// matchQueue is a mailbox or posted-receive queue in match order. Matches
+// are mostly at the head, so removing the head costs O(1): the live items
+// are items[head:], and the backing array is reused from its start once
+// the queue empties.
+type matchQueue[T any] struct {
+	items []T
+	head  int
+}
+
+// all returns the live items in order; the slice is valid until the next
+// push or remove.
+func (q *matchQueue[T]) all() []T { return q.items[q.head:] }
+
+func (q *matchQueue[T]) push(x T) {
+	// Compact a full array whose dead prefix outnumbers the live items
+	// rather than grow it; each compaction copies fewer items than were
+	// removed since the last, so pushes stay amortized O(1).
+	if live := len(q.items) - q.head; len(q.items) == cap(q.items) && q.head >= live {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, x)
+}
+
+// remove deletes the i-th live item, keeping the order of the rest.
+func (q *matchQueue[T]) remove(i int) {
+	var zero T
+	if i == 0 {
+		q.items[q.head] = zero
+		q.head++
+		if q.head == len(q.items) {
+			q.items, q.head = q.items[:0], 0
+		}
+		return
+	}
+	i += q.head
+	copy(q.items[i:], q.items[i+1:])
+	q.items[len(q.items)-1] = zero
+	q.items = q.items[:len(q.items)-1]
 }
 
 // Irecv posts a non-blocking receive for a message on comm from source
@@ -388,16 +430,16 @@ func (c *Ctx) Irecv(comm *Comm, src, tag int) *RecvReq {
 	}
 	r := &RecvReq{owner: c.proc, comm: comm, src: src, tag: tag, phase: c.phase}
 	// Match the oldest compatible envelope already in the mailbox.
-	for i, env := range c.proc.inbox {
+	for i, env := range c.proc.inbox.all() {
 		if env.matches(r) {
-			c.proc.inbox = append(c.proc.inbox[:i], c.proc.inbox[i+1:]...)
+			c.proc.inbox.remove(i)
 			env.rreq = r
 			env.startFlow() // no-op if already streaming
 			env.complete()  // no-op unless data already arrived
 			return r
 		}
 	}
-	c.proc.posted = append(c.proc.posted, r)
+	c.proc.posted.push(r)
 	return r
 }
 
@@ -535,7 +577,7 @@ func (c *Ctx) Waitany(rs []Request) int {
 // pattern probes for size messages instead.
 func (c *Ctx) Iprobe(comm *Comm, src, tag int) (Status, bool) {
 	probe := &RecvReq{owner: c.proc, comm: comm, src: src, tag: tag}
-	for _, env := range c.proc.inbox {
+	for _, env := range c.proc.inbox.all() {
 		if env.matches(probe) {
 			return Status{Source: env.srcRank, Tag: env.tag, Size: env.payload.Size}, true
 		}

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -161,5 +163,38 @@ func BenchmarkWaitall(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestMatchQueueMatchesSlice: on seeded runs of pushes and removals (at
+// the head mostly, elsewhere sometimes), matchQueue keeps the same items
+// in the same order as a plain slice, and its backing array stays within
+// four times the most items it ever held live.
+func TestMatchQueueMatchesSlice(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q matchQueue[int]
+		var ref []int
+		maxCap, maxLive := 0, 0
+		for op := 0; op < 5000; op++ {
+			if len(ref) == 0 || rng.Intn(2) == 0 {
+				q.push(op)
+				ref = append(ref, op)
+			} else {
+				i := 0
+				if rng.Intn(4) == 0 {
+					i = rng.Intn(len(ref))
+				}
+				q.remove(i)
+				ref = append(ref[:i], ref[i+1:]...)
+			}
+			if !slices.Equal(q.all(), ref) {
+				t.Fatalf("seed %d op %d: queue %v, slice %v", seed, op, q.all(), ref)
+			}
+			maxCap, maxLive = max(maxCap, cap(q.items)), max(maxLive, len(ref))
+		}
+		if maxCap > 4*max(maxLive, 4) {
+			t.Errorf("seed %d: backing array grew to %d for at most %d live items", seed, maxCap, maxLive)
+		}
 	}
 }

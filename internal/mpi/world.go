@@ -215,8 +215,8 @@ type Process struct {
 	gid  int // global id, unique in the world
 	node int
 
-	inbox    []*envelope
-	posted   []*RecvReq
+	inbox    matchQueue[*envelope] // unmatched arrivals, in send order
+	posted   matchQueue[*RecvReq]  // unmatched receives, in post order
 	progress *sim.Signal
 
 	parent *Comm // intercomm to the group that spawned this process
@@ -289,9 +289,9 @@ func (w *World) KillProcess(gid int) {
 		// An unmatched envelope parked in the destination mailbox would
 		// otherwise match a later receive and then never deliver.
 		d := env.dst
-		for i, e2 := range d.inbox {
+		for i, e2 := range d.inbox.all() {
 			if e2 == env {
-				d.inbox = append(d.inbox[:i], d.inbox[i+1:]...)
+				d.inbox.remove(i)
 				break
 			}
 		}
