@@ -52,9 +52,10 @@ func (c *Ctx) Barrier(comm *Comm) {
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
 		to := (r + k) % p
 		from := (r - k + p) % p
-		s := c.Isend(comm, to, tag+round, Virtual(1))
-		rr := c.Irecv(comm, from, tag+round)
-		c.Waitall([]Request{s, rr})
+		s := c.isend(comm, to, tag+round, Virtual(1))
+		rr := c.irecv(comm, from, tag+round)
+		c.waitPair(s, rr)
+		c.proc.w.freeRecv(rr)
 	}
 }
 
@@ -90,16 +91,16 @@ func (c *Ctx) Bcast(comm *Comm, root int, payload Payload) Payload {
 		payload = got
 	}
 	// Forward to children.
-	var reqs []Request
+	reqs := c.reqs[:0]
 	for mask := pof2; mask > 0; mask >>= 1 {
 		if vr&(mask-1) == 0 && vr&mask == 0 {
 			child := vr + mask
 			if child < p {
-				reqs = append(reqs, c.Isend(comm, (child+root)%p, tag, payload))
+				reqs = append(reqs, c.isend(comm, (child+root)%p, tag, payload))
 			}
 		}
 	}
-	c.Waitall(reqs)
+	c.waitallFree(reqs)
 	return payload
 }
 
@@ -169,11 +170,6 @@ func (c *Ctx) Allgatherv(comm *Comm, payload Payload) []Payload {
 	return out
 }
 
-// Allgather is Allgatherv with equal-size contributions.
-func (c *Ctx) Allgather(comm *Comm, payload Payload) []Payload {
-	return c.Allgatherv(comm, payload)
-}
-
 // Alltoallv sends send[i] to peer i and returns the payloads received from
 // every peer, blocking until the exchange completes.
 //
@@ -221,14 +217,17 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	}
 	r := comm.Rank(c)
 	tag := c.collTag(comm)
+	w := c.proc.w
 
 	recvs := make([]*RecvReq, npeers)
 	for i := 0; i < npeers; i++ {
-		recvs[i] = c.Irecv(comm, i, tag)
+		recvs[i] = c.irecv(comm, i, tag)
 	}
 	for s := 0; s < npeers; s++ {
 		dst := (r + s) % npeers
-		c.Wait(c.Isend(comm, dst, tag, send[dst]))
+		sr := c.isend(comm, dst, tag, send[dst])
+		c.Wait(sr)
+		w.freeSend(sr)
 		if pen := c.schedPenalty(); pen > 0 {
 			c.Sleep(pen)
 		}
@@ -236,19 +235,26 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	out := make([]Payload, npeers)
 	for i, rr := range recvs {
 		c.Wait(rr)
-		c.chargeCopy(rr.payload.Size)
-		out[i] = rr.Payload()
+		out[i] = rr.payload
+		w.freeRecv(rr)
+		c.chargeCopy(out[i].Size)
 	}
 	return out
 }
 
-// AlltoallvReq is the pending handle of a non-blocking Alltoallv.
+// AlltoallvReq is the pending handle of a non-blocking Alltoallv. It
+// owns its per-peer requests and recycles each one as Done finds it
+// complete, keeping a receive's payload in the result.
 type AlltoallvReq struct {
 	reqState
+	w     *World
+	comm  int // matching-context id, for deadlock reports
 	sends []*SendReq
 	recvs []*RecvReq
-	// sent and recvd count the prefixes of sends and recvs known complete;
-	// completion never reverts, so Done resumes its scan there.
+	out   []Payload
+	// sent and recvd count the prefixes of sends and recvs known complete,
+	// and already recycled; completion never reverts, so Done resumes its
+	// scan there.
 	sent, recvd int
 }
 
@@ -258,12 +264,18 @@ func (r *AlltoallvReq) Done() bool {
 		return true
 	}
 	for r.sent < len(r.sends) && r.sends[r.sent].done {
+		r.w.freeSend(r.sends[r.sent])
+		r.sends[r.sent] = nil
 		r.sent++
 	}
 	if r.sent < len(r.sends) {
 		return false
 	}
 	for r.recvd < len(r.recvs) && r.recvs[r.recvd].done {
+		rr := r.recvs[r.recvd]
+		r.out[r.recvd] = rr.payload
+		r.w.freeRecv(rr)
+		r.recvs[r.recvd] = nil
 		r.recvd++
 	}
 	if r.recvd < len(r.recvs) {
@@ -274,33 +286,23 @@ func (r *AlltoallvReq) Done() bool {
 }
 
 func (r *AlltoallvReq) describe() string {
-	comm := -1
-	if len(r.recvs) > 0 {
-		comm = r.recvs[0].comm.ctxID
-	}
 	pendS, pendR := 0, 0
-	for _, s := range r.sends {
+	for _, s := range r.sends[r.sent:] {
 		if !s.Done() {
 			pendS++
 		}
 	}
-	for _, rr := range r.recvs {
+	for _, rr := range r.recvs[r.recvd:] {
 		if !rr.Done() {
 			pendR++
 		}
 	}
-	return fmt.Sprintf("Ialltoallv comm=%d (%d sends, %d recvs pending)", comm, pendS, pendR)
+	return fmt.Sprintf("Ialltoallv comm=%d (%d sends, %d recvs pending)", r.comm, pendS, pendR)
 }
 
 // Result returns the received payloads indexed by peer rank. Valid once
-// Done.
-func (r *AlltoallvReq) Result() []Payload {
-	out := make([]Payload, len(r.recvs))
-	for i, rr := range r.recvs {
-		out[i] = rr.Payload()
-	}
-	return out
-}
+// Done; the slice is the request's, returned on every call.
+func (r *AlltoallvReq) Result() []Payload { return r.out }
 
 // Ialltoallv starts a non-blocking Alltoallv (scattered sends/receives on
 // both intra- and inter-communicators, like MPICH's MPI_Ialltoallv) and
@@ -319,14 +321,20 @@ func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) *AlltoallvReq {
 		})
 	}
 	tag := c.collTag(comm)
-	req := &AlltoallvReq{}
-	for i := 0; i < npeers; i++ {
-		req.recvs = append(req.recvs, c.Irecv(comm, i, tag))
+	req := &AlltoallvReq{
+		w:     c.proc.w,
+		comm:  comm.ctxID,
+		sends: make([]*SendReq, npeers),
+		recvs: make([]*RecvReq, npeers),
+		out:   make([]Payload, npeers),
+	}
+	for i := range req.recvs {
+		req.recvs[i] = c.irecv(comm, i, tag)
 	}
 	r := comm.Rank(c)
-	for s := 0; s < npeers; s++ {
+	for s := range req.sends {
 		dst := (r + s) % npeers // stagger destinations to spread NIC load
-		req.sends = append(req.sends, c.Isend(comm, dst, tag, send[dst]))
+		req.sends[s] = c.isend(comm, dst, tag, send[dst])
 	}
 	return req
 }

@@ -23,19 +23,20 @@ func (c *Ctx) Gatherv(comm *Comm, root int, payload Payload) []Payload {
 	}
 	out := make([]Payload, p)
 	out[root] = payload
-	reqs := make([]*RecvReq, 0, p-1)
-	srcs := make([]int, 0, p-1)
-	for q := 0; q < p; q++ {
-		if q == root {
+	reqs := make([]*RecvReq, p) // by rank; root's stays nil
+	for q := range reqs {
+		if q != root {
+			reqs[q] = c.irecv(comm, q, tag)
+		}
+	}
+	for q, rr := range reqs {
+		if rr == nil {
 			continue
 		}
-		reqs = append(reqs, c.Irecv(comm, q, tag))
-		srcs = append(srcs, q)
-	}
-	for i, rr := range reqs {
 		c.Wait(rr)
-		c.chargeCopy(rr.Payload().Size)
-		out[srcs[i]] = rr.Payload()
+		out[q] = rr.payload
+		c.proc.w.freeRecv(rr)
+		c.chargeCopy(out[q].Size)
 	}
 	return out
 }
@@ -57,14 +58,14 @@ func (c *Ctx) Scatterv(comm *Comm, root int, send []Payload) Payload {
 	if len(send) != p {
 		panic(fmt.Sprintf("mpi: Scatterv with %d payloads for %d ranks", len(send), p))
 	}
-	var reqs []Request
+	reqs := c.reqs[:0]
 	for q := 0; q < p; q++ {
 		if q == root {
 			continue
 		}
-		reqs = append(reqs, c.Isend(comm, q, tag, send[q]))
+		reqs = append(reqs, c.isend(comm, q, tag, send[q]))
 	}
-	c.Waitall(reqs)
+	c.waitallFree(reqs)
 	return send[root]
 }
 

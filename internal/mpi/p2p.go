@@ -39,7 +39,6 @@ type reqState struct {
 func (r *reqState) Done() bool       { return r.done }
 func (r *reqState) isConsumed() bool { return r.consumed }
 func (r *reqState) setConsumed()     { r.consumed = true }
-func (r *reqState) describe() string { return "request" }
 
 // wildName renders a source or tag wildcard for operation descriptions.
 func wildName(v int) string {
@@ -61,6 +60,14 @@ func tagName(t int) string {
 
 // SendReq is a pending send. It completes when the payload has been
 // delivered into the destination mailbox.
+//
+// Requests follow MPI's ownership rule. One that Isend or Irecv returns
+// belongs to the caller and is left to the garbage collector. One that an
+// mpi operation makes for itself (isend, irecv: the per-peer requests of
+// collectives, barriers, Send, Recv and Sendrecv) belongs to that
+// operation, which recycles it through the world's freelist once it sees
+// it complete. That is safe because a request is detached when it
+// completes: once done, no envelope, mailbox or posted queue refers to it.
 type SendReq struct {
 	reqState
 	env *envelope
@@ -133,28 +140,48 @@ type envelope struct {
 
 // newEnvelope takes an envelope off the world's freelist or allocates one.
 // Envelopes are the per-message hot-path allocation; recycling them keeps a
-// sweep cell's steady-state garbage near zero. World code runs
-// single-threaded under its kernel, so the freelist needs no lock.
+// sweep cell's steady-state garbage near zero.
 func (w *World) newEnvelope() *envelope {
-	if n := len(w.envFree); n > 0 {
-		e := w.envFree[n-1]
-		w.envFree[n-1] = nil
-		w.envFree = w.envFree[:n-1]
-		return e
+	e := w.envs.get()
+	if e.flowDone == nil {
+		e.flowDone = e.onFlowDone
 	}
-	e := &envelope{}
-	e.flowDone = e.onFlowDone
 	return e
 }
 
 // freeEnvelope recycles a fully delivered envelope. Only complete() may
-// call it, after detaching the envelope from its SendReq: at that point the
-// payload and status have been handed to the receive request, the sender's
-// outEnvs entry is gone, and no mailbox or queue holds the pointer. Lost or
-// dropped envelopes are never recycled — the garbage collector takes them.
+// call it, after detaching the envelope from its requests: at that point
+// the payload and status have been handed to the receive request, the
+// sender's outEnvs entry is gone, and no mailbox or queue holds the
+// pointer. Lost or dropped envelopes are never recycled — the garbage
+// collector takes them. Only the pointers are cleared, so the free
+// envelope keeps nothing alive; Isend sets every other field. The flow
+// refers only to the fabric and to the envelope itself.
 func (w *World) freeEnvelope(e *envelope) {
-	*e = envelope{flowDone: e.flowDone}
-	w.envFree = append(w.envFree, e)
+	e.comm, e.sender, e.dst = nil, nil, nil
+	e.payload.Data = nil
+	e.sreq, e.rreq = nil, nil
+	w.envs.put(e)
+}
+
+// freeSend recycles a done send request that an mpi operation made for
+// itself with isend. Done implies detached, so there is nothing to clear.
+func (w *World) freeSend(s *SendReq) {
+	if !s.done {
+		panic("mpi: recycling a pending send request")
+	}
+	s.done = false
+	w.sends.put(s)
+}
+
+// freeRecv recycles a done receive request that an mpi operation made for
+// itself with irecv, once the operation has read its payload and status.
+func (w *World) freeRecv(r *RecvReq) {
+	if !r.done {
+		panic("mpi: recycling a pending receive request")
+	}
+	*r = RecvReq{}
+	w.recvs.put(r)
 }
 
 func (e *envelope) matches(r *RecvReq) bool {
@@ -175,6 +202,21 @@ func (e *envelope) matches(r *RecvReq) bool {
 // Messages up to the eager threshold start moving immediately; larger ones
 // wait for a matching receive (rendezvous).
 func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
+	s := new(SendReq)
+	c.startSend(s, comm, dst, tag, payload)
+	return s
+}
+
+// isend is Isend into a recycled request. The calling operation owns it:
+// it waits for it and hands it back with freeSend.
+func (c *Ctx) isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
+	s := c.proc.w.sends.get()
+	c.startSend(s, comm, dst, tag, payload)
+	return s
+}
+
+// startSend posts the send behind Isend and isend into s.
+func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 	if comm.Rank(c) < 0 {
 		panic(fmt.Sprintf("mpi: Isend by non-member g%d", c.proc.gid))
 	}
@@ -201,27 +243,22 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 	if verdict.Drop {
 		// The message vanishes on the wire: the sender observes a normal
 		// local completion, the receiver never sees anything.
-		sreq := &SendReq{}
-		sreq.done = true
-		return sreq
+		s.done = true
+		return
 	}
 
+	// Field writes rather than a struct literal, which would build the
+	// envelope aside and copy it in. Every field but the flow is set.
 	env := w.newEnvelope()
-	*env = envelope{
-		comm:    comm,
-		sender:  c.proc,
-		dst:     dstProc,
-		srcRank: comm.senderRank(c.proc),
-		tag:     tag,
-		payload: clonePayload(payload),
-		eager:   payload.Size <= w.opts.EagerThreshold,
-		delay:   verdict.Delay,
-		outIdx:  len(c.proc.outEnvs),
-
-		flowDone: env.flowDone,
-	}
-	sreq := &SendReq{env: env}
-	env.sreq = sreq
+	env.comm, env.sender, env.dst = comm, c.proc, dstProc
+	env.srcRank, env.tag = comm.senderRank(c.proc), tag
+	env.payload = clonePayload(payload)
+	env.eager = payload.Size <= w.opts.EagerThreshold
+	env.dataReady, env.queued, env.launching, env.lost = false, false, false, false
+	env.delay = verdict.Delay
+	env.outIdx = len(c.proc.outEnvs)
+	env.sreq, env.rreq = s, nil
+	s.env = env
 	c.proc.outEnvs = append(c.proc.outEnvs, env)
 
 	// Matching follows MPI's non-overtaking rule: the envelope becomes
@@ -236,7 +273,6 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 	if env.eager || env.rreq != nil {
 		env.startFlow()
 	}
-	return sreq
 }
 
 // startFlow launches the network transfer for the envelope's payload, or
@@ -248,7 +284,7 @@ func (e *envelope) startFlow() {
 	s := e.sender
 	if max := s.w.opts.MaxInFlight; max > 0 && s.flowsActive >= max {
 		e.queued = true
-		s.flowQueue = append(s.flowQueue, e)
+		s.flowQueue.push(e)
 		return
 	}
 	e.launchFlow()
@@ -309,9 +345,13 @@ func (e *envelope) onFlowDone() {
 	s.drainFlowQueue()
 	// An eager send completes locally once the data has left, whether or
 	// not a receive has matched; a rendezvous send completes with the
-	// delivery (it only started once matched).
-	if e.eager && !e.sreq.done {
+	// delivery (it only started once matched). A done request is detached
+	// at once: its owner may recycle it while the envelope still waits in
+	// the mailbox for a receive.
+	if e.eager {
 		e.sreq.done = true
+		e.sreq.env = nil
+		e.sreq = nil
 		s.progress.Broadcast()
 	}
 	e.complete()
@@ -330,9 +370,9 @@ func (p *Process) dropOutEnv(e *envelope) {
 // drainFlowQueue starts queued sends while pipeline slots are free.
 func (p *Process) drainFlowQueue() {
 	max := p.w.opts.MaxInFlight
-	for len(p.flowQueue) > 0 && (max <= 0 || p.flowsActive < max) {
-		e := p.flowQueue[0]
-		p.flowQueue = p.flowQueue[1:]
+	for len(p.flowQueue.all()) > 0 && (max <= 0 || p.flowsActive < max) {
+		e := p.flowQueue.all()[0]
+		p.flowQueue.remove(0)
 		e.queued = false
 		e.launchFlow()
 	}
@@ -357,14 +397,13 @@ func (e *envelope) complete() {
 		})
 	}
 	r.owner.progress.Broadcast()
-	if !e.sreq.done {
-		e.sreq.done = true
+	if s := e.sreq; s != nil { // a rendezvous send; an eager one is detached
+		s.done = true
+		s.env = nil
 		e.sender.progress.Broadcast()
 	}
-	// The pair is finished on both sides; detach and recycle the envelope.
-	// describe() renders a nil env as "Isend (dropped)", and a done SendReq
-	// is never described anyway.
-	e.sreq.env = nil
+	// The pair is finished on both sides; recycle the envelope, which
+	// detaches the receive request.
 	e.comm.w.freeEnvelope(e)
 }
 
@@ -380,10 +419,10 @@ func (p *Process) matchPosted(env *envelope) *RecvReq {
 	return nil
 }
 
-// matchQueue is a mailbox or posted-receive queue in match order. Matches
-// are mostly at the head, so removing the head costs O(1): the live items
-// are items[head:], and the backing array is reused from its start once
-// the queue empties.
+// matchQueue is a mailbox or posted-receive queue in match order, or a
+// send pipeline's queue in FIFO order. Matches are mostly at the head, so
+// removing the head costs O(1): the live items are items[head:], and the
+// backing array is reused from its start once the queue empties.
 type matchQueue[T any] struct {
 	items []T
 	head  int
@@ -425,10 +464,27 @@ func (q *matchQueue[T]) remove(i int) {
 // Irecv posts a non-blocking receive for a message on comm from source
 // rank src (or AnySource) with tag (or AnyTag).
 func (c *Ctx) Irecv(comm *Comm, src, tag int) *RecvReq {
+	r := new(RecvReq)
+	c.startRecv(r, comm, src, tag)
+	return r
+}
+
+// irecv is Irecv into a recycled request. The calling operation owns it:
+// it waits for it, reads its payload and status, and hands it back with
+// freeRecv.
+func (c *Ctx) irecv(comm *Comm, src, tag int) *RecvReq {
+	r := c.proc.w.recvs.get()
+	c.startRecv(r, comm, src, tag)
+	return r
+}
+
+// startRecv posts the receive behind Irecv and irecv into the zero
+// request r.
+func (c *Ctx) startRecv(r *RecvReq, comm *Comm, src, tag int) {
 	if comm.Rank(c) < 0 {
 		panic(fmt.Sprintf("mpi: Irecv by non-member g%d (use your own view of the communicator)", c.proc.gid))
 	}
-	r := &RecvReq{owner: c.proc, comm: comm, src: src, tag: tag, phase: c.phase}
+	r.owner, r.comm, r.src, r.tag, r.phase = c.proc, comm, src, tag, c.phase
 	// Match the oldest compatible envelope already in the mailbox.
 	for i, env := range c.proc.inbox.all() {
 		if env.matches(r) {
@@ -436,46 +492,79 @@ func (c *Ctx) Irecv(comm *Comm, src, tag int) *RecvReq {
 			env.rreq = r
 			env.startFlow() // no-op if already streaming
 			env.complete()  // no-op unless data already arrived
-			return r
+			return
 		}
 	}
 	c.proc.posted.push(r)
-	return r
 }
 
 // Send is the blocking send: Isend followed by Wait. With the rendezvous
 // protocol a large Send does not return until the receiver posts a matching
 // receive — the deadlock hazard of §3.1.
 func (c *Ctx) Send(comm *Comm, dst, tag int, payload Payload) {
-	c.Wait(c.Isend(comm, dst, tag, payload))
+	s := c.isend(comm, dst, tag, payload)
+	c.Wait(s)
+	c.proc.w.freeSend(s)
 }
 
 // Recv is the blocking receive.
 func (c *Ctx) Recv(comm *Comm, src, tag int) (Payload, Status) {
-	r := c.Irecv(comm, src, tag)
+	r := c.irecv(comm, src, tag)
 	c.Wait(r)
-	c.chargeCopy(r.payload.Size) // unpack
-	return r.payload, r.status
+	pl, st := r.payload, r.status
+	c.proc.w.freeRecv(r)
+	c.chargeCopy(pl.Size) // unpack
+	return pl, st
 }
 
 // Sendrecv performs a blocking simultaneous exchange, as MPI_Sendrecv: the
 // send and receive progress concurrently, so symmetric exchanges cannot
 // deadlock.
 func (c *Ctx) Sendrecv(comm *Comm, dst, sendTag int, payload Payload, src, recvTag int) (Payload, Status) {
-	s := c.Isend(comm, dst, sendTag, payload)
-	r := c.Irecv(comm, src, recvTag)
-	c.Waitall([]Request{s, r})
-	c.chargeCopy(r.payload.Size)
-	return r.payload, r.status
+	s := c.isend(comm, dst, sendTag, payload)
+	r := c.irecv(comm, src, recvTag)
+	c.waitPair(s, r)
+	pl, st := r.payload, r.status
+	c.proc.w.freeRecv(r)
+	c.chargeCopy(pl.Size)
+	return pl, st
 }
 
-// Wait blocks until the request completes. The request is its own
-// condition.
+// waitPair waits for the send and the receive of one exchange step, and
+// recycles the send; the caller reads and recycles the receive.
+func (c *Ctx) waitPair(s *SendReq, r *RecvReq) {
+	c.reqs = append(c.reqs[:0], s, r)
+	c.Waitall(c.reqs)
+	clear(c.reqs)
+	c.proc.w.freeSend(s)
+}
+
+// waitallFree waits for the sends of a rooted collective, built in the
+// context's request list, and recycles them.
+func (c *Ctx) waitallFree(sends []Request) {
+	c.reqs = sends // keep a grown list for the next operation
+	c.Waitall(sends)
+	for i, s := range sends {
+		c.proc.w.freeSend(s.(*SendReq))
+		sends[i] = nil
+	}
+}
+
+// waitCond is Wait's condition: the request, which describes itself in
+// deadlock reports.
+type waitCond struct{ r Request }
+
+func (w *waitCond) Done() bool     { return w.r.Done() }
+func (w *waitCond) String() string { return "Wait: " + w.r.describe() }
+
+// Wait blocks until the request completes.
 func (c *Ctx) Wait(r Request) {
 	if r.Done() {
-		return // before building the reason closure below
+		return
 	}
-	c.waitUntilDesc(r, func() string { return "Wait: " + r.describe() })
+	c.wait.r = r
+	c.waitUntilDesc(&c.wait, nil)
+	c.wait.r = nil
 }
 
 // allDone is Waitall's condition. next is the length of the prefix of rs
@@ -508,12 +597,9 @@ func (a *allDone) String() string {
 
 // Waitall blocks until every request completes.
 func (c *Ctx) Waitall(rs []Request) {
-	head := allDone{rs: rs}
-	if head.Done() {
-		return // before the condition below escapes to the heap
-	}
-	a := &allDone{rs: rs, next: head.next}
-	c.waitUntilDesc(a, nil)
+	c.all.rs, c.all.next = rs, 0
+	c.waitUntilDesc(&c.all, nil)
+	c.all.rs = nil
 }
 
 // anyDone is Waitany's condition: it holds once some request is complete

@@ -108,7 +108,11 @@ type World struct {
 
 	sink trace.Sink // nil when event tracing is off
 
-	envFree []*envelope // recycled envelopes; see newEnvelope/freeEnvelope
+	// Recycled message state; see newEnvelope and freeEnvelope, and
+	// isend and irecv for the requests mpi makes for itself.
+	envs  freelist[envelope]
+	sends freelist[SendReq]
+	recvs freelist[RecvReq]
 
 	ext any // owned by a layer above mpi; see Ext
 }
@@ -120,6 +124,28 @@ func NewWorld(m *cluster.Machine, opts Options) *World {
 	}
 	return &World{machine: m, k: m.Kernel(), opts: opts, nextCtxID: 1, procs: make(map[int]*Process)}
 }
+
+// freelist holds objects of one kind that the world is done with, for
+// reuse. World code runs single-threaded under its kernel, so it needs no
+// lock, and each world has its own, so parallel runs share nothing. It
+// fills lazily: a world holds at most as many objects as it once had in
+// use at one time.
+type freelist[T any] struct{ free []*T }
+
+// get takes an object off the list, or allocates a zero one.
+func (l *freelist[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// put hands x back; the caller has cleared what x must not keep alive.
+func (l *freelist[T]) put(x *T) { l.free = append(l.free, x) }
 
 // MsgVerdict is a fault hook's decision about one point-to-point message.
 type MsgVerdict struct {
@@ -224,8 +250,8 @@ type Process struct {
 	collSeq    map[int]int        // per matching context collective sequence numbers
 	derivedSeq map[derivedKey]int // per-kind Dup/Sub generation counters
 
-	flowsActive int         // outgoing transfers currently on the wire
-	flowQueue   []*envelope // sends waiting for a pipeline slot
+	flowsActive int                   // outgoing transfers currently on the wire
+	flowQueue   matchQueue[*envelope] // sends waiting for a pipeline slot
 
 	outEnvs []*envelope // sent envelopes whose payload has not yet arrived; outEnvs[e.outIdx] == e
 
@@ -297,7 +323,7 @@ func (w *World) KillProcess(gid int) {
 		}
 	}
 	p.outEnvs = nil
-	p.flowQueue = nil
+	p.flowQueue = matchQueue[*envelope]{}
 	// Window-epoch barriers excuse dead members: recount each epoch and
 	// wake its waiters so the arrival predicate is re-evaluated. Sorted
 	// order keeps runs deterministic (map iteration would leak scheduling
@@ -346,6 +372,15 @@ type Ctx struct {
 	sp   *sim.Proc
 
 	phase string // reconfiguration phase tag applied to recorded events
+
+	// A context blocks in one wait at a time, so each wait reuses these
+	// instead of allocating its own: Wait's and Waitall's conditions, the
+	// CPU load a polling wait adds, and the request list of a blocking
+	// operation that waits on several of its own requests at once.
+	wait waitCond
+	all  allDone
+	load ps.Task
+	reqs []Request
 }
 
 // Proc returns the MPI process this context belongs to.
@@ -475,7 +510,7 @@ func (w *World) Launch(n int, nodeOf func(rank int) int, main func(c *Ctx, comm 
 // cond must therefore be pure (see sim.Cond). Deadlock reports describe
 // the operation still pending rather than just the progress signal: desc
 // renders it when non-nil, and a nil desc leaves it to cond's String (the
-// condition objects of Waitall, Waitany and Probe). Either is called only
+// condition objects of Wait, Waitall, Waitany and Probe). Either is called only
 // when a report is built. Every change to the state it reads (a request
 // completing) is followed by a Broadcast on the progress signal, and a
 // report is built only once every wake has run, so it renders what the
@@ -485,8 +520,8 @@ func (c *Ctx) waitUntilDesc(cond sim.Cond, desc func() string) {
 		return
 	}
 	if c.proc.w.opts.WaitMode == PollingWait {
-		load := c.cpu().AddLoad()
-		defer load.Stop()
+		c.cpu().StartLoad(&c.load)
+		defer c.load.Stop()
 	}
 	c.sp.WaitUntil(c.proc.progress, cond, desc)
 }

@@ -250,7 +250,13 @@ func (f *Fabric) Start(fl *Flow, src, dst int, size int64, done func()) {
 	if size < 0 {
 		panic(fmt.Sprintf("netmodel: negative transfer size %d", size))
 	}
-	*fl = Flow{f: f, seq: f.nextSeq, src: src, dst: dst, remaining: float64(size), done: done}
+	// Field writes rather than a struct literal, which would build the
+	// flow aside and copy it in; every field is set, so a reused Flow
+	// keeps nothing from its last transfer.
+	fl.f, fl.seq, fl.src, fl.dst = f, f.nextSeq, src, dst
+	fl.remaining, fl.done = float64(size), done
+	fl.started, fl.finished = false, false
+	fl.cls, fl.index = nil, 0
 	f.nextSeq++
 	lat := f.params.Latency
 	if src == dst {

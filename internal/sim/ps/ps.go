@@ -223,12 +223,23 @@ func (r *Resource) start(t *Task, work float64, done func()) {
 // resource indefinitely (diluting everyone else) but never completes. This
 // models a polling wait loop burning a core. Remove it with Stop.
 func (r *Resource) AddLoad() *Task {
+	t := new(Task)
+	r.StartLoad(t)
+	return t
+}
+
+// StartLoad is AddLoad into a caller-owned task, which must not be
+// attached: a caller that loads the resource over and over (a polling
+// wait) reuses one task and allocates nothing.
+func (r *Resource) StartLoad(t *Task) {
+	if t.r != nil && !t.stopped {
+		panic(fmt.Sprintf("ps: StartLoad of a task still attached to %q", t.r.name))
+	}
 	r.advance()
-	t := &Task{r: r, seq: r.nextSeq, infinite: true}
+	*t = Task{r: r, seq: r.nextSeq, infinite: true}
 	r.nextSeq++
 	r.loads++
 	r.reschedule()
-	return t
 }
 
 // Stop detaches the task. It reports whether the task was still attached.

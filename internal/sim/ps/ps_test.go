@@ -183,6 +183,43 @@ func TestAddLoadDilutesFiniteTasks(t *testing.T) {
 	}
 }
 
+// TestStartLoadReusesTask: one caller-owned task loads the resource again
+// after each Stop, diluting a finite task exactly as fresh AddLoad tasks
+// would, and restarting it while attached panics.
+func TestStartLoadReusesTask(t *testing.T) {
+	// Loaded over [0,1) and [2,3): a 3-unit task gets 0.5+1+0.5 by t=3,
+	// then runs alone to finish at 4.
+	k := sim.NewKernel()
+	r := NewResource(k, "cpu", 1, 1)
+	var load Task
+	k.Spawn("spinner", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			r.StartLoad(&load)
+			p.Sleep(1)
+			load.Stop()
+			p.Sleep(1)
+		}
+	})
+	var done float64
+	k.Spawn("p", func(p *sim.Proc) {
+		r.Use(p, 3)
+		done = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !near(done, 4) {
+		t.Fatalf("done at %g, want 4 with the load on for 2 of the first 3 s", done)
+	}
+	r.StartLoad(&load)
+	defer func() {
+		if recover() == nil {
+			t.Error("StartLoad of an attached task did not panic")
+		}
+	}()
+	r.StartLoad(&load)
+}
+
 func TestStopRemovesLoad(t *testing.T) {
 	// Spinner stops at t=1: task (2 units) runs at 0.5 for 1s, then 1.0.
 	k := sim.NewKernel()
