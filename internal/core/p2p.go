@@ -34,25 +34,27 @@ type p2pTransfer struct {
 	// sides agree on ledger entries without metadata exchange.
 	footprint
 	staged      []stagedSend
-	waves       waveCursor // over (size, value) pairs of staged
+	waves       waveCursor // over staged
 	lazyExtract bool       // pure source under a ceiling: extract at issue
+	// scratch holds the size message being sent: Isend clones the payload
+	// before returning, so the next send may overwrite it.
+	scratch [8]byte
 
 	started bool
 }
 
-// stagedSend is one deferred source send. Extraction normally happens at
-// staging time, before Prepare may replace a Merge rank's block; on a pure
-// source under a ceiling nothing replaces the block, so extraction is
-// deferred to wave issue and the staged payload is a sized placeholder —
-// the staging footprint itself stays within the ceiling, not just the wire
-// traffic.
+// stagedSend is one deferred chunk segment: a size message announcing
+// pl.Size, then the values message. Extraction normally happens at staging
+// time, before Prepare may replace a Merge rank's block; on a pure source
+// under a ceiling nothing replaces the block, so extraction is deferred to
+// wave issue and the staged payload is a sized placeholder — the staging
+// footprint itself stays within the ceiling, not just the wire traffic.
 type stagedSend struct {
-	dst, tag int
-	pl       mpi.Payload
-	item     int   // index into items, for deferred extraction
-	lo, hi   int64 // element range, for deferred extraction
-	size     int64 // size-message value, encoded at issue time
-	isSize   bool
+	dst             int
+	sizeTag, valTag int
+	pl              mpi.Payload
+	item            int   // index into items, for deferred extraction
+	lo, hi          int64 // element range, for deferred extraction
 }
 
 type p2pRecvMeta struct {
@@ -116,9 +118,12 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 	// and target must read its old block before Prepare replaces it. The
 	// extracted slices stay valid because Prepare allocates fresh storage.
 	if t.v.isSource() {
+		chunks, n := t.v.wireChunks(t.items, t.ceiling, t.v.sendChunks)
+		t.staged = make([]stagedSend, 0, n)
+		t.sendReqs = make([]mpi.Request, 0, 2*n) // a size and a values message each
 		for i, it := range t.items {
 			occ := map[int]int{}
-			for _, ch := range sendChunksFor(it, t.v.ns, t.v.nt, t.v.srcRank) {
+			for _, ch := range chunks[i] {
 				if t.v.selfChunk(ch.Src, ch.Dst) {
 					// memcpy path: Prepare preserves the local overlap; only
 					// the copy cost is charged here. Delivered by construction,
@@ -139,9 +144,8 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 						pl = it.Extract(sp.lo, sp.hi)
 						t.hooks.retain(chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: sp.lo, hi: sp.hi}, pl)
 					}
-					t.staged = append(t.staged,
-						stagedSend{dst: ch.Dst, tag: sTag, size: pl.Size, isSize: true},
-						stagedSend{dst: ch.Dst, tag: vTag, pl: pl, item: i, lo: sp.lo, hi: sp.hi})
+					t.staged = append(t.staged, stagedSend{dst: ch.Dst, sizeTag: sTag, valTag: vTag,
+						pl: pl, item: i, lo: sp.lo, hi: sp.hi})
 				}
 			}
 		}
@@ -151,7 +155,11 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 	// incoming chunk segment, before sends are issued so rendezvous values
 	// can stream immediately. The segmentation is a pure function of (item,
 	// range, ceiling), so it reproduces the source's boundaries exactly.
+	// Each size receive later adds its values receive.
 	if t.v.isTarget() {
+		chunks, n := t.v.wireChunks(t.items, t.ceiling, t.v.recvChunks)
+		t.recvReqs = make([]mpi.Request, 0, 2*n)
+		t.recvMeta = make([]p2pRecvMeta, 0, 2*n)
 		for i, it := range t.items {
 			if !t.prepared[i] {
 				lo, hi := targetRange(it, t.v.nt, t.v.tgtRank)
@@ -159,7 +167,7 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 				t.prepared[i] = true
 			}
 			occ := map[int]int{}
-			for _, ch := range recvChunksFor(it, t.v.ns, t.v.nt, t.v.tgtRank) {
+			for _, ch := range chunks[i] {
 				if t.v.selfChunk(ch.Src, ch.Dst) {
 					continue // local copy handled on the send side
 				}
@@ -174,10 +182,10 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 		}
 	}
 
-	// Wave cuts count value bytes and keep each (size, value) pair —
-	// adjacent staged entries — in one wave; a size message is 8 bytes of
-	// metadata riding alongside its values.
-	t.waves = newWaveCursor(len(t.staged)/2, func(i int) int64 { return t.staged[2*i+1].pl.Size },
+	// Wave cuts count value bytes and keep each segment's size and values
+	// messages in one wave; a size message is 8 bytes of metadata riding
+	// alongside its values.
+	t.waves = newWaveCursor(len(t.staged), func(i int) int64 { return t.staged[i].pl.Size },
 		t.ceiling, &t.gauge)
 	t.advanceWaves(c)
 }
@@ -187,34 +195,32 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 // ceiling the blocking loop's wait set includes the active wave, so a
 // source parked on receives still observes its own send completions.
 func (t *p2pTransfer) advanceWaves(c *mpi.Ctx) {
-	// Size messages encode into one reusable scratch buffer: Isend clones
-	// the payload before returning, so the next send may overwrite it.
-	var scratch [8]byte
 	for t.waves.next(c) {
 		announceWave(c, t.waves.n)
-		for j := 2 * t.waves.lo; j < 2*t.waves.hi; j++ {
+		for j := t.waves.lo; j < t.waves.hi; j++ {
 			s := &t.staged[j]
+			t.send(c, s.dst, s.sizeTag, mpi.Bytes(mpi.AppendInt64s(t.scratch[:0], s.pl.Size)), 0)
 			pl := s.pl
-			var live int64
-			if s.isSize {
-				pl = mpi.Bytes(mpi.AppendInt64s(scratch[:0], s.size))
-			} else {
-				key := chunkKey{item: s.item, src: t.v.srcRank, dst: s.dst, lo: s.lo, hi: s.hi}
-				if t.lazyExtract {
-					pl = t.items[s.item].Extract(s.lo, s.hi)
-					// The deferred extraction doubles as the ladder's rung-0
-					// reservoir, subject to the per-source retention budget.
-					t.hooks.retain(key, pl)
-				}
-				t.hooks.markSent(key)
-				live = pl.Size
-				s.pl = mpi.Payload{} // wave issued: drop the staging reference
+			key := chunkKey{item: s.item, src: t.v.srcRank, dst: s.dst, lo: s.lo, hi: s.hi}
+			if t.lazyExtract {
+				pl = t.items[s.item].Extract(s.lo, s.hi)
+				// The deferred extraction doubles as the ladder's rung-0
+				// reservoir, subject to the per-source retention budget.
+				t.hooks.retain(key, pl)
 			}
-			req := t.v.sendTo(c, s.dst, s.tag, pl)
-			t.sendReqs = append(t.sendReqs, req)
-			t.waves.issue(req, live)
+			t.hooks.markSent(key)
+			s.pl = mpi.Payload{} // wave issued: drop the staging reference
+			t.send(c, s.dst, s.valTag, pl, pl.Size)
 		}
 	}
+}
+
+// send issues one message of the active wave, live bytes of it counting
+// against the ceiling until the wave retires.
+func (t *p2pTransfer) send(c *mpi.Ctx, dst, tag int, pl mpi.Payload, live int64) {
+	req := t.v.sendTo(c, dst, tag, pl)
+	t.sendReqs = append(t.sendReqs, req)
+	t.waves.issue(req, live)
 }
 
 // progress advances the receiver state machine without blocking and reports

@@ -448,11 +448,7 @@ func (r *Reconfig) handover(c *mpi.Ctx) {
 			r.joint.FastBarrier(c) // with the children, before resuming
 			r.newComm = r.joint
 		} else {
-			ranks := make([]int, r.nt)
-			for i := range ranks {
-				ranks[i] = i
-			}
-			r.newComm = r.appComm.Sub(c, ranks)
+			r.newComm = r.appComm.Sub(c, r.nt)
 		}
 	}
 	r.finished = true

@@ -110,6 +110,8 @@ func (t *rmaTransfer) setup(c *mpi.Ctx) {
 	// before the next is pulled, so the target's live Get payloads stay
 	// within the ceiling.
 	if t.v.isTarget() {
+		chunks, n := t.v.wireChunks(t.items, t.ceiling, t.v.recvChunks)
+		t.gets = make([]rmaGet, 0, n)
 		for i, it := range t.items {
 			if !t.prepared[i] {
 				lo, hi := targetRange(it, t.v.nt, t.v.tgtRank)
@@ -117,7 +119,7 @@ func (t *rmaTransfer) setup(c *mpi.Ctx) {
 				t.prepared[i] = true
 			}
 			srcDist := distFor(it, t.v.ns)
-			for _, ch := range recvChunksFor(it, t.v.ns, t.v.nt, t.v.tgtRank) {
+			for _, ch := range chunks[i] {
 				if t.v.selfChunk(ch.Src, ch.Dst) {
 					continue
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/partition"
 )
 
 // view describes one rank's role in a reconfiguration from NS sources to NT
@@ -54,6 +55,16 @@ func (v *view) isTarget() bool { return v.tgtRank >= 0 }
 // (only possible under Merge, where a process can be source and target).
 func (v *view) selfChunk(src, dst int) bool {
 	return !v.inter && v.srcRank == src && v.tgtRank == dst && src == dst
+}
+
+// sendChunks returns the chunks this source rank sends for item it.
+func (v *view) sendChunks(it Item) []partition.Chunk {
+	return sendChunksFor(it, v.ns, v.nt, v.srcRank)
+}
+
+// recvChunks returns the chunks this target rank receives for item it.
+func (v *view) recvChunks(it Item) []partition.Chunk {
+	return recvChunksFor(it, v.ns, v.nt, v.tgtRank)
 }
 
 // sendTo posts a non-blocking send to target t.

@@ -38,18 +38,52 @@ func segmentSpans(it Item, lo, hi int64, ceiling int64) []span {
 	}
 	var out []span
 	for cur := lo; cur < hi; {
-		// n = the largest element count with WireBytes(cur, cur+n) within
-		// the ceiling, clamped to at least one element.
-		n := int64(sort.Search(int(hi-cur), func(i int) bool {
-			return it.WireBytes(cur, cur+int64(i)+1) > ceiling
-		}))
-		if n == 0 {
-			n = 1
-		}
-		out = append(out, span{cur, cur + n})
-		cur += n
+		end := segmentEnd(it, cur, hi, ceiling)
+		out = append(out, span{cur, end})
+		cur = end
 	}
 	return out
+}
+
+// segmentCount is len(segmentSpans(it, lo, hi, ceiling)), without building
+// the spans: a pass counts its segments first to size its staging lists
+// once.
+func segmentCount(it Item, lo, hi int64, ceiling int64) int {
+	if ceiling <= 0 || it.WireBytes(lo, hi) <= ceiling {
+		return 1
+	}
+	n := 0
+	for cur := lo; cur < hi; n++ {
+		cur = segmentEnd(it, cur, hi, ceiling)
+	}
+	return n
+}
+
+// segmentEnd returns the end of the span that starts at cur: the largest
+// element count n with WireBytes(cur, cur+n) within the ceiling, clamped
+// to at least one element.
+func segmentEnd(it Item, cur, hi int64, ceiling int64) int64 {
+	n := int64(sort.Search(int(hi-cur), func(i int) bool {
+		return it.WireBytes(cur, cur+int64(i)+1) > ceiling
+	}))
+	return cur + max(n, 1)
+}
+
+// wireChunks returns each item's chunks on one side of a pass
+// (v.sendChunks or v.recvChunks) and how many segments under ceiling those
+// that cross the wire make, so the pass sizes its staging lists once.
+func (v *view) wireChunks(items []Item, ceiling int64, chunksFor func(Item) []partition.Chunk) ([][]partition.Chunk, int) {
+	chunks := make([][]partition.Chunk, len(items))
+	n := 0
+	for i, it := range items {
+		chunks[i] = chunksFor(it)
+		for _, ch := range chunks[i] {
+			if !v.selfChunk(ch.Src, ch.Dst) {
+				n += segmentCount(it, ch.Lo, ch.Hi, ceiling)
+			}
+		}
+	}
+	return chunks, n
 }
 
 // waveCuts partitions consecutive payload sizes into waves whose sums stay

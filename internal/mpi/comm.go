@@ -174,19 +174,20 @@ func (c *Comm) Dup(ctx *Ctx) *Comm {
 	})
 }
 
-// Sub returns an intra-communicator containing the local-group members at
-// the given ranks, in that order (MPI_Comm_create_group). It is collective
-// over the parent group; every member must call it with identical ranks.
-func (c *Comm) Sub(ctx *Ctx, ranks []int) *Comm {
+// Sub returns an intra-communicator of the first n local-group members,
+// ranks [0, n), in order (MPI_Group_range_incl, then
+// MPI_Comm_create_group). It is collective over the parent group; every
+// member must call it with the same n. The group is built once, by the
+// first caller, so the call costs every other rank O(1).
+func (c *Comm) Sub(ctx *Ctx, n int) *Comm {
 	if c.remote != nil {
 		panic("mpi: Sub on inter-communicator not supported")
 	}
+	if n < 0 || n > len(c.local) {
+		panic(fmt.Sprintf("mpi: Sub of %d ranks out of range [0,%d]", n, len(c.local)))
+	}
 	return c.derived(ctx, "sub", func() *Comm {
-		procs := make([]*Process, len(ranks))
-		for i, r := range ranks {
-			procs[i] = c.localProc(r)
-		}
-		return c.w.newComm(procs, nil)
+		return c.w.newComm(c.local[:n:n], nil)
 	})
 }
 

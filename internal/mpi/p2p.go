@@ -132,21 +132,9 @@ type envelope struct {
 	sreq      *SendReq
 	rreq      *RecvReq
 
-	// Kept across recycling: the payload's transfer, started in place, and
-	// its done callback (onFlowDone), bound once when the envelope is made.
-	flow     netmodel.Flow
-	flowDone func()
-}
-
-// newEnvelope takes an envelope off the world's freelist or allocates one.
-// Envelopes are the per-message hot-path allocation; recycling them keeps a
-// sweep cell's steady-state garbage near zero.
-func (w *World) newEnvelope() *envelope {
-	e := w.envs.get()
-	if e.flowDone == nil {
-		e.flowDone = e.onFlowDone
-	}
-	return e
+	// The payload's transfer, started in place and kept across recycling.
+	// Its done handler is the envelope itself (envFlowDone).
+	flow netmodel.Flow
 }
 
 // freeEnvelope recycles a fully delivered envelope. Only complete() may
@@ -247,9 +235,12 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 		return
 	}
 
-	// Field writes rather than a struct literal, which would build the
-	// envelope aside and copy it in. Every field but the flow is set.
-	env := w.newEnvelope()
+	// The envelope comes off the world's freelist: envelopes are the
+	// per-message hot-path allocation, and recycling them keeps a sweep
+	// cell's steady-state garbage near zero. Field writes rather than a
+	// struct literal, which would build the envelope aside and copy it in.
+	// Every field but the flow is set.
+	env := w.envs.get()
 	env.comm, env.sender, env.dst = comm, c.proc, dstProc
 	env.srcRank, env.tag = comm.senderRank(c.proc), tag
 	env.payload = clonePayload(payload)
@@ -328,8 +319,14 @@ func (e *envelope) launchFlowNow() {
 		s.w.k.AfterHandler(d, (*envLaunch)(e))
 		return
 	}
-	s.w.machine.Fabric().Start(&e.flow, s.node, e.dst.node, e.payload.Size, e.flowDone)
+	s.w.machine.Fabric().Start(&e.flow, s.node, e.dst.node, e.payload.Size, (*envFlowDone)(e))
 }
+
+// envFlowDone is the done handler of the payload's transfer: the envelope
+// itself, under a type whose Fire delivers it.
+type envFlowDone envelope
+
+func (d *envFlowDone) Fire() { (*envelope)(d).onFlowDone() }
 
 // onFlowDone runs when the payload's last byte arrives.
 func (e *envelope) onFlowDone() {
@@ -647,14 +644,12 @@ func (c *Ctx) Waitany(rs []Request) int {
 	if all {
 		return -1
 	}
-	head := anyDone{rs: rs}
-	if !head.Done() { // test before the condition below escapes to the heap
-		a := &anyDone{rs: rs}
-		c.waitUntilDesc(a, nil)
-		head.idx = a.idx
-	}
-	rs[head.idx].setConsumed()
-	return head.idx
+	c.any.rs = rs
+	c.waitUntilDesc(&c.any, nil)
+	idx := c.any.idx
+	c.any.rs = nil
+	rs[idx].setConsumed()
+	return idx
 }
 
 // Iprobe reports whether a message matching (src, tag) on comm is

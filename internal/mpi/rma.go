@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -176,7 +177,10 @@ func (c *Ctx) WinCreate(comm *Comm, local Payload) *Win {
 	return win
 }
 
-// RMAReq is a pending one-sided operation.
+// RMAReq is a pending one-sided operation. A Get in flight is driven by
+// the request itself: it is the handler that ends the read request's
+// latency (getLatency) and the done handler of the data's transfer
+// (getDone), which it owns.
 type RMAReq struct {
 	reqState
 	payload Payload
@@ -185,6 +189,17 @@ type RMAReq struct {
 	comm    int // matching-context id
 	bytes   int64
 	dropped bool // the RDMA read vanished on the wire (fault injection)
+
+	// Set while the Get is in flight (cleared when its data lands): the
+	// window, both ends, the bytes read, the issue time and the issuer's
+	// phase tag for the delivery event, and the data's transfer.
+	win    *Win
+	origin *Process
+	tp     *Process
+	data   Payload
+	issued float64
+	phase  string
+	flow   netmodel.Flow
 }
 
 // Payload returns the fetched bytes of a completed Get.
@@ -226,8 +241,6 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 	req := &RMAReq{src: tp.gid, comm: win.comm.ctxID, bytes: hi - lo}
 	origin := c.proc
 	w := origin.w
-	phase := c.phase // Get completes in a kernel callback; keep the issuer's tag
-	issued := c.sp.Now()
 	var delay float64
 	if w.hooks != nil {
 		verdict := w.hooks.FilterSend(tp, origin, -1, win.comm, hi-lo)
@@ -241,6 +254,9 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 		delay = verdict.Delay
 	}
 	win.pending[tp.gid]++
+	// Get completes in a kernel callback; keep the issuer's phase tag.
+	req.win, req.origin, req.tp, req.data = win, origin, tp, exp.Slice(lo, hi)
+	req.issued, req.phase = c.sp.Now(), c.phase
 	// One extra control latency for the RDMA read request, then the data
 	// flows back. The RDMA engine bypasses the sender-side pipeline and
 	// pays no scheduling delay: no remote CPU is involved.
@@ -248,35 +264,52 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 	if tp.node == origin.node {
 		lat = w.machine.Fabric().Params().IntraLatency
 	}
-	w.k.After(lat+delay, func() {
-		w.machine.Fabric().Transfer(tp.node, origin.node, hi-lo, func() {
-			// Exposer-side bookkeeping resolves regardless of crashes: the
-			// snapshot served the transfer (the target is passive), and a
-			// dead origin must not leak the exposer's pending count.
-			win.pending[tp.gid]--
-			if win.pending[tp.gid] == 0 {
-				if s := win.drained[tp.gid]; s != nil {
-					s.Broadcast()
-				}
-			}
-			if origin.dead {
-				// A crashed origin takes no delivery: no completion, no
-				// event, no progress broadcast.
-				return
-			}
-			req.payload = exp.Slice(lo, hi)
-			req.done = true
-			if rec := w.sink; rec != nil {
-				rec.Record(trace.Event{
-					Kind: trace.EvRecv, Rank: origin.gid, Start: issued, End: w.k.Now(),
-					Peer: tp.gid, Tag: -1, Comm: win.comm.ctxID,
-					Bytes: hi - lo, Op: "Get", Phase: phase,
-				})
-			}
-			origin.progress.Broadcast()
-		})
-	})
+	w.k.AfterHandler(lat+delay, (*getLatency)(req))
 	return req
+}
+
+// getLatency ends a Get's read-request latency: the request itself, under
+// a type whose Fire starts the data flowing back.
+type getLatency RMAReq
+
+func (l *getLatency) Fire() {
+	r := (*RMAReq)(l)
+	r.origin.w.machine.Fabric().Start(&r.flow, r.tp.node, r.origin.node, r.bytes, (*getDone)(r))
+}
+
+// getDone is the done handler of a Get's data transfer: the request
+// itself, under a type whose Fire delivers it.
+type getDone RMAReq
+
+func (d *getDone) Fire() {
+	r := (*RMAReq)(d)
+	win, origin, gid, data := r.win, r.origin, r.src, r.data
+	r.win, r.origin, r.tp, r.data = nil, nil, nil, Payload{}
+	// Exposer-side bookkeeping resolves regardless of crashes: the
+	// snapshot served the transfer (the target is passive), and a dead
+	// origin must not leak the exposer's pending count.
+	win.pending[gid]--
+	if win.pending[gid] == 0 {
+		if s := win.drained[gid]; s != nil {
+			s.Broadcast()
+		}
+	}
+	if origin.dead {
+		// A crashed origin takes no delivery: no completion, no event, no
+		// progress broadcast.
+		return
+	}
+	r.payload = data
+	r.done = true
+	w := origin.w
+	if rec := w.sink; rec != nil {
+		rec.Record(trace.Event{
+			Kind: trace.EvRecv, Rank: origin.gid, Start: r.issued, End: w.k.Now(),
+			Peer: gid, Tag: -1, Comm: r.comm,
+			Bytes: r.bytes, Op: "Get", Phase: r.phase,
+		})
+	}
+	origin.progress.Broadcast()
 }
 
 // Drained reports whether no Gets are outstanding against this process's

@@ -155,14 +155,21 @@ func TestMergedCommIsUsableForCollectives(t *testing.T) {
 
 func TestSubCommunicator(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
-	p := 4
-	keep := []int{0, 2}
+	p, keep := 4, 2
 	var got []float64
+	subs := make([]*Comm, p)
 	w.Launch(p, nil, func(c *Ctx, comm *Comm) {
 		r := comm.Rank(c)
 		sub := comm.Sub(c, keep)
-		if r == 0 || r == 2 {
-			out := c.Allreduce(sub, Float64s([]float64{float64(r)}), OpSumFloat64)
+		subs[r] = sub
+		if sub.Size() != keep {
+			t.Errorf("rank %d: sub comm size %d, want %d", r, sub.Size(), keep)
+		}
+		if r < keep {
+			if sub.Rank(c) != r {
+				t.Errorf("rank %d has rank %d in the sub comm", r, sub.Rank(c))
+			}
+			out := c.Allreduce(sub, Float64s([]float64{float64(r + 1)}), OpSumFloat64)
 			if sub.Rank(c) == 0 {
 				got = out.AsFloat64s()
 			}
@@ -171,8 +178,13 @@ func TestSubCommunicator(t *testing.T) {
 		}
 	})
 	runWorld(t, w)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("sub allreduce = %v, want [2]", got)
+	if len(got) != 1 || got[0] != 3 {
+		t.Fatalf("sub allreduce = %v, want [3]", got)
+	}
+	for r, s := range subs {
+		if s != subs[0] {
+			t.Fatalf("rank %d got sub comm %p, rank 0 got %p: every member must share one", r, s, subs[0])
+		}
 	}
 }
 

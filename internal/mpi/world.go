@@ -108,7 +108,7 @@ type World struct {
 
 	sink trace.Sink // nil when event tracing is off
 
-	// Recycled message state; see newEnvelope and freeEnvelope, and
+	// Recycled message state; see Isend and freeEnvelope, and
 	// isend and irecv for the requests mpi makes for itself.
 	envs  freelist[envelope]
 	sends freelist[SendReq]
@@ -374,11 +374,13 @@ type Ctx struct {
 	phase string // reconfiguration phase tag applied to recorded events
 
 	// A context blocks in one wait at a time, so each wait reuses these
-	// instead of allocating its own: Wait's and Waitall's conditions, the
-	// CPU load a polling wait adds, and the request list of a blocking
-	// operation that waits on several of its own requests at once.
+	// instead of allocating its own: Wait's, Waitall's and Waitany's
+	// conditions, the CPU load a polling wait adds, and the request list
+	// of a blocking operation that waits on several of its own requests at
+	// once.
 	wait waitCond
 	all  allDone
+	any  anyDone
 	load ps.Task
 	reqs []Request
 }

@@ -164,7 +164,7 @@ type Flow struct {
 	seq       uint64
 	src, dst  int
 	remaining float64 // bytes
-	done      func()
+	done      sim.Handler
 	started   bool // past the latency phase
 	finished  bool
 	latTimer  sim.Timer
@@ -236,14 +236,26 @@ func (f *Fabric) nicBandwidth(node int) float64 {
 // The returned Flow may be canceled before completion.
 func (f *Fabric) Transfer(src, dst int, size int64, done func()) *Flow {
 	fl := new(Flow)
-	f.Start(fl, src, dst, size, done)
+	var h sim.Handler
+	if done != nil {
+		h = funcDone(done)
+	}
+	f.Start(fl, src, dst, size, h)
 	return fl
 }
 
-// Start is Transfer into a caller-owned flow: it overwrites fl, which must
-// not be in flight, so a caller that sends one message at a time per flow
-// (an mpi envelope) reuses it instead of allocating one per message.
-func (f *Fabric) Start(fl *Flow, src, dst int, size int64, done func()) {
+// funcDone adapts Transfer's callback to the handler a flow fires. A func
+// value is pointer-shaped, so storing one in a Handler does not allocate.
+type funcDone func()
+
+func (d funcDone) Fire() { d() }
+
+// Start is Transfer into a caller-owned flow with a typed done handler
+// (nil for none): it overwrites fl, which must not be in flight, so a
+// caller that sends one message at a time per flow (an mpi envelope)
+// reuses it, and completes into state it already owns, instead of
+// allocating a flow and a closure per message.
+func (f *Fabric) Start(fl *Flow, src, dst int, size int64, done sim.Handler) {
 	if src < 0 || src >= f.nodes || dst < 0 || dst >= f.nodes {
 		panic(fmt.Sprintf("netmodel: transfer %d->%d outside fabric of %d nodes", src, dst, f.nodes))
 	}
@@ -275,7 +287,7 @@ func (l *flowLatency) Fire() {
 	if fl.remaining <= 0 {
 		fl.finished = true
 		if fl.done != nil {
-			fl.done()
+			fl.done.Fire()
 		}
 		return
 	}
@@ -483,7 +495,7 @@ func (f *Fabric) onCompletion() {
 	f.recompute()
 	for _, fl := range finished {
 		if fl.done != nil {
-			fl.done()
+			fl.done.Fire()
 		}
 	}
 	clear(finished)
