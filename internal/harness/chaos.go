@@ -153,7 +153,8 @@ func GenerateChaosPlan(rng *rand.Rand, maxFaults int, lo, hi float64,
 
 // RunPlan replays one fault plan against a cell and reports whether the run
 // survived, with the error string otherwise. This is the deterministic
-// replay primitive behind shrinking and `faultsweep -plan`. The error is
+// replay primitive behind shrinking and `faultsweep -plan`; it records no
+// events, since only the outcome is read. The error is
 // truncated to its first line: a simulated panic carries a goroutine stack
 // whose addresses vary run to run, while the first line — which process
 // failed how — is deterministic, and determinism is what plan files and the
@@ -161,7 +162,7 @@ func GenerateChaosPlan(rng *rand.Rand, maxFaults int, lo, hi float64,
 func (s Setup) RunPlan(p Pair, mal core.Config, rep int, fp FaultParams,
 	plan fault.Plan) (bool, string) {
 
-	_, _, err := s.runWithPlan(p, mal, rep, fp, plan, nil)
+	_, err := s.runWithPlan(p, mal, rep, fp, plan, nil, nil)
 	if err != nil {
 		msg := err.Error()
 		if i := strings.IndexByte(msg, '\n'); i >= 0 {
@@ -214,11 +215,11 @@ func (s Setup) RunChaosCampaign(p Pair, configs []core.Config, cp ChaosParams,
 	windows := make([]window, len(configs))
 	err := ForEach(len(configs), s.Workers, func(i int) error {
 		base := fault.Plan{DetectLatency: cp.DetectLatency}
-		_, rec, err := s.runWithPlan(p, configs[i], 0, cp.FaultParams, base, nil)
-		if err != nil {
+		win := &trace.PhaseWindow{Phase: trace.PhaseRedistVar}
+		if _, err := s.runWithPlan(p, configs[i], 0, cp.FaultParams, base, nil, win); err != nil {
 			return fmt.Errorf("harness: chaos probe %d->%d %s: %w", p.NS, p.NT, configs[i], err)
 		}
-		lo, hi, ok := phaseWindow(rec.Events(), trace.PhaseRedistVar)
+		lo, hi, ok := win.Window()
 		if !ok || hi <= lo {
 			return fmt.Errorf("harness: chaos probe %d->%d %s recorded no %s window",
 				p.NS, p.NT, configs[i], trace.PhaseRedistVar)

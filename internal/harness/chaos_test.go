@@ -86,11 +86,11 @@ func TestChaosShrinkDeterminism(t *testing.T) {
 	cfg := core.Config{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync}
 	fp := FaultParams{}
 
-	_, rec, err := s.runWithPlan(p, cfg, 0, fp, fault.Plan{}, nil)
-	if err != nil {
+	win := &trace.PhaseWindow{Phase: trace.PhaseProtect}
+	if _, err := s.runWithPlan(p, cfg, 0, fp, fault.Plan{}, nil, win); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	lo, hi, ok := phaseWindow(rec.Events(), trace.PhaseProtect)
+	lo, hi, ok := win.Window()
 	if !ok || hi <= lo {
 		t.Fatalf("probe recorded no %s window", trace.PhaseProtect)
 	}

@@ -59,38 +59,6 @@ type FaultResult struct {
 	MaxRung int
 }
 
-// phaseWindow returns the [earliest start, latest end] of the named
-// phase's EvPhase spans. When only span-recording ranks are passive —
-// Baseline RMA sources leave the variable epoch at window creation, so
-// their spans are instants while the spawned targets (which only tag
-// traffic) do the pulling — the window widens to the envelope of the
-// traffic events tagged with the phase.
-func phaseWindow(events []trace.Event, phase string) (lo, hi float64, ok bool) {
-	grow := func(start, end float64) {
-		if !ok || start < lo {
-			lo = start
-		}
-		if !ok || end > hi {
-			hi = end
-		}
-		ok = true
-	}
-	for _, ev := range events {
-		if ev.Kind == trace.EvPhase && ev.Op == phase {
-			grow(ev.Start, ev.End)
-		}
-	}
-	if ok && hi > lo {
-		return lo, hi, true
-	}
-	for _, ev := range events {
-		if ev.Kind != trace.EvPhase && ev.Phase == phase {
-			grow(ev.Start, ev.End)
-		}
-	}
-	return lo, hi, ok
-}
-
 // RunFaultCell executes one fault-injection cell: a fault-free probe run
 // under the recovery protocol locates the variable-data redistribution
 // window, then a second identically seeded run kills the last source rank
@@ -102,8 +70,9 @@ func (s Setup) RunFaultCell(p Pair, mal core.Config, rep int, fp FaultParams) (F
 }
 
 // runFaultCell is RunFaultCell with an optional streaming sink attached to
-// the faulted run (the probe run stays unstreamed: it exists only to
-// locate the crash window).
+// the faulted run. The probe run records nothing but the crash window,
+// which it streams; the faulted run keeps its full log for the metrics,
+// the critical path and the escalation scan.
 func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, sink trace.Sink) (FaultResult, error) {
 	crashFrac := fp.CrashFrac
 	if crashFrac <= 0 || crashFrac >= 1 {
@@ -111,11 +80,12 @@ func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, si
 	}
 
 	base := fault.Plan{Seed: int64(rep + 1), DetectLatency: fp.DetectLatency}
-	probe, probeRec, err := s.runWithPlan(p, mal, rep, fp, base, nil)
+	win := &trace.PhaseWindow{Phase: trace.PhaseRedistVar}
+	probe, err := s.runWithPlan(p, mal, rep, fp, base, nil, win)
 	if err != nil {
 		return FaultResult{}, fmt.Errorf("fault-free probe run: %w", err)
 	}
-	lo, hi, ok := phaseWindow(probeRec.Events(), trace.PhaseRedistVar)
+	lo, hi, ok := win.Window()
 	if !ok || hi <= lo {
 		return FaultResult{}, fmt.Errorf("probe run recorded no %s window", trace.PhaseRedistVar)
 	}
@@ -128,7 +98,8 @@ func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, si
 	}
 	plan := base
 	plan.Actions = []fault.Action{{Kind: fault.CrashRank, GID: out.VictimGID, At: out.CrashAt}}
-	res, rec, err := s.runWithPlan(p, mal, rep, fp, plan, sink)
+	rec := trace.NewRecorder()
+	res, err := s.runWithPlan(p, mal, rep, fp, plan, rec, sink)
 	if err != nil {
 		out.Err = err.Error()
 		return out, nil
@@ -139,8 +110,9 @@ func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, si
 	m := rec.Metrics()
 	out.RecoveryWindow = m.TRecovery
 	out.Faults = m.Faults
-	out.RecoveryPath = analyze.Analyze(rec.Events()).Path.Buckets.Recovery
-	for _, ev := range rec.Events() {
+	events := rec.Events()
+	out.RecoveryPath = analyze.Analyze(events).Path.Buckets.Recovery
+	for _, ev := range events {
 		if ev.Kind == trace.EvFault && ev.Op == "escalate" && ev.Tag > out.MaxRung {
 			out.MaxRung = ev.Tag
 		}
@@ -149,17 +121,18 @@ func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, si
 }
 
 // runWithPlan executes one resilient run of the cell under an arbitrary
-// fault plan: a fresh identically-seeded world, the plan armed through an
-// injector whose detector feeds the recovery protocol, a recorder for the
-// analysis. Shared by the crash cell, the chaos campaign, and plan replay.
+// fault plan: a fresh identically-seeded world and the plan armed through
+// an injector whose detector feeds the recovery protocol. The run records
+// into rec and streams into sink where the caller passes them; with both
+// nil it records nothing. Shared by the crash cell, the chaos campaign,
+// and plan replay.
 func (s Setup) runWithPlan(p Pair, mal core.Config, rep int, fp FaultParams,
-	plan fault.Plan, sink trace.Sink) (synthapp.Result, *trace.Recorder, error) {
+	plan fault.Plan, rec *trace.Recorder, sink trace.Sink) (synthapp.Result, error) {
 
 	w := s.NewWorld(rep)
 	inj := fault.NewInjector(w, plan)
 	inj.Arm()
-	rec := trace.NewRecorder()
-	res, err := synthapp.Run(w, synthapp.RunParams{
+	return synthapp.Run(w, synthapp.RunParams{
 		Cfg: s.Cfg, Malleability: mal, NS: p.NS, NT: p.NT,
 		Recorder: rec, Sink: sink,
 		Resilience: &core.Resilience{
@@ -167,7 +140,6 @@ func (s Setup) runWithPlan(p Pair, mal core.Config, rep int, fp FaultParams,
 			Timeout:  fp.Timeout,
 		},
 	})
-	return res, rec, err
 }
 
 // FaultCampaign sweeps the fault cell over configurations and reps,

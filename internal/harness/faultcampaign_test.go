@@ -172,19 +172,19 @@ func TestRecoveryPathAttributedPerRung(t *testing.T) {
 	cfg := core.Config{Spawn: core.Merge, Comm: core.P2P, Overlap: core.Sync}
 
 	base := fault.Plan{Seed: 1}
-	_, probeRec, err := s.runWithPlan(p, cfg, 0, FaultParams{}, base, nil)
-	if err != nil {
+	win := &trace.PhaseWindow{Phase: trace.PhaseRedistVar}
+	if _, err := s.runWithPlan(p, cfg, 0, FaultParams{}, base, nil, win); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	lo, hi, ok := phaseWindow(probeRec.Events(), trace.PhaseRedistVar)
+	lo, hi, ok := win.Window()
 	if !ok || hi <= lo {
 		t.Fatalf("probe recorded no %s window", trace.PhaseRedistVar)
 	}
 
 	plan := base
 	plan.Actions = []fault.Action{{Kind: fault.CrashRank, GID: p.NS - 1, At: lo + 0.5*(hi-lo)}}
-	_, rec, err := s.runWithPlan(p, cfg, 0, FaultParams{}, plan, nil)
-	if err != nil {
+	rec := trace.NewRecorder()
+	if _, err := s.runWithPlan(p, cfg, 0, FaultParams{}, plan, rec, nil); err != nil {
 		t.Fatalf("faulted run died: %v", err)
 	}
 
@@ -310,7 +310,8 @@ func TestWaveAddressedFaultsRecover(t *testing.T) {
 			t.Run(cfg.String()+"/"+tc.name, func(t *testing.T) {
 				stream := obs.NewStream()
 				plan := fault.Plan{Seed: 1, Actions: []fault.Action{tc.act}}
-				_, rec, err := s.runWithPlan(Pair{NS: ns, NT: nt}, cfg, 0, FaultParams{}, plan, stream)
+				rec := trace.NewRecorder()
+				_, err := s.runWithPlan(Pair{NS: ns, NT: nt}, cfg, 0, FaultParams{}, plan, rec, stream)
 				if err != nil {
 					t.Fatalf("did not survive: %v", err)
 				}

@@ -90,9 +90,9 @@ func (s Setup) SweepMetricsTraced(pairs []Pair, configs []core.Config, rep int, 
 	return s.sweepMetrics(pairs, configs, rep, progress, true)
 }
 
-// recorderPool recycles trace recorders — and their preallocated event
-// slabs — across sweep cells and workers, so a traced sweep does not grow
-// a fresh multi-thousand-event slab per cell.
+// recorderPool recycles trace recorders — and their event chunks — across
+// sweep cells and workers, so a traced sweep does not allocate fresh
+// chunks per cell.
 var recorderPool = sync.Pool{New: func() any { return trace.NewRecorder() }}
 
 func (s Setup) sweepMetrics(pairs []Pair, configs []core.Config, rep int, progress func(string), keepLast bool) ([]CellMetrics, *trace.Recorder, error) {

@@ -134,15 +134,22 @@ type derivedKey struct {
 // derivedGen returns and advances the caller's per-process generation
 // counter for derivations of the given kind on c. Derivations are
 // collective and therefore ordered per communicator, so all members compute
-// the same generation for the same call.
+// the same generation for the same call. A process derives from a handful
+// of (context, kind) pairs, so the counters are a short list whose gen
+// field holds the next generation, not a map per process.
 func (c *Comm) derivedGen(ctx *Ctx, kind string) int {
-	if ctx.proc.derivedSeq == nil {
-		ctx.proc.derivedSeq = make(map[derivedKey]int)
+	seq := ctx.proc.derivedSeq
+	for i := range seq {
+		if seq[i].ctxID == c.ctxID && seq[i].kind == kind {
+			seq[i].gen++
+			return seq[i].gen - 1
+		}
 	}
-	k := derivedKey{ctxID: c.ctxID, kind: kind}
-	gen := ctx.proc.derivedSeq[k]
-	ctx.proc.derivedSeq[k] = gen + 1
-	return gen
+	if seq == nil {
+		seq = make([]derivedKey, 0, 4) // a Merge RMA shrink keeps three counters
+	}
+	ctx.proc.derivedSeq = append(seq, derivedKey{ctxID: c.ctxID, kind: kind, gen: 1})
+	return 0
 }
 
 func (c *Comm) derived(ctx *Ctx, kind string, build func() *Comm) *Comm {

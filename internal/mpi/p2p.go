@@ -600,15 +600,18 @@ func (c *Ctx) Waitall(rs []Request) {
 }
 
 // anyDone is Waitany's condition: it holds once some request is complete
-// and not yet consumed, and idx is the first such index.
+// and not yet consumed, and idx is the first such index. next is the
+// length of the consumed prefix of rs, which Waitany's first scan finds:
+// nothing is consumed while Waitany waits, so every test starts there.
 type anyDone struct {
-	rs  []Request
-	idx int
+	rs   []Request
+	next int
+	idx  int
 }
 
 func (a *anyDone) Done() bool {
-	for i, r := range a.rs {
-		if r.Done() && !r.isConsumed() {
+	for i := a.next; i < len(a.rs); i++ {
+		if r := a.rs[i]; r.Done() && !r.isConsumed() {
 			a.idx = i
 			return true
 		}
@@ -634,17 +637,14 @@ func (a *anyDone) String() string {
 // returns its index, marking it consumed (MPI_Waitany). If every request is
 // already consumed it returns -1 (MPI_UNDEFINED).
 func (c *Ctx) Waitany(rs []Request) int {
-	all := true
-	for _, r := range rs {
-		if !r.isConsumed() {
-			all = false
-			break
-		}
+	next := 0
+	for next < len(rs) && rs[next].isConsumed() {
+		next++
 	}
-	if all {
+	if next == len(rs) {
 		return -1
 	}
-	c.any.rs = rs
+	c.any.rs, c.any.next = rs, next
 	c.waitUntilDesc(&c.any, nil)
 	idx := c.any.idx
 	c.any.rs = nil

@@ -247,8 +247,8 @@ type Process struct {
 
 	parent *Comm // intercomm to the group that spawned this process
 
-	collSeq    map[int]int        // per matching context collective sequence numbers
-	derivedSeq map[derivedKey]int // per-kind Dup/Sub generation counters
+	collSeq    map[int]int  // per matching context collective sequence numbers
+	derivedSeq []derivedKey // per (context, kind) derivation counters; gen is the next generation
 
 	flowsActive int                   // outgoing transfers currently on the wire
 	flowQueue   matchQueue[*envelope] // sends waiting for a pipeline slot

@@ -32,12 +32,19 @@ type chromeTrace struct {
 // events, instants become instant ("i") events, and a metadata event names
 // each rank's track.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	return writeChromeTrace(w, r.segments())
+}
+
+// writeChromeTrace renders a log held in consecutive segments.
+func writeChromeTrace(w io.Writer, segs [][]Event) error {
 	const usec = 1e6
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 
 	ranks := map[int]bool{}
-	for _, ev := range r.events {
-		ranks[ev.Rank] = true
+	for _, seg := range segs {
+		for _, ev := range seg {
+			ranks[ev.Rank] = true
+		}
 	}
 	ids := make([]int, 0, len(ranks))
 	for id := range ranks {
@@ -51,41 +58,43 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	for _, ev := range r.events {
-		name := ev.Op
-		if name == "" {
-			name = ev.Kind.String()
+	for _, seg := range segs {
+		for _, ev := range seg {
+			name := ev.Op
+			if name == "" {
+				name = ev.Kind.String()
+			}
+			args := map[string]any{"bytes": ev.Bytes}
+			if ev.Peer >= 0 {
+				args["peer"] = ev.Peer
+			}
+			if ev.Tag >= 0 {
+				args["tag"] = ev.Tag
+			}
+			if ev.Comm >= 0 {
+				args["comm"] = ev.Comm
+			}
+			if ev.Phase != "" {
+				args["phase"] = ev.Phase
+			}
+			ce := chromeEvent{
+				Name: name,
+				Cat:  ev.Kind.String(),
+				Ts:   ev.Start * usec,
+				Pid:  0,
+				Tid:  ev.Rank,
+				Args: args,
+			}
+			if ev.End > ev.Start {
+				dur := (ev.End - ev.Start) * usec
+				ce.Ph = "X"
+				ce.Dur = &dur
+			} else {
+				ce.Ph = "i"
+				ce.S = "t"
+			}
+			out.TraceEvents = append(out.TraceEvents, ce)
 		}
-		args := map[string]any{"bytes": ev.Bytes}
-		if ev.Peer >= 0 {
-			args["peer"] = ev.Peer
-		}
-		if ev.Tag >= 0 {
-			args["tag"] = ev.Tag
-		}
-		if ev.Comm >= 0 {
-			args["comm"] = ev.Comm
-		}
-		if ev.Phase != "" {
-			args["phase"] = ev.Phase
-		}
-		ce := chromeEvent{
-			Name: name,
-			Cat:  ev.Kind.String(),
-			Ts:   ev.Start * usec,
-			Pid:  0,
-			Tid:  ev.Rank,
-			Args: args,
-		}
-		if ev.End > ev.Start {
-			dur := (ev.End - ev.Start) * usec
-			ce.Ph = "X"
-			ce.Dur = &dur
-		} else {
-			ce.Ph = "i"
-			ce.S = "t"
-		}
-		out.TraceEvents = append(out.TraceEvents, ce)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)

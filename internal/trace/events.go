@@ -104,40 +104,60 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 // at a time, so no locking is needed. A nil *Recorder is the disabled
 // state; instrumentation sites nil-check before building events so the
 // zero-cost path stays allocation-free.
+//
+// The log lives in fixed-size chunks: Record fills the open chunk and
+// starts a new one when it is full, so a recorded event is never copied
+// again while the log grows. The zero value is an empty log.
 type Recorder struct {
-	events []Event
+	chunks []*eventChunk // the log fills them in order; Reset keeps them for reuse
+	n      int           // events recorded
 }
 
-// recorderSlab is NewRecorder's initial event capacity. Even the smallest
-// traced cell records hundreds of events, so growing from zero costs a
-// dozen reallocating appends per run; one up-front slab removes them.
-const recorderSlab = 4096
+// recorderChunk is the number of events per chunk. Even the smallest
+// traced cell records hundreds of events, so one chunk holds most logs
+// whole, and a long log costs one allocation per 4096 events.
+const recorderChunk = 4096
 
-// NewRecorder returns an empty event log with a preallocated slab.
-func NewRecorder() *Recorder { return NewRecorderCap(recorderSlab) }
+type eventChunk [recorderChunk]Event
 
-// NewRecorderCap returns an empty event log with capacity for n events,
-// for callers that know their run's event count (or want a tiny recorder).
-func NewRecorderCap(n int) *Recorder {
-	return &Recorder{events: make([]Event, 0, n)}
-}
+// NewRecorder returns an empty event log.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record appends one event.
-func (r *Recorder) Record(ev Event) { r.events = append(r.events, ev) }
+func (r *Recorder) Record(ev Event) {
+	c := r.n / recorderChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, new(eventChunk))
+	}
+	r.chunks[c][r.n%recorderChunk] = ev
+	r.n++
+}
+
+// segments returns the log as slices over its chunks, in record order:
+// the events themselves are not copied.
+func (r *Recorder) segments() [][]Event {
+	segs := make([][]Event, 0, (r.n+recorderChunk-1)/recorderChunk)
+	for lo := 0; lo < r.n; lo += recorderChunk {
+		segs = append(segs, r.chunks[lo/recorderChunk][:min(r.n-lo, recorderChunk)])
+	}
+	return segs
+}
 
 // Events returns a copy of the log in record order (chronological: events
 // are recorded at their End time under the single-threaded kernel). The
 // copy is the caller's to keep: it stays valid across Reset and later
 // recording.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
+	out := make([]Event, 0, r.n)
+	for _, seg := range r.segments() {
+		out = append(out, seg...)
+	}
 	return out
 }
 
-// Reset empties the log, keeping the allocated capacity so harness sweeps
-// can reuse one recorder across runs without reallocating.
-func (r *Recorder) Reset() { r.events = r.events[:0] }
+// Reset empties the log, keeping its chunks so harness sweeps can reuse
+// one recorder across runs without reallocating.
+func (r *Recorder) Reset() { r.n = 0 }
 
 // Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.n }

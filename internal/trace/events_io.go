@@ -24,29 +24,34 @@ type eventLogFile struct {
 // deterministic: events appear in record order with a fixed field layout,
 // so identical runs produce bit-identical files.
 func (r *Recorder) WriteEvents(w io.Writer) error {
-	return WriteEvents(w, r.events)
+	return writeEventLog(w, r.segments())
 }
 
 // WriteEvents emits an event slice in the raw event-log JSON format.
 func WriteEvents(w io.Writer, events []Event) error {
+	return writeEventLog(w, [][]Event{events})
+}
+
+// writeEventLog emits a log held in consecutive segments.
+func writeEventLog(w io.Writer, segs [][]Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "{\"format\":%q,\n\"events\":[", eventLogFormat); err != nil {
 		return err
 	}
-	for i := range events {
-		b, err := json.Marshal(&events[i])
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == 0 {
-			sep = "\n"
-		}
-		if _, err := bw.WriteString(sep); err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
+	sep := "\n"
+	for _, seg := range segs {
+		for i := range seg {
+			b, err := json.Marshal(&seg[i])
+			if err != nil {
+				return err
+			}
+			if _, err := bw.WriteString(sep); err != nil {
+				return err
+			}
+			if _, err := bw.Write(b); err != nil {
+				return err
+			}
+			sep = ",\n"
 		}
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {

@@ -84,7 +84,10 @@ func OnWire(ev Event) (int64, bool) {
 }
 
 // Metrics derives the per-rank and per-run counters from the event log.
-func (r *Recorder) Metrics() RunMetrics {
+func (r *Recorder) Metrics() RunMetrics { return metricsOf(r.segments()) }
+
+// metricsOf derives the counters from a log held in consecutive segments.
+func metricsOf(segs [][]Event) RunMetrics {
 	m := RunMetrics{MsgsByOp: map[string]int64{}}
 	perRank := map[int]*RankMetrics{}
 	rank := func(id int) *RankMetrics {
@@ -96,53 +99,45 @@ func (r *Recorder) Metrics() RunMetrics {
 		return rm
 	}
 	perPhase := map[string]*PhaseMetrics{}
-	type window struct {
-		lo, hi float64
-		set    bool
-	}
 	spans := map[string]*window{}
 
-	for _, ev := range r.events {
-		rm := rank(ev.Rank)
-		switch ev.Kind {
-		case EvSend:
-			rm.SendMsgs++
-			rm.SendBytes += ev.Bytes
-		case EvRecv:
-			rm.RecvMsgs++
-			rm.RecvBytes += ev.Bytes
-		case EvColl:
-			rm.Collectives++
-		case EvCompute:
-			rm.ComputeSecs += ev.Duration()
-		case EvPhase:
-			w, ok := spans[ev.Op]
-			if !ok {
-				w = &window{}
-				spans[ev.Op] = w
+	for _, seg := range segs {
+		for _, ev := range seg {
+			rm := rank(ev.Rank)
+			switch ev.Kind {
+			case EvSend:
+				rm.SendMsgs++
+				rm.SendBytes += ev.Bytes
+			case EvRecv:
+				rm.RecvMsgs++
+				rm.RecvBytes += ev.Bytes
+			case EvColl:
+				rm.Collectives++
+			case EvCompute:
+				rm.ComputeSecs += ev.Duration()
+			case EvPhase:
+				w, ok := spans[ev.Op]
+				if !ok {
+					w = &window{}
+					spans[ev.Op] = w
+				}
+				w.grow(ev.Start, ev.End)
+			case EvFault:
+				if m.Faults == nil {
+					m.Faults = map[string]int64{}
+				}
+				m.Faults[ev.Op]++
 			}
-			if !w.set || ev.Start < w.lo {
-				w.lo = ev.Start
+			if bytes, ok := OnWire(ev); ok {
+				m.MsgsByOp[ev.Op]++
+				pm, ok := perPhase[ev.Phase]
+				if !ok {
+					pm = &PhaseMetrics{Phase: ev.Phase}
+					perPhase[ev.Phase] = pm
+				}
+				pm.Msgs++
+				pm.Bytes += bytes
 			}
-			if !w.set || ev.End > w.hi {
-				w.hi = ev.End
-			}
-			w.set = true
-		case EvFault:
-			if m.Faults == nil {
-				m.Faults = map[string]int64{}
-			}
-			m.Faults[ev.Op]++
-		}
-		if bytes, ok := OnWire(ev); ok {
-			m.MsgsByOp[ev.Op]++
-			pm, ok := perPhase[ev.Phase]
-			if !ok {
-				pm = &PhaseMetrics{Phase: ev.Phase}
-				perPhase[ev.Phase] = pm
-			}
-			pm.Msgs++
-			pm.Bytes += bytes
 		}
 	}
 
