@@ -2,54 +2,58 @@
 // malleability affect system throughput when a resource manager drives it?
 //
 // A 160-core cluster (the paper's testbed) receives a staggered batch of
-// CG-style jobs. Rigid jobs hold their initial 40 cores; malleable jobs
-// expand into idle cores and shrink when new submissions arrive, paying the
-// reconfiguration cost of the calibrated Baseline-style model (spawn plus
-// 4 GB redistribution over the Ethernet fabric). The run compares makespan
-// and utilization across the two policies.
+// CG-style jobs. Under the rigid policy every job holds its initial 40
+// cores; under the greedy policy malleable jobs expand into idle cores and
+// shrink when new submissions arrive, paying the reconfiguration cost of
+// the calibrated Baseline-style model (spawn plus 4 GB redistribution over
+// the Ethernet fabric). The run compares makespan and utilization across
+// the two policies on the cluster-workload scheduler (FCFS with EASY
+// backfill).
 //
 //	go run ./examples/makespan
 package main
 
 import (
 	"fmt"
+	"log"
 
+	"repro/internal/cluster"
+	"repro/internal/netmodel"
 	"repro/internal/rms"
+	"repro/internal/workload"
 )
 
 func main() {
-	const (
-		cores = 160
-		nJobs = 8
-	)
-	cost := rms.PaperCostModel(30e-3, 25e-3, 1.25e9, 20)
+	const nJobs = 8
+	cl := cluster.Default(netmodel.Ethernet10G()) // 8 nodes x 20 cores
+	cores := cl.Nodes * cl.CoresPerNode
+	cost := rms.PaperCostModel(30e-3, 25e-3, 1.25e9, cl.CoresPerNode)
 
-	run := func(malleable bool) rms.Result {
-		s := rms.New(cores, cost)
-		for i := 0; i < nJobs; i++ {
-			s.Add(rms.Job{
-				ID:      i,
-				Arrival: float64(i) * 30,
-				Work:    24000, // core-seconds (~10 min at 40 cores)
-				Procs:   40, MaxProcs: 160,
-				Malleable: malleable,
-				DataBytes: 4 << 30, // the paper's ~4 GB working set
-			})
+	jobs := make([]rms.Job, nJobs)
+	for i := range jobs {
+		jobs[i] = rms.Job{
+			ID:      i,
+			Arrival: float64(i) * 30,
+			Work:    24000, // core-seconds (~10 min at 40 cores)
+			Procs:   40, MaxProcs: cores,
+			Malleable: true,
+			DataBytes: 4 << 30, // the paper's ~4 GB working set
 		}
-		return s.Run()
 	}
-
-	rigid := run(false)
-	malleable := run(true)
+	run := func(pol workload.Policy) workload.Result {
+		res, err := workload.Run(jobs, workload.Params{Cluster: cl, Cost: cost, Policy: pol})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+	rigid := run(workload.RigidPolicy{})
+	malleable := run(workload.GreedyPolicy{})
 
 	fmt.Printf("%-10s %12s %12s %14s\n", "policy", "makespan(s)", "utilization", "reconfigs")
-	report := func(name string, r rms.Result) {
-		reconfigs := 0
-		for _, j := range r.Jobs {
-			reconfigs += j.Reconfigs
-		}
+	report := func(name string, r workload.Result) {
 		fmt.Printf("%-10s %12.1f %11.1f%% %14d\n",
-			name, r.Makespan, 100*r.Utilization(cores), reconfigs)
+			name, r.Makespan, 100*r.Utilization, r.Reconfigs)
 	}
 	report("rigid", rigid)
 	report("malleable", malleable)

@@ -114,9 +114,6 @@ func (m *Machine) CPU(node int) *ps.Resource {
 	return m.cpus[node]
 }
 
-// TotalCores reports the core count of the whole machine.
-func (m *Machine) TotalCores() int { return m.cfg.Nodes * m.cfg.CoresPerNode }
-
 // Noise draws a multiplicative noise factor (lognormal, mean ≈ 1). With
 // NoiseSigma zero it always returns 1.
 func (m *Machine) Noise() float64 {
@@ -138,13 +135,6 @@ func (m *Machine) NodeOf(rank int) int {
 		n = n % m.cfg.Nodes
 	}
 	return n
-}
-
-// NodesFor reports how many nodes the paper's allocation rule assigns to a
-// job phase where the larger of source/target counts is n: ⌈n/cores⌉.
-func (m *Machine) NodesFor(n int) int {
-	c := m.cfg.CoresPerNode
-	return (n + c - 1) / c
 }
 
 // SpawnCost returns the virtual-time cost of spawning n processes in one

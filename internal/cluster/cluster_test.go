@@ -13,10 +13,6 @@ func TestDefaultMatchesPaperTestbed(t *testing.T) {
 	if cfg.Nodes != 8 || cfg.CoresPerNode != 20 {
 		t.Fatalf("Default = %d nodes x %d cores, want 8 x 20", cfg.Nodes, cfg.CoresPerNode)
 	}
-	m := New(sim.NewKernel(), cfg)
-	if m.TotalCores() != 160 {
-		t.Fatalf("TotalCores = %d, want 160", m.TotalCores())
-	}
 }
 
 func TestNodeOfBlockPlacement(t *testing.T) {
@@ -27,18 +23,6 @@ func TestNodeOfBlockPlacement(t *testing.T) {
 	for _, c := range cases {
 		if got := m.NodeOf(c.rank); got != c.node {
 			t.Errorf("NodeOf(%d) = %d, want %d", c.rank, got, c.node)
-		}
-	}
-}
-
-func TestNodesForCeilRule(t *testing.T) {
-	m := New(sim.NewKernel(), Default(netmodel.Ethernet10G()))
-	cases := []struct{ n, nodes int }{
-		{2, 1}, {10, 1}, {20, 1}, {21, 2}, {40, 2}, {80, 4}, {120, 6}, {160, 8},
-	}
-	for _, c := range cases {
-		if got := m.NodesFor(c.n); got != c.nodes {
-			t.Errorf("NodesFor(%d) = %d, want %d", c.n, got, c.nodes)
 		}
 	}
 }

@@ -238,21 +238,6 @@ func TestStoreRegistry(t *testing.T) {
 	st.Register(NewDenseVirtual("a", 1, 8, true))
 }
 
-func TestTotalWireBytes(t *testing.T) {
-	st := NewStore()
-	st.Register(NewDenseVirtual("v", 1000, 8, true))
-	rowPtr := make([]int64, 11)
-	for i := range rowPtr {
-		rowPtr[i] = int64(i * 3) // 3 nnz per row
-	}
-	st.Register(NewSparseVirtual("m", rowPtr, 12, 4, true))
-	got := TotalWireBytes(st.Items())
-	want := int64(1000*8 + 30*12 + 10*4)
-	if got != want {
-		t.Fatalf("TotalWireBytes = %d, want %d", got, want)
-	}
-}
-
 func TestSparseItemWireBytes(t *testing.T) {
 	rowPtr := []int64{0, 5, 5, 12, 20}
 	it := NewSparseVirtual("m", rowPtr, 12, 0, true)

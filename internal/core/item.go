@@ -321,15 +321,6 @@ func (st *Store) filter(constant bool) []Item {
 	return out
 }
 
-// TotalWireBytes sums the full wire size of the given items.
-func TotalWireBytes(items []Item) int64 {
-	var n int64
-	for _, it := range items {
-		n += it.WireBytes(0, it.Elements())
-	}
-	return n
-}
-
 // sendChunksFor returns the chunks source rank s sends for item it when
 // redistributing from ns to nt parts, in ascending target order.
 //

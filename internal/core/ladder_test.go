@@ -49,7 +49,7 @@ func ladderRun(t *testing.T, cfg Config, ns, nt int, res *Resilience, hooks mpi.
 	const n = 1000
 	w := testWorld(t)
 	rec := trace.NewRecorder()
-	w.SetRecorder(rec)
+	w.SetSink(rec)
 	if hooks != nil {
 		w.SetFaultHooks(hooks)
 	}

@@ -196,11 +196,11 @@ func recoveryTag(round, itemIdx, seq int) int {
 }
 
 // epochState is the shared coordination block of one resilient pass: soft
-// barriers (arrival sets keyed by label), per-round abort flags, the chunk
+// barriers (arrival sets keyed by label and round), per-round abort flags, the chunk
 // acknowledgement map, and the recovery ladder's agreed rung. It is kept
 // per world and matching context (passRegistry).
 type epochState struct {
-	arrived map[string]*softBarrier
+	arrived map[barrierKey]*softBarrier
 	abort   map[int]bool
 
 	// acks is the pass-wide chunk delivery state driving selective
@@ -240,7 +240,7 @@ func epochStateFor(w *mpi.World, ctxID int) *epochState {
 	st := reg.epochs[ctxID]
 	if st == nil {
 		st = &epochState{
-			arrived: map[string]*softBarrier{}, abort: map[int]bool{},
+			arrived: map[barrierKey]*softBarrier{}, abort: map[int]bool{},
 			acks: newAckTracker(), rung: -1, escalated: map[int]bool{},
 		}
 		reg.epochs[ctxID] = st
@@ -358,7 +358,7 @@ func runResilientPass(c *mpi.Ctx, cfg Config, v *view, items []Item, tagIdx []in
 	// can be re-read during recovery. The soft barrier keeps any reader
 	// from trusting a checkpoint its source has not finished.
 	rp.inPhase(c, trace.PhaseProtect, func() { rp.protect(c) })
-	rp.arrive(c, "protect")
+	rp.arrive(c, barrierKey{label: "protect", round: -1})
 
 	// For the CR method the checkpoint IS the transfer: every round reads
 	// back from the protect files and no rank resends anything — the pass
@@ -411,7 +411,7 @@ func runResilientPass(c *mpi.Ctx, cfg Config, v *view, items []Item, tagIdx []in
 		// time spent masking the fault — a selective round can be instant for
 		// a rank with nothing to resend while its peers restore from the
 		// checkpoint — so it stays inside the recovery phase window.
-		commit := func() { rp.arrive(c, fmt.Sprintf("commit:%d", round)) }
+		commit := func() { rp.arrive(c, barrierKey{label: "commit", round: round}) }
 		if round == 0 {
 			commit()
 		} else {
@@ -808,30 +808,51 @@ func (rp *resilientPass) readSpan(c *mpi.Ctx, i int, it Item, src int, lo, hi in
 	}
 }
 
-// softBarrier is the shared arrival state of one labeled soft barrier.
-// next is a cursor into the pass's participant list: both release
+// barrierKey names one soft barrier of a pass: a label, and the recovery
+// round for per-round barriers (-1 for a barrier held once per pass).
+type barrierKey struct {
+	label string
+	round int
+}
+
+// softBarrier is the shared arrival state of one soft barrier, and the
+// condition every waiter parks on, which also describes it in deadlock
+// reports. next is a cursor into the pass's participant list: both release
 // conditions (arrived, detected-failed) are monotone within a pass, so a
 // participant once satisfied stays satisfied and the repeated predicate
 // only ever re-inspects the first unsatisfied one. Without the cursor the
 // barrier is a full O(parts) scan per wake per waiter — super-quadratic
 // across a 10k-rank world.
 type softBarrier struct {
-	set  map[int]bool
-	next int
+	key   barrierKey
+	ctxID int // the communicator's matching context, for reports
+	parts []int
+	det   FailureDetector
+	set   map[int]bool
+	next  int
 }
 
-// done reports whether every participant has arrived at b or been detected
+// Done reports whether every participant has arrived at b or been detected
 // as failed, advancing the shared cursor past satisfied participants.
-func (rp *resilientPass) barrierDone(b *softBarrier) bool {
-	det := rp.res.Detector
-	for b.next < len(rp.parts) {
-		g := rp.parts[b.next]
-		if !b.set[g] && !det.Failed(g) {
+func (b *softBarrier) Done() bool {
+	for b.next < len(b.parts) {
+		g := b.parts[b.next]
+		if !b.set[g] && !b.det.Failed(g) {
 			return false
 		}
 		b.next++
 	}
 	return true
+}
+
+// String names the barrier in a deadlock report; it is formatted only when
+// a report is built.
+func (b *softBarrier) String() string {
+	label := b.key.label
+	if b.key.round >= 0 {
+		label = fmt.Sprintf("%s:%d", label, b.key.round)
+	}
+	return fmt.Sprintf("core: resilient barrier %q on comm %d", label, b.ctxID)
 }
 
 // arrive is a soft barrier: it completes once every participant has either
@@ -843,17 +864,17 @@ func (rp *resilientPass) barrierDone(b *softBarrier) bool {
 // global and monotone), and a barrier completed by a failure instead of an
 // arrival is woken by the detector's own WakeAll. Waking on every arrival
 // costs O(parts) broadcasts each — the dominant term at extreme scale.
-func (rp *resilientPass) arrive(c *mpi.Ctx, label string) {
-	b := rp.st.arrived[label]
+func (rp *resilientPass) arrive(c *mpi.Ctx, key barrierKey) {
+	b := rp.st.arrived[key]
 	if b == nil {
-		b = &softBarrier{set: map[int]bool{}}
-		rp.st.arrived[label] = b
+		b = &softBarrier{key: key, ctxID: rp.v.comm.CtxID(), parts: rp.parts,
+			det: rp.res.Detector, set: map[int]bool{}}
+		rp.st.arrived[key] = b
 	}
 	b.set[c.Proc().GID()] = true
-	if rp.barrierDone(b) {
+	if b.Done() {
 		c.World().WakeAll()
 		return
 	}
-	c.WaitUntil(func() bool { return rp.barrierDone(b) },
-		fmt.Sprintf("core: resilient barrier %q on comm %d", label, rp.v.comm.CtxID()))
+	c.WaitUntil(b)
 }

@@ -214,3 +214,20 @@ func TestResilienceRequiresDetector(t *testing.T) {
 	})
 	_ = w.Kernel().Run()
 }
+
+// A soft barrier names itself in deadlock reports: a per-pass barrier by
+// its label, a per-round one as label:round.
+func TestSoftBarrierReportText(t *testing.T) {
+	for _, c := range []struct {
+		key  barrierKey
+		want string
+	}{
+		{barrierKey{label: "protect", round: -1}, `core: resilient barrier "protect" on comm 7`},
+		{barrierKey{label: "commit", round: 0}, `core: resilient barrier "commit:0" on comm 7`},
+		{barrierKey{label: "commit", round: 3}, `core: resilient barrier "commit:3" on comm 7`},
+	} {
+		if got := (&softBarrier{key: c.key, ctxID: 7}).String(); got != c.want {
+			t.Errorf("%+v: report %q, want %q", c.key, got, c.want)
+		}
+	}
+}

@@ -50,12 +50,6 @@ func (e *RTTEstimator) Observe(s float64) {
 // Samples reports how many observations have been fed.
 func (e *RTTEstimator) Samples() int { return e.n }
 
-// SRTT returns the smoothed flow completion time (0 before any sample).
-func (e *RTTEstimator) SRTT() float64 { return e.srtt }
-
-// RTTVar returns the smoothed deviation (0 before any sample).
-func (e *RTTEstimator) RTTVar() float64 { return e.rttvar }
-
 // RTO returns the retransmission-timeout estimate srtt + 4*rttvar. It is
 // meaningless (0) before the first sample; callers must check Samples.
 func (e *RTTEstimator) RTO() float64 { return e.srtt + 4*e.rttvar }

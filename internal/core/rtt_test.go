@@ -14,8 +14,8 @@ func TestRTTEstimatorFirstSample(t *testing.T) {
 	if e.Samples() != 1 {
 		t.Fatalf("Samples = %d, want 1", e.Samples())
 	}
-	if e.SRTT() != 0.4 || e.RTTVar() != 0.2 {
-		t.Errorf("first sample: srtt=%g rttvar=%g, want 0.4/0.2", e.SRTT(), e.RTTVar())
+	if e.srtt != 0.4 || e.rttvar != 0.2 {
+		t.Errorf("first sample: srtt=%g rttvar=%g, want 0.4/0.2", e.srtt, e.rttvar)
 	}
 	if got, want := e.RTO(), 0.4+4*0.2; math.Abs(got-want) > 1e-12 {
 		t.Errorf("RTO = %g, want %g", got, want)
@@ -37,9 +37,9 @@ func TestRTTEstimatorRecurrences(t *testing.T) {
 			srtt += err / 8
 		}
 		e.Observe(s)
-		if math.Abs(e.SRTT()-srtt) > 1e-12 || math.Abs(e.RTTVar()-rttvar) > 1e-12 {
+		if math.Abs(e.srtt-srtt) > 1e-12 || math.Abs(e.rttvar-rttvar) > 1e-12 {
 			t.Fatalf("after sample %d (%g): srtt=%g rttvar=%g, want %g/%g",
-				i, s, e.SRTT(), e.RTTVar(), srtt, rttvar)
+				i, s, e.srtt, e.rttvar, srtt, rttvar)
 		}
 		if want := srtt + 4*rttvar; math.Abs(e.RTO()-want) > 1e-12 {
 			t.Fatalf("after sample %d: RTO=%g, want %g", i, e.RTO(), want)
@@ -58,7 +58,7 @@ func TestRTTEstimatorIgnoresNegative(t *testing.T) {
 	}
 	e.Observe(0.3)
 	e.Observe(-5)
-	if e.Samples() != 1 || e.SRTT() != 0.3 {
-		t.Errorf("after 0.3 and a negative: Samples=%d srtt=%g, want 1/0.3", e.Samples(), e.SRTT())
+	if e.Samples() != 1 || e.srtt != 0.3 {
+		t.Errorf("after 0.3 and a negative: Samples=%d srtt=%g, want 1/0.3", e.Samples(), e.srtt)
 	}
 }

@@ -127,17 +127,6 @@ func itemTags(i int) (sizeTag, valueTag int) {
 	return 77 + 2*i, 88 + 2*i
 }
 
-// ItemValueTag returns the value-message wire tag of the store item at
-// index i on the unbounded schedule, for fault plans that must drop a
-// redistribution payload rather than its 8-byte size header (losing the
-// header stalls the epoch but leaves no unacknowledged span behind, so
-// nothing is retransmitted). Runs under a ceiling (Config.MemCeiling set)
-// carry payloads on per-segment tags instead; see WaveValueTag.
-func ItemValueTag(i int) int {
-	_, v := itemTags(i)
-	return v
-}
-
 // Wave-scheduled P2P segments each travel a dedicated (size, value) tag
 // pair instead of sharing the item's pair: matching is FIFO per (peer,
 // tag), so on a shared tag a dropped segment would shift every later
@@ -167,9 +156,8 @@ func waveTags(itemIdx, seq int) (sizeTag, valueTag int) {
 }
 
 // WaveValueTag returns the value-message wire tag of the seq-th segment
-// (0-based) of store item i under the memory-ceiling wave schedule — the
-// wave-run counterpart of ItemValueTag for fault plans targeting a
-// specific redistribution payload.
+// (0-based) of store item i under the memory-ceiling wave schedule, for
+// fault plans targeting a specific redistribution payload.
 func WaveValueTag(i, seq int) int {
 	_, v := waveTags(i, seq)
 	return v

@@ -29,7 +29,7 @@ func TestDropMsgVanishesOnTheWire(t *testing.T) {
 	}})
 	inj.Arm()
 	rec := trace.NewRecorder()
-	w.SetRecorder(rec)
+	w.SetSink(rec)
 	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
 		switch comm.Rank(c) {
 		case 0:
@@ -81,7 +81,7 @@ func TestFailSpawnRetries(t *testing.T) {
 	}})
 	inj.Arm()
 	rec := trace.NewRecorder()
-	w.SetRecorder(rec)
+	w.SetSink(rec)
 	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
 		c.Spawn(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {})
 	})
@@ -112,7 +112,7 @@ func TestSpawnRetryPolicy(t *testing.T) {
 	}})
 	inj.Arm()
 	rec := trace.NewRecorder()
-	w.SetRecorder(rec)
+	w.SetSink(rec)
 	var elapsed float64
 	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
 		start := c.Now()
@@ -322,7 +322,7 @@ func TestPlanDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", mal, err)
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteEvents(&buf, rec.Events()); err != nil {
+		if err := rec.WriteEvents(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -59,17 +59,12 @@ type FaultResult struct {
 	MaxRung int
 }
 
-// RunFaultCell executes one fault-injection cell: a fault-free probe run
+// runFaultCell executes one fault-injection cell: a fault-free probe run
 // under the recovery protocol locates the variable-data redistribution
 // window, then a second identically seeded run kills the last source rank
 // (a pure source under both Baseline and Merge shrinkage) inside that
 // window. The probe error aborts the cell; a faulted-run failure is data
-// (Survived = false), not an error.
-func (s Setup) RunFaultCell(p Pair, mal core.Config, rep int, fp FaultParams) (FaultResult, error) {
-	return s.runFaultCell(p, mal, rep, fp, nil)
-}
-
-// runFaultCell is RunFaultCell with an optional streaming sink attached to
+// (Survived = false), not an error. sink, when non-nil, is attached to
 // the faulted run. The probe run records nothing but the crash window,
 // which it streams; the faulted run keeps its full log for the metrics,
 // the critical path and the escalation scan.

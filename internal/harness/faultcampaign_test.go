@@ -32,7 +32,7 @@ func TestFaultCampaignSurvivesSourceCrash(t *testing.T) {
 		{Spawn: core.Merge, Comm: core.COL, Overlap: core.Sync},
 	}
 	for _, cfg := range configs {
-		r, err := s.RunFaultCell(p, cfg, 0, FaultParams{})
+		r, err := s.runFaultCell(p, cfg, 0, FaultParams{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -79,7 +79,7 @@ func TestFaultCellRMAWindowOwnerCrash(t *testing.T) {
 		{Spawn: core.Merge, Comm: core.RMA, Overlap: core.Sync},
 	}
 	for _, cfg := range configs {
-		r, err := s.RunFaultCell(p, cfg, 0, fp)
+		r, err := s.runFaultCell(p, cfg, 0, fp, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -108,7 +108,7 @@ func TestFaultCellRMACrashMaskedBySnapshot(t *testing.T) {
 	s := quickSetup()
 	s.Reps = 1
 	cfg := core.Config{Spawn: core.Merge, Comm: core.RMA, Overlap: core.Sync}
-	r, err := s.RunFaultCell(Pair{NS: 8, NT: 4}, cfg, 0, FaultParams{})
+	r, err := s.runFaultCell(Pair{NS: 8, NT: 4}, cfg, 0, FaultParams{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFaultCellCRRestoresFromCheckpoint(t *testing.T) {
 	s := quickSetup()
 	s.Reps = 1
 	cfg := core.Config{Spawn: core.Merge, Comm: core.CR, Overlap: core.Sync}
-	r, err := s.RunFaultCell(Pair{NS: 8, NT: 4}, cfg, 0, FaultParams{})
+	r, err := s.runFaultCell(Pair{NS: 8, NT: 4}, cfg, 0, FaultParams{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

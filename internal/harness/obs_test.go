@@ -92,7 +92,7 @@ func TestStreamMatchesRecorder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := trace.NewRecorder()
-			resFull, err := tc.s.RunCellRecorded(tc.p, cfg, 0, rec)
+			resFull, err := tc.s.RunCellSink(tc.p, cfg, 0, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,18 +109,19 @@ func TestStreamMatchesRecorder(t *testing.T) {
 				t.Fatalf("event count differs: streamed %d recorded %d", got, want)
 			}
 			m := rec.Metrics()
+			snap := stream.Snapshot()
 			for key, want := range map[string]int64{
 				"wire/bytes/" + trace.PhaseRedistConst: m.BytesConst,
 				"wire/bytes/" + trace.PhaseRedistVar:   m.BytesVar,
 				"wire/msgs/" + trace.PhaseRedistConst:  m.MsgsConst,
 				"wire/msgs/" + trace.PhaseRedistVar:    m.MsgsVar,
 			} {
-				if got := stream.Counter(key); got != want {
+				if got := snap.Counter(key); got != want {
 					t.Errorf("%s = %d, recorder says %d", key, got, want)
 				}
 			}
 			for op, want := range m.MsgsByOp {
-				if got := stream.Counter("msgs/op/" + op); got != want {
+				if got := snap.Counter("msgs/op/" + op); got != want {
 					t.Errorf("msgs/op/%s = %d, recorder says %d", op, got, want)
 				}
 			}
@@ -134,7 +135,6 @@ func TestStreamMatchesRecorder(t *testing.T) {
 					wire = append(wire, float64(ev.Bytes))
 				}
 			}
-			snap := stream.Snapshot()
 			for name, samples := range map[string][]float64{"span/compute": computes, "msg/bytes": wire} {
 				h, ok := snap.HistNamed(name)
 				if !ok || len(samples) == 0 {
@@ -176,15 +176,16 @@ func TestFaultCampaignStreamFaultCounters(t *testing.T) {
 	if !r.Survived {
 		t.Fatalf("faulted run died: %s", r.Err)
 	}
+	snap := stream.Snapshot()
 	for op, want := range r.Faults {
-		if got := stream.Counter("fault/" + op); got != want {
+		if got := snap.Counter("fault/" + op); got != want {
 			t.Errorf("fault/%s = %d, recorder says %d", op, got, want)
 		}
 	}
-	if stream.Counter("fault/crash") == 0 {
+	if snap.Counter("fault/crash") == 0 {
 		t.Error("streamed faulted run recorded no crash")
 	}
-	if len(stream.Flight().Anomalies()) == 0 {
+	if len(snap.Anomalies) == 0 {
 		t.Error("flight recorder retained no anomalies from a faulted run")
 	}
 }
@@ -269,7 +270,7 @@ func TestPooledRecorderAndStreamReuse(t *testing.T) {
 		s := quickSetup()
 		s.Workers = 8
 		s.Obs = NewMeter(MeterOptions{})
-		cells, err := s.SweepMetrics(quickPairs(), SyncConfigs(), 0, nil)
+		cells, _, err := s.sweepMetrics(quickPairs(), SyncConfigs(), 0, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

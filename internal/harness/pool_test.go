@@ -183,7 +183,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		err := ForEach(n, workers, func(i int) error {
 			p, cfg := pairs[i/len(configs)], configs[i%len(configs)]
 			rec := trace.NewRecorder()
-			if _, err := s.RunCellRecorded(p, cfg, 0, rec); err != nil {
+			if _, err := s.RunCellSink(p, cfg, 0, rec); err != nil {
 				return err
 			}
 			var buf bytes.Buffer

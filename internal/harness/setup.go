@@ -121,7 +121,8 @@ func (s Setup) NewWorld(rep int) *mpi.World {
 	return mpi.NewWorld(cluster.New(k, cl), s.MPIOpts)
 }
 
-// RunCell executes one (pair, config, rep) run.
+// RunCell executes one (pair, config, rep) run. Kept as the one-cell entry
+// point the root integration tests and per-figure benchmarks drive.
 func (s Setup) RunCell(p Pair, mal core.Config, rep int) (synthapp.Result, error) {
 	return s.runCell(p, mal, rep, nil, nil)
 }

@@ -10,24 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/synthapp"
 	"repro/internal/trace"
 )
-
-// RunCellTraced executes one (pair, config, rep) run with event tracing on
-// and returns the recorder alongside the result. Tracing reads only the
-// virtual clock, so the result is identical to RunCell's.
-func (s Setup) RunCellTraced(p Pair, mal core.Config, rep int) (synthapp.Result, *trace.Recorder, error) {
-	rec := trace.NewRecorder()
-	res, err := s.RunCellRecorded(p, mal, rep, rec)
-	return res, rec, err
-}
-
-// RunCellRecorded is RunCellTraced with a caller-owned recorder, so sweeps
-// can Reset and reuse one recorder across cells instead of reallocating.
-func (s Setup) RunCellRecorded(p Pair, mal core.Config, rep int, rec *trace.Recorder) (synthapp.Result, error) {
-	return s.runCell(p, mal, rep, rec, nil)
-}
 
 // WriteTraceFiles exports one recorded run: <prefix>.events.json holds the
 // raw event log (the cmd/tracetool input), <prefix>.json the Chrome
@@ -75,17 +59,11 @@ type CellMetrics struct {
 	M   trace.RunMetrics
 }
 
-// SweepMetrics runs one traced repetition (seed index rep) of every
-// (pair, config) cell and returns the derived per-cell metrics, reusing a
-// single recorder across cells. progress, when non-nil, receives one line
-// per completed cell.
-func (s Setup) SweepMetrics(pairs []Pair, configs []core.Config, rep int, progress func(string)) ([]CellMetrics, error) {
-	cells, _, err := s.sweepMetrics(pairs, configs, rep, progress, false)
-	return cells, err
-}
-
-// SweepMetricsTraced is SweepMetrics plus the raw event log of the last
-// cell, for export through WriteTraceFiles.
+// SweepMetricsTraced runs one traced repetition (seed index rep) of every
+// (pair, config) cell and returns the derived per-cell metrics, reusing
+// recorders across cells, plus the raw event log of the last cell for
+// export through WriteTraceFiles. progress, when non-nil, receives one
+// line per completed cell.
 func (s Setup) SweepMetricsTraced(pairs []Pair, configs []core.Config, rep int, progress func(string)) ([]CellMetrics, *trace.Recorder, error) {
 	return s.sweepMetrics(pairs, configs, rep, progress, true)
 }

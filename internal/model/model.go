@@ -150,30 +150,6 @@ func (s System) IterationTime(p int, computeCoreSeconds float64, gatherBytes int
 	return t
 }
 
-// AppTime predicts the total run: iters1 iterations on NS, the halt for a
-// synchronous reconfiguration (or the overlapped window for an ideal
-// asynchronous one), then the rest on NT.
-func (s System) AppTime(m Method, sync bool, ns, nt, itersBefore, itersAfter int,
-	computeCoreSeconds float64, gatherBytes, redistBytes int64) float64 {
-
-	t := float64(itersBefore) * s.IterationTime(ns, computeCoreSeconds, gatherBytes)
-	r := s.ReconfigTime(m, ns, nt, redistBytes)
-	if sync {
-		t += r
-		t += float64(itersAfter) * s.IterationTime(nt, computeCoreSeconds, gatherBytes)
-		return t
-	}
-	// Ideal overlap: the sources keep iterating through the reconfiguration
-	// window, so the stall disappears into iterations already counted.
-	overlapped := int(r / s.IterationTime(ns, computeCoreSeconds, gatherBytes))
-	if overlapped > itersAfter {
-		overlapped = itersAfter
-	}
-	t += float64(overlapped) * s.IterationTime(ns, computeCoreSeconds, gatherBytes)
-	t += float64(itersAfter-overlapped) * s.IterationTime(nt, computeCoreSeconds, gatherBytes)
-	return t
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

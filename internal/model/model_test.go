@@ -128,14 +128,3 @@ func TestModelPredictsIterationTime(t *testing.T) {
 		}
 	}
 }
-
-func TestAppTimeOverlapBeatsSync(t *testing.T) {
-	s, _ := paperSystem()
-	const bytes = 4 << 30
-	m := Method{Merge: true}
-	syncT := s.AppTime(m, true, 80, 160, 500, 500, 0.82, 33<<20, bytes)
-	asyncT := s.AppTime(m, false, 80, 160, 500, 500, 0.82, 33<<20, bytes)
-	if asyncT >= syncT {
-		t.Fatalf("ideal overlap (%.2f) should beat sync (%.2f)", asyncT, syncT)
-	}
-}

@@ -196,7 +196,9 @@ func (c *Ctx) Alltoallv(comm *Comm, send []Payload) []Payload {
 	return out
 }
 
-// Alltoall is Alltoallv with one equal payload per peer.
+// Alltoall is Alltoallv with one equal payload per peer. Kept for the
+// paper's Algorithm 2, whose COL size exchange is a fixed-size Alltoall of
+// per-peer counts (the COL method currently announces sparse sizes).
 func (c *Ctx) Alltoall(comm *Comm, each Payload, peers int) []Payload {
 	send := make([]Payload, peers)
 	for i := range send {

@@ -1,73 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/trace"
-)
-
-// Gatherv collects every rank's (variable-size) payload at root, indexed by
-// rank (MPI_Gatherv). Non-root ranks receive nil.
-func (c *Ctx) Gatherv(comm *Comm, root int, payload Payload) []Payload {
-	if comm.IsInter() {
-		panic("mpi: Gatherv on inter-communicator")
-	}
-	p := comm.Size()
-	r := comm.Rank(c)
-	defer c.span(trace.EvColl, comm.ctxID, "Gatherv", payload.Size)()
-	tag := c.collTag(comm)
-	if r != root {
-		c.Send(comm, root, tag, payload)
-		return nil
-	}
-	out := make([]Payload, p)
-	out[root] = payload
-	reqs := make([]*RecvReq, p) // by rank; root's stays nil
-	for q := range reqs {
-		if q != root {
-			reqs[q] = c.irecv(comm, q, tag)
-		}
-	}
-	for q, rr := range reqs {
-		if rr == nil {
-			continue
-		}
-		c.Wait(rr)
-		out[q] = rr.payload
-		c.proc.w.freeRecv(rr)
-		c.chargeCopy(out[q].Size)
-	}
-	return out
-}
-
-// Scatterv distributes send[i] from root to rank i and returns the caller's
-// share (MPI_Scatterv). Only root supplies send.
-func (c *Ctx) Scatterv(comm *Comm, root int, send []Payload) Payload {
-	if comm.IsInter() {
-		panic("mpi: Scatterv on inter-communicator")
-	}
-	p := comm.Size()
-	r := comm.Rank(c)
-	defer c.span(trace.EvColl, comm.ctxID, "Scatterv", payloadBytes(send))()
-	tag := c.collTag(comm)
-	if r != root {
-		pl, _ := c.Recv(comm, root, tag)
-		return pl
-	}
-	if len(send) != p {
-		panic(fmt.Sprintf("mpi: Scatterv with %d payloads for %d ranks", len(send), p))
-	}
-	reqs := c.reqs[:0]
-	for q := 0; q < p; q++ {
-		if q == root {
-			continue
-		}
-		reqs = append(reqs, c.isend(comm, q, tag, send[q]))
-	}
-	c.waitallFree(reqs)
-	return send[root]
-}
+import "sort"
 
 // Split partitions the communicator by color, ordering ranks within each
 // new group by (key, old rank), as MPI_Comm_split. Every member must call

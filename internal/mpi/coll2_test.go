@@ -1,68 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-)
-
-func TestGathervCollectsAtRoot(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			w := testWorld(t, 2, 8, defaultTestOptions())
-			p := 4
-			var got [][]float64
-			w.Launch(p, nil, func(c *Ctx, comm *Comm) {
-				r := comm.Rank(c)
-				mine := make([]float64, r+1)
-				for i := range mine {
-					mine[i] = float64(r*10 + i)
-				}
-				out := c.Gatherv(comm, root, Float64s(mine))
-				if r == root {
-					for _, pl := range out {
-						got = append(got, pl.AsFloat64s())
-					}
-				} else if out != nil {
-					t.Errorf("non-root rank %d got %v", r, out)
-				}
-			})
-			runWorld(t, w)
-			if len(got) != p {
-				t.Fatalf("gathered %d blocks, want %d", len(got), p)
-			}
-			for q := 0; q < p; q++ {
-				if len(got[q]) != q+1 || got[q][0] != float64(q*10) {
-					t.Fatalf("block %d = %v", q, got[q])
-				}
-			}
-		})
-	}
-}
-
-func TestScattervDistributesFromRoot(t *testing.T) {
-	w := testWorld(t, 2, 8, defaultTestOptions())
-	p := 5
-	root := 1
-	got := make([][]float64, p)
-	w.Launch(p, nil, func(c *Ctx, comm *Comm) {
-		r := comm.Rank(c)
-		var send []Payload
-		if r == root {
-			send = make([]Payload, p)
-			for q := range send {
-				send[q] = Float64s([]float64{float64(100 + q)})
-			}
-		}
-		got[r] = c.Scatterv(comm, root, send).AsFloat64s()
-	})
-	runWorld(t, w)
-	for q := 0; q < p; q++ {
-		if !reflect.DeepEqual(got[q], []float64{float64(100 + q)}) {
-			t.Fatalf("rank %d got %v", q, got[q])
-		}
-	}
-}
+import "testing"
 
 func TestSplitByParity(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -101,13 +102,24 @@ func TestAllreduceEveryRankGetsSum(t *testing.T) {
 	}
 }
 
+// opMaxFloat64 keeps the elementwise maximum: a reduction other than the
+// sum, so Allreduce is checked with an order-sensitive operator too.
+func opMaxFloat64(dst, src []byte) {
+	a, b := Payload{Data: dst}.AsFloat64s(), Payload{Data: src}.AsFloat64s()
+	for i := range a {
+		if b[i] > a[i] {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(b[i]))
+		}
+	}
+}
+
 func TestAllreduceMax(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
 	p := 5
 	got := make([]float64, p)
 	w.Launch(p, nil, func(c *Ctx, comm *Comm) {
 		r := comm.Rank(c)
-		out := c.Allreduce(comm, Float64s([]float64{float64((r * 3) % p)}), OpMaxFloat64)
+		out := c.Allreduce(comm, Float64s([]float64{float64((r * 3) % p)}), opMaxFloat64)
 		got[r] = out.AsFloat64s()[0]
 	})
 	runWorld(t, w)

@@ -72,14 +72,6 @@ func (c *Comm) Rank(ctx *Ctx) int {
 	return -1
 }
 
-// RankOf returns the local-group rank of process p, or -1.
-func (c *Comm) RankOf(p *Process) int {
-	if r, ok := c.localRank[p.gid]; ok {
-		return r
-	}
-	return -1
-}
-
 // Member returns the local-group member at rank r.
 func (c *Comm) Member(r int) *Process { return c.localProc(r) }
 

@@ -159,32 +159,6 @@ func OpSumFloat64(dst, src []byte) {
 	}
 }
 
-// OpMaxFloat64 keeps the elementwise maximum.
-func OpMaxFloat64(dst, src []byte) {
-	if len(dst) != len(src) || len(dst)%8 != 0 {
-		panic("mpi: OpMaxFloat64 on mismatched buffers")
-	}
-	for i := 0; i < len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		if b > a {
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(b))
-		}
-	}
-}
-
-// OpSumInt64 adds int64 vectors elementwise.
-func OpSumInt64(dst, src []byte) {
-	if len(dst) != len(src) || len(dst)%8 != 0 {
-		panic("mpi: OpSumInt64 on mismatched buffers")
-	}
-	for i := 0; i < len(dst); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], uint64(a+b))
-	}
-}
-
 // combine merges src into dst under op, handling virtual payloads (which
 // carry no data to combine).
 func combine(dst *Payload, src Payload, op Op) {

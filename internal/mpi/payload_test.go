@@ -100,23 +100,12 @@ func TestPayloadSliceBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestOpsSumMaxInt(t *testing.T) {
+func TestOpSumFloat64(t *testing.T) {
 	a := Float64s([]float64{1, 5})
 	b := Float64s([]float64{3, 2})
 	OpSumFloat64(a.Data, b.Data)
 	if got := a.AsFloat64s(); got[0] != 4 || got[1] != 7 {
 		t.Fatalf("sum = %v", got)
-	}
-	c := Float64s([]float64{1, 5})
-	OpMaxFloat64(c.Data, b.Data)
-	if got := c.AsFloat64s(); got[0] != 3 || got[1] != 5 {
-		t.Fatalf("max = %v", got)
-	}
-	x := Int64s([]int64{10, -2})
-	y := Int64s([]int64{1, 2})
-	OpSumInt64(x.Data, y.Data)
-	if got := x.AsInt64s(); got[0] != 11 || got[1] != 0 {
-		t.Fatalf("int sum = %v", got)
 	}
 }
 

@@ -19,13 +19,6 @@ type Win struct {
 	comm *Comm
 
 	exposed map[int]Payload // by process gid
-	nodeOf  map[int]int
-
-	// pending tracks outstanding Gets per exposing process, so exposers
-	// can learn when their data is no longer needed.
-	pending map[int]int
-	// drained signals pending reaching zero for an exposer.
-	drained map[int]*sim.Signal
 }
 
 // winBarrier synchronizes window epochs (WinCreate, Fence). Unlike the
@@ -160,18 +153,11 @@ func (c *Ctx) WinCreate(comm *Comm, local Payload) *Win {
 	}
 	win, ok := w.wins[key]
 	if !ok {
-		win = &Win{
-			comm:    comm,
-			exposed: make(map[int]Payload),
-			nodeOf:  make(map[int]int),
-			pending: make(map[int]int),
-			drained: make(map[int]*sim.Signal),
-		}
+		win = &Win{comm: comm, exposed: make(map[int]Payload)}
 		w.wins[key] = win
 	}
 	gid := c.proc.gid
 	win.exposed[gid] = clonePayload(local)
-	win.nodeOf[gid] = c.proc.node
 	// Exposure epoch: every live member registers before anyone accesses.
 	w.winBarrierFor(comm).arrive(c, "WinCreate")
 	return win
@@ -190,10 +176,9 @@ type RMAReq struct {
 	bytes   int64
 	dropped bool // the RDMA read vanished on the wire (fault injection)
 
-	// Set while the Get is in flight (cleared when its data lands): the
-	// window, both ends, the bytes read, the issue time and the issuer's
-	// phase tag for the delivery event, and the data's transfer.
-	win    *Win
+	// Set while the Get is in flight (cleared when its data lands): both
+	// ends, the bytes read, the issue time and the issuer's phase tag for
+	// the delivery event, and the data's transfer.
 	origin *Process
 	tp     *Process
 	data   Payload
@@ -246,16 +231,14 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 		verdict := w.hooks.FilterSend(tp, origin, -1, win.comm, hi-lo)
 		if verdict.Drop {
 			// The read request (or its response) vanishes: no data ever
-			// lands, and the exposer's pending count is never charged, so
-			// WaitDrained cannot leak.
+			// lands.
 			req.dropped = true
 			return req
 		}
 		delay = verdict.Delay
 	}
-	win.pending[tp.gid]++
 	// Get completes in a kernel callback; keep the issuer's phase tag.
-	req.win, req.origin, req.tp, req.data = win, origin, tp, exp.Slice(lo, hi)
+	req.origin, req.tp, req.data = origin, tp, exp.Slice(lo, hi)
 	req.issued, req.phase = c.sp.Now(), c.phase
 	// One extra control latency for the RDMA read request, then the data
 	// flows back. The RDMA engine bypasses the sender-side pipeline and
@@ -283,17 +266,8 @@ type getDone RMAReq
 
 func (d *getDone) Fire() {
 	r := (*RMAReq)(d)
-	win, origin, gid, data := r.win, r.origin, r.src, r.data
-	r.win, r.origin, r.tp, r.data = nil, nil, nil, Payload{}
-	// Exposer-side bookkeeping resolves regardless of crashes: the
-	// snapshot served the transfer (the target is passive), and a dead
-	// origin must not leak the exposer's pending count.
-	win.pending[gid]--
-	if win.pending[gid] == 0 {
-		if s := win.drained[gid]; s != nil {
-			s.Broadcast()
-		}
-	}
+	origin, gid, data := r.origin, r.src, r.data
+	r.origin, r.tp, r.data = nil, nil, Payload{}
 	if origin.dead {
 		// A crashed origin takes no delivery: no completion, no event, no
 		// progress broadcast.
@@ -310,34 +284,6 @@ func (d *getDone) Fire() {
 		})
 	}
 	origin.progress.Broadcast()
-}
-
-// Drained reports whether no Gets are outstanding against this process's
-// exposure. It is meaningful only once the caller knows every origin has
-// issued its Gets (the redistribution strategies establish that with their
-// completion consensus); before any Get is posted it is trivially true.
-func (win *Win) Drained(c *Ctx) bool {
-	return win.pending[c.proc.gid] == 0
-}
-
-// WaitDrained blocks the exposer until its outstanding Gets complete. The
-// wait is passive (no CPU): the target side of RDMA does not poll. The
-// count is released even when an origin crashes mid-transfer, so the wait
-// always resolves.
-func (c *Ctx) WaitDrained(win *Win) {
-	gid := c.proc.gid
-	for !win.Drained(c) {
-		s := win.drained[gid]
-		if s == nil {
-			s = sim.NewSignal(fmt.Sprintf("mpi.win.drained.g%d", gid))
-			win.drained[gid] = s
-		}
-		// The reason stays eager: s is broadcast only when the count
-		// reaches zero, so a lazy one would print the count at report
-		// time, not at the park. An exposer parks here about once.
-		c.sp.WaitReason(s,
-			fmt.Sprintf("mpi: WaitDrained on comm %d: %d Gets outstanding", win.comm.ctxID, win.pending[gid]))
-	}
 }
 
 // Fence synchronizes every live window member (an access epoch boundary,

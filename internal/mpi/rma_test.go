@@ -113,32 +113,6 @@ func TestWinGetTimingNoSenderCPU(t *testing.T) {
 	}
 }
 
-func TestWaitDrainedBlocksUntilGetsComplete(t *testing.T) {
-	w := testWorld(t, 2, 4, defaultTestOptions())
-	var drainedAt, getDoneAt float64
-	w.Launch(2, nil, func(c *Ctx, comm *Comm) {
-		var local Payload
-		if comm.Rank(c) == 0 {
-			local = Virtual(1 << 20)
-		}
-		win := c.WinCreate(comm, local)
-		switch comm.Rank(c) {
-		case 0:
-			c.Sleep(1e-4) // let the Get start
-			c.WaitDrained(win)
-			drainedAt = c.Now()
-		case 1:
-			g := c.Get(win, 0, 0, 1<<20)
-			c.Wait(g)
-			getDoneAt = c.Now()
-		}
-	})
-	runWorld(t, w)
-	if drainedAt < getDoneAt {
-		t.Fatalf("WaitDrained returned at %g before the Get completed at %g", drainedAt, getDoneAt)
-	}
-}
-
 func TestGetAcrossIntercomm(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
 	var got []float64

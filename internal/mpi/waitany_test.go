@@ -78,7 +78,7 @@ func fullScanWaitany(c *Ctx, rs []Request) int {
 	if !pending {
 		return -1
 	}
-	c.WaitUntil(scan, "Waitany")
+	c.WaitUntil(sim.CondFunc(scan))
 	rs[idx].setConsumed()
 	return idx
 }

@@ -205,19 +205,6 @@ func (w *World) Kernel() *sim.Kernel { return w.k }
 // Options returns the runtime options.
 func (w *World) Options() Options { return w.opts }
 
-// SetRecorder attaches (or, with nil, detaches) an event recorder. Every
-// instrumentation site nil-checks the sink before building an event, so
-// the disabled path costs one interface load and no allocation. Recording
-// only reads the virtual clock, so enabling it cannot change simulation
-// results.
-func (w *World) SetRecorder(r *trace.Recorder) {
-	if r == nil {
-		w.sink = nil // avoid a typed-nil Sink that would defeat nil checks
-		return
-	}
-	w.sink = r
-}
-
 // SetSink attaches (or, with nil, detaches) an arbitrary event sink: the
 // full Recorder, a streaming telemetry aggregator, or a trace.Tee of
 // several. Callers must not pass a non-nil interface holding a nil
@@ -528,15 +515,16 @@ func (c *Ctx) waitUntilDesc(cond sim.Cond, desc func() string) {
 	c.sp.WaitUntil(c.proc.progress, cond, desc)
 }
 
-// WaitUntil blocks the context until pred holds, waking on the process's
+// WaitUntil blocks the context until cond holds, waking on the process's
 // progress signal (any message delivery, send completion, or World.WakeAll).
-// reason is surfaced in deadlock reports. In polling mode the wait occupies
-// a core. pred is tested in scheduler context after each wake, so it must
-// not block or schedule (no sends, no Compute, no Broadcast): it may only
-// read state. A predicate that drives the protocol belongs in
+// A cond that implements fmt.Stringer describes the wait in deadlock
+// reports, formatted only when a report is built. In polling mode the wait
+// occupies a core. cond is tested in scheduler context after each wake, so
+// it must not block or schedule (no sends, no Compute, no Broadcast): it may
+// only read state. A predicate that drives the protocol belongs in
 // WaitUntilDeadline.
-func (c *Ctx) WaitUntil(pred func() bool, reason string) {
-	c.waitUntilDesc(sim.CondFunc(pred), func() string { return reason })
+func (c *Ctx) WaitUntil(cond sim.Cond) {
+	c.waitUntilDesc(cond, nil)
 }
 
 // WaitUntilDeadline blocks like WaitUntil but gives up when the virtual

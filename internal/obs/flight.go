@@ -90,12 +90,6 @@ func (f *FlightRecorder) Recent() []trace.Event { return f.recent.events() }
 // Anomalies returns the retained fault events, oldest first.
 func (f *FlightRecorder) Anomalies() []trace.Event { return f.anomalies.events() }
 
-// Seen returns the total event and anomaly counts pushed through the
-// recorder (not just the retained window).
-func (f *FlightRecorder) Seen() (events, anomalies uint64) {
-	return f.recent.total, f.anomalies.total
-}
-
 // Reset empties both rings, keeping their buffers.
 func (f *FlightRecorder) Reset() {
 	f.recent.reset()

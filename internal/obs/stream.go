@@ -281,12 +281,6 @@ func (s *Stream) Gauge(name string) float64 { return s.gauges[name] }
 // Events returns the total number of events folded in.
 func (s *Stream) Events() uint64 { return s.events }
 
-// Counter returns one monotone counter's value (0 when never touched).
-func (s *Stream) Counter(key string) int64 {
-	s.fold()
-	return s.counters[key]
-}
-
 // Makespan returns the stream's observed time envelope: latest event end
 // minus earliest event start.
 func (s *Stream) Makespan() float64 {
@@ -295,9 +289,6 @@ func (s *Stream) Makespan() float64 {
 	}
 	return s.last - s.first
 }
-
-// Flight returns the embedded flight recorder.
-func (s *Stream) Flight() *FlightRecorder { return s.flight }
 
 // Merge folds other's aggregates into s: histograms add bucket-wise,
 // counters and per-rank totals sum, and other's retained flight events

@@ -65,16 +65,16 @@ func TestStreamCountersAndRanks(t *testing.T) {
 	if s.Events() != uint64(len(events)) {
 		t.Fatalf("events = %d, want %d", s.Events(), len(events))
 	}
-	if got := s.Counter("events/send"); got != sends {
+	snap := s.Snapshot()
+	if got := snap.Counter("events/send"); got != sends {
 		t.Fatalf("events/send = %d, want %d", got, sends)
 	}
-	if got := s.Counter("wire/msgs/app"); got != sends {
+	if got := snap.Counter("wire/msgs/app"); got != sends {
 		t.Fatalf("wire/msgs/app = %d, want %d", got, sends)
 	}
-	if got := s.Counter("fault/crash") + s.Counter("fault/escalate"); got != faults {
+	if got := snap.Counter("fault/crash") + snap.Counter("fault/escalate"); got != faults {
 		t.Fatalf("fault counters = %d, want %d", got, faults)
 	}
-	snap := s.Snapshot()
 	if snap.Ranks != 8 {
 		t.Fatalf("ranks = %d, want 8", snap.Ranks)
 	}
@@ -115,7 +115,7 @@ func TestStreamMergeMatchesSequential(t *testing.T) {
 	for i, ev := range events[400:] {
 		b.Record(ev)
 		if i == 200 {
-			b.Counter("events/send") // folds: b merges half folded, half not
+			b.fold() // b merges half folded, half not
 		}
 	}
 	a.Merge(b)
@@ -152,7 +152,7 @@ func TestStreamResetReuse(t *testing.T) {
 		s.Record(ev)
 	}
 	s.Reset()
-	if s.Events() != 0 || s.Makespan() != 0 || len(s.Flight().Recent()) != 0 {
+	if s.Events() != 0 || s.Makespan() != 0 || len(s.flight.Recent()) != 0 {
 		t.Fatalf("reset stream retains state: events=%d", s.Events())
 	}
 	// A reset stream must behave exactly like a fresh one.
@@ -222,8 +222,7 @@ func TestFlightRecorderRetention(t *testing.T) {
 	if len(anoms) != 1 || anoms[0].Op != "crash" {
 		t.Fatalf("anomalies = %+v, want the single crash event", anoms)
 	}
-	events, anomalies := f.Seen()
-	if events != 151 || anomalies != 1 {
+	if events, anomalies := f.recent.total, f.anomalies.total; events != 151 || anomalies != 1 {
 		t.Fatalf("seen = %d/%d, want 151/1", events, anomalies)
 	}
 }

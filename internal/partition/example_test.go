@@ -21,36 +21,3 @@ func ExampleNewPlan() {
 	// source 1 -> target 3: [6, 8)
 	// source 1 -> target 4: [8, 10)
 }
-
-// A weighted distribution equalizes load, not element counts: the heavy
-// first row ends up alone on part 0.
-func ExampleNewWeightedDist() {
-	weights := []int64{90, 10, 10, 10, 10, 10, 10, 10, 10, 10}
-	prefix := make([]int64, len(weights)+1)
-	for i, w := range weights {
-		prefix[i+1] = prefix[i] + w
-	}
-	d := partition.NewWeightedDist(prefix, 2)
-	for r := 0; r < 2; r++ {
-		fmt.Printf("part %d: rows [%d, %d), weight %d\n",
-			r, d.Lo(r), d.Hi(r), partition.WeightOf(prefix, d, r))
-	}
-	// Output:
-	// part 0: rows [0, 1), weight 90
-	// part 1: rows [1, 10), weight 90
-}
-
-// A sparse plan announces non-zero counts per chunk — the size message of
-// the paper's Algorithm 1.
-func ExampleNewSparsePlan() {
-	rowPtr := []int64{0, 4, 6, 7, 10} // 4 rows with 4, 2, 1, 3 non-zeros
-	sp := partition.NewSparsePlan(rowPtr, 2, 4)
-	for i, ch := range sp.Rows.Chunks {
-		fmt.Printf("source %d -> target %d: %d non-zeros\n", ch.Src, ch.Dst, sp.ChunkNnz(i))
-	}
-	// Output:
-	// source 0 -> target 0: 4 non-zeros
-	// source 0 -> target 1: 2 non-zeros
-	// source 1 -> target 2: 1 non-zeros
-	// source 1 -> target 3: 3 non-zeros
-}

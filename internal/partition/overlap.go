@@ -17,7 +17,7 @@ import "sort"
 // brute-force pair intersection for adversarial geometries.
 
 // locator is the optional fast path for owner lookup. BlockDist resolves
-// owners in O(1) arithmetic and WeightedDist in O(log parts); any Dist
+// owners in O(1) arithmetic and CutDist in O(log parts); any Dist
 // without it falls back to a binary search over part boundaries.
 type locator interface {
 	Owner(i int64) int
@@ -86,28 +86,5 @@ func SendOverlaps(src, dst Dist, s int) []Chunk {
 func RecvOverlaps(src, dst Dist, t int) []Chunk {
 	var out []Chunk
 	VisitRecvOverlaps(src, dst, t, func(c Chunk) { out = append(out, c) })
-	return out
-}
-
-// SendPeers returns the distinct target parts source s sends to, ascending.
-func SendPeers(src, dst Dist, s int) []int {
-	var out []int
-	VisitSendOverlaps(src, dst, s, func(c Chunk) {
-		if n := len(out); n == 0 || out[n-1] != c.Dst {
-			out = append(out, c.Dst)
-		}
-	})
-	return out
-}
-
-// RecvPeers returns the distinct source parts target t receives from,
-// ascending.
-func RecvPeers(src, dst Dist, t int) []int {
-	var out []int
-	VisitRecvOverlaps(src, dst, t, func(c Chunk) {
-		if n := len(out); n == 0 || out[n-1] != c.Src {
-			out = append(out, c.Src)
-		}
-	})
 	return out
 }

@@ -4,9 +4,9 @@
 //
 // For dense data the dimension alone determines who sends what to whom: the
 // plan is the pairwise intersection of the source blocks with the target
-// blocks. For sparse matrices in CSR form the row pointer is additionally
-// needed to translate row ranges into non-zero counts, which is why the
-// paper has each source announce sizes before values.
+// blocks. For sparse matrices in CSR form the row pointer additionally
+// translates row ranges into non-zero counts (core's sparse items do), which
+// is why the paper has each source announce sizes before values.
 package partition
 
 import (

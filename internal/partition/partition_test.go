@@ -198,61 +198,6 @@ func TestLocalBytesOverlap(t *testing.T) {
 	}
 }
 
-func TestSparsePlanCountsFromRowPtr(t *testing.T) {
-	// 4 rows with 1, 2, 3, 4 nnz.
-	rowPtr := []int64{0, 1, 3, 6, 10}
-	sp := NewSparsePlan(rowPtr, 2, 4)
-	if sp.TotalNnz() != 10 {
-		t.Fatalf("TotalNnz = %d, want 10", sp.TotalNnz())
-	}
-	// Sources: rows [0,2) and [2,4); targets one row each.
-	want := [][]int64{
-		{1, 2, 0, 0},
-		{0, 0, 3, 4},
-	}
-	for s := range want {
-		for d := range want[s] {
-			if got := sp.PeerNnz(s, d); got != want[s][d] {
-				t.Fatalf("PeerNnz(%d,%d) = %d, want %d", s, d, got, want[s][d])
-			}
-		}
-	}
-	// The dense matrix (test-only, O(NS×NT)) must agree with the sparse
-	// accessors entry for entry.
-	counts := sp.NnzCounts()
-	for s := range counts {
-		var sent int64
-		for d := range counts[s] {
-			if counts[s][d] != sp.PeerNnz(s, d) {
-				t.Fatalf("NnzCounts[%d][%d] = %d disagrees with PeerNnz %d",
-					s, d, counts[s][d], sp.PeerNnz(s, d))
-			}
-			sent += counts[s][d]
-		}
-		if sent != sp.SendNnz(s) {
-			t.Fatalf("SendNnz(%d) = %d, want %d", s, sp.SendNnz(s), sent)
-		}
-	}
-	for d := 0; d < sp.Rows.NT; d++ {
-		var recv int64
-		for s := range counts {
-			recv += counts[s][d]
-		}
-		if recv != sp.RecvNnz(d) {
-			t.Fatalf("RecvNnz(%d) = %d, want %d", d, sp.RecvNnz(d), recv)
-		}
-	}
-}
-
-func TestSparsePlanNonMonotonePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-monotone row pointer did not panic")
-		}
-	}()
-	NewSparsePlan([]int64{0, 5, 3}, 1, 2)
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	d := NewBlockDist(10, 2)
 	for _, fn := range []func(){

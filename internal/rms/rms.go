@@ -1,21 +1,14 @@
-// Package rms implements the paper's final future-work item (§5): a
-// resource-management simulation that studies how malleability affects the
-// makespan of a whole system. Jobs arrive at a cluster; rigid jobs hold a
-// fixed allocation, while malleable jobs expand into idle cores and shrink
-// when new work arrives, paying a reconfiguration cost from the same
-// transfer/spawn model the rest of the reproduction is calibrated with.
-//
-// The simulation is a fluid model: a job's progress rate equals its
-// allocated cores, recomputed at every arrival, completion, and
-// reconfiguration; a reconfiguring job is frozen for the duration of its
-// reconfiguration (the synchronous worst case).
+// Package rms holds the resource-management vocabulary of the paper's
+// final future-work item (§5), a study of how malleability affects the
+// makespan of a whole system: the job submission, its validation, and
+// the reconfiguration cost model calibrated from the same spawn/transfer
+// model as the rest of the reproduction. The scheduler that runs jobs
+// against a cluster is workload.Run.
 package rms
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Job describes one submission.
@@ -66,64 +59,6 @@ func PaperCostModel(spawnBase, spawnPerProc, bandwidth float64, coresPerNode int
 	}
 }
 
-// JobStat reports one job's lifetime.
-type JobStat struct {
-	ID              int
-	Start, End      float64
-	Reconfigs       int
-	ReconfigSeconds float64
-}
-
-// Result summarizes a simulation.
-type Result struct {
-	Makespan float64
-	Jobs     []JobStat
-	// UsedCoreSeconds integrates allocated cores over time.
-	UsedCoreSeconds float64
-}
-
-// Utilization is UsedCoreSeconds over the cores*makespan envelope.
-func (r Result) Utilization(cores int) float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return r.UsedCoreSeconds / (float64(cores) * r.Makespan)
-}
-
-// Sim is a cluster-level scheduling simulation.
-type Sim struct {
-	cores int
-	cost  CostModel
-	jobs  []*jobState
-}
-
-type jobState struct {
-	Job
-	remaining   float64
-	alloc       int
-	started     bool
-	start       float64
-	end         float64
-	done        bool
-	pausedUntil float64
-	reconfigs   int
-	reconfigSec float64
-
-	lastAlloc    int
-	lastAllocSet bool
-}
-
-// New creates a simulation of a cluster with the given core count.
-func New(cores int, cost CostModel) *Sim {
-	if cores <= 0 {
-		panic(fmt.Sprintf("rms: cluster with %d cores", cores))
-	}
-	if cost == nil {
-		cost = func(int, int, int64) float64 { return 0 }
-	}
-	return &Sim{cores: cores, cost: cost}
-}
-
 // InvalidJobError reports a job that failed submission validation.
 type InvalidJobError struct {
 	Job    Job
@@ -138,7 +73,7 @@ func (e *InvalidJobError) Error() string {
 // rejected job would otherwise propagate silently as a NaN or negative
 // makespan (non-positive or non-finite Work), a stuck queue (Procs that
 // never fit), or a shrinking "expansion" (malleable MaxProcs below Procs;
-// zero means "no expansion" and is normalized to Procs at submission).
+// zero means "no expansion" and the scheduler normalizes it to Procs).
 func ValidateJob(j Job, cores int) error {
 	fail := func(format string, args ...any) error {
 		return &InvalidJobError{Job: j, Reason: fmt.Sprintf(format, args...)}
@@ -162,187 +97,4 @@ func ValidateJob(j Job, cores int) error {
 		return fail("DataBytes must be >= 0, got %d", j.DataBytes)
 	}
 	return nil
-}
-
-// Submit validates and queues jobs for the run. Validation is atomic:
-// on the first invalid job a typed *InvalidJobError is returned and
-// nothing is queued.
-func (s *Sim) Submit(jobs ...Job) error {
-	for _, j := range jobs {
-		if err := ValidateJob(j, s.cores); err != nil {
-			return err
-		}
-	}
-	for _, j := range jobs {
-		if j.MaxProcs < j.Procs {
-			j.MaxProcs = j.Procs
-		}
-		if j.MaxProcs > s.cores {
-			j.MaxProcs = s.cores
-		}
-		s.jobs = append(s.jobs, &jobState{Job: j, remaining: j.Work})
-	}
-	return nil
-}
-
-// Add queues jobs for the run, panicking on an invalid submission. New
-// callers should prefer Submit and handle the typed error.
-func (s *Sim) Add(jobs ...Job) {
-	if err := s.Submit(jobs...); err != nil {
-		panic(err.Error())
-	}
-}
-
-// eventQueue orders pending wake-ups.
-type eventQueue []float64
-
-func (q eventQueue) Len() int           { return len(q) }
-func (q eventQueue) Less(i, j int) bool { return q[i] < q[j] }
-func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)        { *q = append(*q, x.(float64)) }
-func (q *eventQueue) Pop() any          { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
-func (q *eventQueue) add(t float64)     { heap.Push(q, t) }
-func (q *eventQueue) pop() float64      { return heap.Pop(q).(float64) }
-
-// Run simulates to completion and returns the makespan report.
-func (s *Sim) Run() Result {
-	sort.SliceStable(s.jobs, func(i, j int) bool { return s.jobs[i].Arrival < s.jobs[j].Arrival })
-	var q eventQueue
-	for _, j := range s.jobs {
-		q.add(j.Arrival)
-	}
-	now := 0.0
-	var used float64
-
-	for q.Len() > 0 {
-		t := q.pop()
-		if t < now {
-			t = now
-		}
-		// Progress all running jobs over [now, t].
-		for _, j := range s.jobs {
-			if j.started && !j.done {
-				// A reconfiguring job is frozen until pausedUntil.
-				from := math.Max(now, j.pausedUntil)
-				runFor := t - from
-				if runFor > 0 && j.alloc > 0 {
-					j.remaining -= runFor * float64(j.alloc)
-					used += runFor * float64(j.alloc)
-					if j.remaining <= 1e-9 {
-						j.remaining = 0
-						j.done = true
-						j.end = t // completion detected at this event
-					}
-				}
-			}
-		}
-		now = t
-		s.reschedule(now, &q)
-		if !s.anyPending(now) {
-			break
-		}
-	}
-
-	res := Result{UsedCoreSeconds: used}
-	for _, j := range s.jobs {
-		res.Jobs = append(res.Jobs, JobStat{
-			ID: j.ID, Start: j.start, End: j.end,
-			Reconfigs: j.reconfigs, ReconfigSeconds: j.reconfigSec,
-		})
-		if j.end > res.Makespan {
-			res.Makespan = j.end
-		}
-	}
-	return res
-}
-
-// anyPending reports whether unfinished work remains.
-func (s *Sim) anyPending(now float64) bool {
-	for _, j := range s.jobs {
-		if !j.done {
-			return true
-		}
-	}
-	return false
-}
-
-// reschedule recomputes allocations at an event instant and arms the next
-// wake-ups (completions, pause expiries, future arrivals).
-func (s *Sim) reschedule(now float64, q *eventQueue) {
-	// Admit arrived jobs FCFS while minimum allocations fit.
-	free := s.cores
-	var running []*jobState
-	for _, j := range s.jobs {
-		if j.done || j.Arrival > now {
-			continue
-		}
-		if !j.started {
-			if free >= j.Procs {
-				j.started = true
-				j.start = now
-				j.alloc = j.Procs
-				free -= j.Procs
-				running = append(running, j)
-			}
-			continue
-		}
-		// Started jobs keep at least their minimum.
-		j.allocMin()
-		free -= j.alloc
-		running = append(running, j)
-	}
-
-	// Spread leftovers across malleable jobs round-robin up to their caps.
-	for free > 0 {
-		gave := false
-		for _, j := range running {
-			if free == 0 {
-				break
-			}
-			if j.Malleable && j.alloc < j.MaxProcs {
-				j.alloc++
-				free--
-				gave = true
-			}
-		}
-		if !gave {
-			break
-		}
-	}
-
-	// Charge reconfigurations for allocation changes of running malleable
-	// jobs and arm wake-ups.
-	for _, j := range running {
-		if j.Malleable && j.prevAlloc() != j.alloc && j.prevAllocKnown() {
-			j.reconfigs++
-			cost := s.cost(j.prevAlloc(), j.alloc, j.DataBytes)
-			if cost > 0 {
-				j.pausedUntil = now + cost
-				j.reconfigSec += cost
-				q.add(j.pausedUntil)
-			}
-		}
-		j.rememberAlloc()
-		// Completion wake-up from the moment the job progresses.
-		startAt := math.Max(now, j.pausedUntil)
-		if j.alloc > 0 {
-			q.add(startAt + j.remaining/float64(j.alloc))
-		}
-	}
-}
-
-// Allocation memory for change detection.
-func (j *jobState) allocMin() {
-	if j.alloc < j.Procs {
-		j.alloc = j.Procs
-	} else {
-		j.alloc = j.Procs // reset before redistribution of leftovers
-	}
-}
-
-func (j *jobState) prevAlloc() int       { return j.lastAlloc }
-func (j *jobState) prevAllocKnown() bool { return j.lastAllocSet }
-func (j *jobState) rememberAlloc() {
-	j.lastAlloc = j.alloc
-	j.lastAllocSet = true
 }

@@ -7,114 +7,6 @@ import (
 	"testing"
 )
 
-func near(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol {
-		t.Fatalf("%s: got %g, want %g", msg, got, want)
-	}
-}
-
-func TestSingleRigidJob(t *testing.T) {
-	s := New(100, nil)
-	s.Add(Job{ID: 1, Arrival: 0, Work: 1000, Procs: 10})
-	res := s.Run()
-	// 1000 core-seconds on 10 cores = 100 s.
-	near(t, res.Makespan, 100, 1e-9, "makespan")
-	near(t, res.UsedCoreSeconds, 1000, 1e-6, "core-seconds")
-}
-
-func TestSingleMalleableJobExpandsToFillCluster(t *testing.T) {
-	s := New(100, nil) // free reconfiguration
-	s.Add(Job{ID: 1, Arrival: 0, Work: 1000, Procs: 10, MaxProcs: 100, Malleable: true})
-	res := s.Run()
-	// Expands immediately to 100 cores: 10 s.
-	near(t, res.Makespan, 10, 1e-9, "makespan")
-}
-
-func TestTwoRigidJobsQueue(t *testing.T) {
-	s := New(10, nil)
-	s.Add(
-		Job{ID: 1, Arrival: 0, Work: 100, Procs: 10},
-		Job{ID: 2, Arrival: 0, Work: 100, Procs: 10},
-	)
-	res := s.Run()
-	// Serialized: 10 s each.
-	near(t, res.Makespan, 20, 1e-9, "makespan")
-	if res.Jobs[1].Start < 10-1e-9 {
-		t.Fatalf("second job started at %g, want 10", res.Jobs[1].Start)
-	}
-}
-
-func TestMalleableShrinksForArrival(t *testing.T) {
-	s := New(20, nil)
-	s.Add(
-		Job{ID: 1, Arrival: 0, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true},
-		Job{ID: 2, Arrival: 5, Work: 50, Procs: 10},
-	)
-	res := s.Run()
-	// Job 1 runs at 20 cores for 5 s (100 done), shrinks to 10 while job 2
-	// runs (50 more by t=10), then expands back to 20 and finishes the
-	// remaining 50 in 2.5 s → ends at 12.5. Job 2 runs 50/10 = 5 s from
-	// t=5 → ends at 10.
-	near(t, res.Jobs[0].End, 12.5, 1e-6, "malleable end")
-	near(t, res.Jobs[1].End, 10, 1e-6, "rigid end")
-	if res.Jobs[0].Reconfigs < 2 {
-		t.Fatalf("malleable job recorded %d reconfigurations, want shrink + expand", res.Jobs[0].Reconfigs)
-	}
-}
-
-func TestInitialLaunchIsNotAReconfiguration(t *testing.T) {
-	fixed := func(ns, nt int, bytes int64) float64 { return 2.0 }
-	s := New(20, fixed)
-	s.Add(Job{ID: 1, Arrival: 0, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true})
-	res := s.Run()
-	// The job launches directly at 20 cores; no reconfiguration happens.
-	near(t, res.Makespan, 10, 1e-6, "makespan")
-	near(t, res.Jobs[0].ReconfigSeconds, 0, 1e-9, "paused seconds")
-}
-
-func TestReconfigurationCostDelaysJob(t *testing.T) {
-	fixed := func(ns, nt int, bytes int64) float64 { return 2.0 }
-	s := New(20, fixed)
-	s.Add(
-		Job{ID: 1, Arrival: 0, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true},
-		Job{ID: 2, Arrival: 4, Work: 50, Procs: 10},
-	)
-	res := s.Run()
-	// Job 1: 20 cores on [0,4] (80 done); shrink pause [4,6]; 10 cores on
-	// [6,9] (30 more) while job 2 finishes at t=9; expand pause [9,11];
-	// remaining 90 at 20 cores → ends 15.5 with 4 s of reconfiguration.
-	near(t, res.Jobs[1].End, 9, 1e-6, "rigid end")
-	near(t, res.Jobs[0].End, 15.5, 1e-6, "malleable end")
-	near(t, res.Jobs[0].ReconfigSeconds, 4, 1e-9, "paused seconds")
-	if res.Jobs[0].Reconfigs != 2 {
-		t.Fatalf("reconfigs = %d, want 2", res.Jobs[0].Reconfigs)
-	}
-}
-
-func TestMalleabilityImprovesMakespan(t *testing.T) {
-	mk := func(malleable bool) Result {
-		s := New(160, PaperCostModel(30e-3, 25e-3, 1.25e9, 20))
-		for i := 0; i < 6; i++ {
-			s.Add(Job{
-				ID: i, Arrival: float64(i) * 20, Work: 16000,
-				Procs: 40, MaxProcs: 160, Malleable: malleable,
-				DataBytes: 4 << 30,
-			})
-		}
-		return s.Run()
-	}
-	rigid := mk(false)
-	malleable := mk(true)
-	if malleable.Makespan >= rigid.Makespan {
-		t.Fatalf("malleable makespan %g not below rigid %g", malleable.Makespan, rigid.Makespan)
-	}
-	if malleable.Utilization(160) <= rigid.Utilization(160) {
-		t.Fatalf("malleable utilization %g not above rigid %g",
-			malleable.Utilization(160), rigid.Utilization(160))
-	}
-}
-
 func TestPaperCostModelShape(t *testing.T) {
 	cm := PaperCostModel(30e-3, 25e-3, 1.25e9, 20)
 	// Expansion pays spawn per created process; shrink does not spawn.
@@ -131,8 +23,7 @@ func TestPaperCostModelShape(t *testing.T) {
 	}
 }
 
-func TestSubmitReturnsTypedError(t *testing.T) {
-	s := New(10, nil)
+func TestValidateJobReturnsTypedError(t *testing.T) {
 	cases := []struct {
 		job  Job
 		want string
@@ -146,26 +37,18 @@ func TestSubmitReturnsTypedError(t *testing.T) {
 		{Job{ID: 7, Work: 10, Procs: 2, DataBytes: -1}, "DataBytes"},
 	}
 	for _, c := range cases {
-		err := s.Submit(c.job)
+		err := ValidateJob(c.job, 10)
 		var ije *InvalidJobError
 		if !errors.As(err, &ije) {
-			t.Fatalf("Submit(%+v) = %v, want *InvalidJobError", c.job, err)
+			t.Fatalf("ValidateJob(%+v) = %v, want *InvalidJobError", c.job, err)
 		}
 		if ije.Job.ID != c.job.ID || !strings.Contains(ije.Reason, c.want) {
-			t.Fatalf("Submit(%+v): reason %q does not mention %q", c.job, ije.Reason, c.want)
+			t.Fatalf("ValidateJob(%+v): reason %q does not mention %q", c.job, ije.Reason, c.want)
 		}
 	}
 	// A rigid job's MaxProcs below Procs is a default, not an error.
-	if err := s.Submit(Job{ID: 8, Work: 10, Procs: 4, MaxProcs: 2}); err != nil {
+	if err := ValidateJob(Job{ID: 8, Work: 10, Procs: 4, MaxProcs: 2}, 10); err != nil {
 		t.Fatalf("rigid MaxProcs default rejected: %v", err)
-	}
-	// Validation is atomic: the valid prefix of a failing batch is not queued.
-	s2 := New(10, nil)
-	if err := s2.Submit(Job{ID: 1, Work: 10, Procs: 1}, Job{ID: 2, Work: -1, Procs: 1}); err == nil {
-		t.Fatal("bad batch accepted")
-	}
-	if len(s2.jobs) != 0 {
-		t.Fatalf("failed batch queued %d jobs, want 0", len(s2.jobs))
 	}
 }
 
@@ -183,24 +66,6 @@ func TestPaperCostModelRejectsBadParams(t *testing.T) {
 				}
 			}()
 			PaperCostModel(30e-3, 25e-3, c.bandwidth, c.coresPerNode)
-		}()
-	}
-}
-
-func TestInvalidJobPanics(t *testing.T) {
-	s := New(10, nil)
-	for _, j := range []Job{
-		{Work: 0, Procs: 1},
-		{Work: 10, Procs: 0},
-		{Work: 10, Procs: 11},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("job %+v accepted", j)
-				}
-			}()
-			s.Add(j)
 		}()
 	}
 }

@@ -156,9 +156,6 @@ func (t Timer) Cancel() bool {
 	return false
 }
 
-// When reports the virtual time the timer fires at.
-func (t Timer) When() float64 { return t.when }
-
 // newEvent takes an event off the freelist (or allocates one) and stamps
 // the next sequence number on it.
 func (k *Kernel) newEvent(at float64, h Handler) *event {

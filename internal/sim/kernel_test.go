@@ -163,8 +163,8 @@ func TestSignalBroadcastWakesAllWaitersFIFO(t *testing.T) {
 	}
 	k.Spawn("broadcaster", func(p *Proc) {
 		p.Sleep(1)
-		if s.NumWaiters() != 4 {
-			t.Errorf("NumWaiters = %d, want 4", s.NumWaiters())
+		if len(s.waiters) != 4 {
+			t.Errorf("%d waiters, want 4", len(s.waiters))
 		}
 		s.Broadcast()
 	})
@@ -297,10 +297,10 @@ func TestPIDsAreUnique(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 20; i++ {
 		p := k.Spawn("p", func(p *Proc) {})
-		if seen[p.PID()] {
-			t.Fatalf("duplicate PID %d", p.PID())
+		if seen[p.pid] {
+			t.Fatalf("duplicate PID %d", p.pid)
 		}
-		seen[p.PID()] = true
+		seen[p.pid] = true
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func runRandomWorkload(seed int64) []string {
 			for _, d := range delays {
 				p.Sleep(d)
 				trace = append(trace, fmt.Sprintf("%s@%.12g", name, p.Now()))
-				if waits && sig.NumWaiters() < 3 {
+				if waits && len(sig.waiters) < 3 {
 					// occasionally park on the shared signal
 					if p.Now() < 1.5 {
 						p.Wait(sig)

@@ -82,9 +82,6 @@ func (p *Proc) run() {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// PID returns the process identifier, unique within the kernel.
-func (p *Proc) PID() int { return p.pid }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -136,7 +133,9 @@ func (k *Kernel) Kill(p *Proc) {
 	k.resumeProc(p)
 }
 
-// KillAt schedules the process's termination at virtual time t.
+// KillAt schedules the process's termination at virtual time t. Kept as
+// the kernel-level kill seam the lifecycle tests drive; fault injection
+// kills through mpi.World.KillProcess.
 func (k *Kernel) KillAt(t float64, p *Proc) Timer {
 	return k.At(t, func() { k.Kill(p) })
 }
@@ -155,7 +154,8 @@ func (p *Proc) Sleep(d float64) {
 }
 
 // SleepUntil suspends the process until virtual time t. Times in the past
-// are treated as now.
+// are treated as now. Kept as the absolute-time twin of Sleep that the
+// kernel's wake-order tests schedule with.
 func (p *Proc) SleepUntil(t float64) {
 	if t < p.k.now {
 		t = p.k.now
@@ -165,7 +165,8 @@ func (p *Proc) SleepUntil(t float64) {
 }
 
 // Yield reschedules the process behind all events already pending at the
-// current instant, giving other runnable processes a chance to run.
+// current instant, giving other runnable processes a chance to run. Kept
+// as the same-instant reschedule the kernel's wake-order tests pin.
 func (p *Proc) Yield() {
 	p.k.schedule(p.k.now, p)
 	p.park("yielding")
@@ -250,6 +251,3 @@ func (s *Signal) Broadcast() {
 	}
 	s.waiters = s.waiters[:0]
 }
-
-// NumWaiters reports how many processes are blocked on s.
-func (s *Signal) NumWaiters() int { return len(s.waiters) }

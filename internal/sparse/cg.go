@@ -74,6 +74,3 @@ func Axpy(alpha float64, x, y []float64) {
 		y[i] += alpha * x[i]
 	}
 }
-
-// Norm2 returns the Euclidean norm.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }

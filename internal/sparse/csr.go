@@ -84,10 +84,6 @@ func (m *CSR) RowBlock(lo, hi int64) *CSR {
 	}
 }
 
-// MulVecBlock computes y = M_block x for a row block, where x spans the
-// full column space (the paper's SpMV after MPI_Allgatherv).
-func (m *CSR) MulVecBlock(x, y []float64) { m.MulVec(x, y) }
-
 // builder assembles CSR matrices row by row.
 type builder struct {
 	rows, cols int
@@ -117,50 +113,6 @@ func (b *builder) build() *CSR {
 		panic(err)
 	}
 	return m
-}
-
-// Laplacian1D returns the n×n tridiagonal Poisson matrix (2 on the
-// diagonal, -1 off): symmetric positive definite.
-func Laplacian1D(n int) *CSR {
-	b := newBuilder(n, n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.add(i-1, -1)
-		}
-		b.add(i, 2)
-		if i < n-1 {
-			b.add(i+1, -1)
-		}
-		b.endRow()
-	}
-	return b.build()
-}
-
-// Laplacian2D returns the 5-point finite-difference Laplacian on an nx×ny
-// grid: SPD with 4 on the diagonal.
-func Laplacian2D(nx, ny int) *CSR {
-	n := nx * ny
-	b := newBuilder(n, n)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			row := j*nx + i
-			if j > 0 {
-				b.add(row-nx, -1)
-			}
-			if i > 0 {
-				b.add(row-1, -1)
-			}
-			b.add(row, 4)
-			if i < nx-1 {
-				b.add(row+1, -1)
-			}
-			if j < ny-1 {
-				b.add(row+nx, -1)
-			}
-			b.endRow()
-		}
-	}
-	return b.build()
 }
 
 // QueenLike generates an n×n SPD matrix whose sparsity profile mimics the
@@ -213,33 +165,4 @@ func bandOffsets(bands, n int) []int {
 		off += step
 	}
 	return out
-}
-
-// Queen4147Rows is the row count of the paper's benchmark matrix.
-const Queen4147Rows = 4_147_110
-
-// Queen4147Nnz is the non-zero count of the paper's benchmark matrix.
-const Queen4147Nnz = 329_499_284
-
-// Queen4147RowPtr synthesizes a row pointer with the paper matrix's exact
-// dimensions and a realistic per-row profile, for emulation-scale planning
-// without materializing the matrix: ~79.5 nnz per row.
-func Queen4147RowPtr() []int64 {
-	rows := int64(Queen4147Rows)
-	rp := make([]int64, rows+1)
-	avg := float64(Queen4147Nnz) / float64(rows)
-	var acc float64
-	for i := int64(0); i < rows; i++ {
-		// Deterministic mild variation (±25%) around the mean.
-		f := 1 + 0.25*math.Sin(float64(i)*0.001)
-		acc += avg * f
-		rp[i+1] = int64(acc)
-	}
-	// Normalize the tail so the total matches exactly.
-	diff := int64(Queen4147Nnz) - rp[rows]
-	rp[rows] += diff
-	if rp[rows-1] > rp[rows] {
-		rp[rows-1] = rp[rows]
-	}
-	return rp
 }

@@ -15,8 +15,8 @@ import (
 func runTraced(t *testing.T, cfg core.Config, ns, nt int) *trace.Recorder {
 	t.Helper()
 	setup := harness.DefaultSetup(netmodel.Ethernet10G())
-	_, rec, err := setup.RunCellTraced(harness.Pair{NS: ns, NT: nt}, cfg, 0)
-	if err != nil {
+	rec := trace.NewRecorder()
+	if _, err := setup.RunCellSink(harness.Pair{NS: ns, NT: nt}, cfg, 0, rec); err != nil {
 		t.Fatal(err)
 	}
 	return rec

@@ -27,11 +27,6 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 	return writeEventLog(w, r.segments())
 }
 
-// WriteEvents emits an event slice in the raw event-log JSON format.
-func WriteEvents(w io.Writer, events []Event) error {
-	return writeEventLog(w, [][]Event{events})
-}
-
 // writeEventLog emits a log held in consecutive segments.
 func writeEventLog(w io.Writer, segs [][]Event) error {
 	bw := bufio.NewWriter(w)

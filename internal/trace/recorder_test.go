@@ -67,7 +67,7 @@ func TestRecorderChunkBoundaries(t *testing.T) {
 			if err := r.WriteEvents(&got); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteEvents(&want, flat); err != nil {
+			if err := writeEventLog(&want, flatSegs); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -231,8 +231,7 @@ func newEngine(jobs []rms.Job, p Params) (*engine, error) {
 		if err := rms.ValidateJob(j, e.total); err != nil {
 			return nil, err
 		}
-		// Normalize like rms.Submit: MaxProcs defaults to Procs and is
-		// capped by the machine.
+		// MaxProcs defaults to Procs and is capped by the machine.
 		if j.MaxProcs < j.Procs {
 			j.MaxProcs = j.Procs
 		}
@@ -491,7 +490,7 @@ func (e *engine) schedule(now float64, q *wakeQueue) pass {
 
 // startJob launches a queued job at its minimum allocation. The launch
 // itself is not a reconfiguration: a policy expansion in the same pass is
-// free, exactly like rms.Sim's initial placement.
+// free, so a job that launches into idle cores pays no reconfiguration.
 func (e *engine) startJob(j *jobRun, now float64) {
 	j.started = true
 	j.start = now

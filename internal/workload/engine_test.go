@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
@@ -287,6 +289,172 @@ func TestGreedyExpandsIntoIdleCluster(t *testing.T) {
 	// expands in the same instant without a priced reconfiguration.
 	if mal.Jobs[0].Reconfigs != 0 {
 		t.Fatalf("initial expansion charged as %d reconfigurations", mal.Jobs[0].Reconfigs)
+	}
+}
+
+// Hand-checked scenarios on one small node, with exact job lifetimes.
+// A nil cost makes reconfigurations free; fixed2 freezes a job for 2 s
+// per allocation change.
+func TestRunCases(t *testing.T) {
+	fixed2 := func(ns, nt int, bytes int64) float64 { return 2 }
+	type want struct {
+		id                 int
+		start, end, paused float64
+		reconfigs          int
+	}
+	cases := []struct {
+		name     string
+		cores    int
+		cost     rms.CostModel
+		jobs     []rms.Job
+		makespan float64
+		want     []want
+	}{
+		{
+			// 1000 core-seconds on 10 cores = 100 s.
+			name: "SingleRigidJob", cores: 100,
+			jobs:     []rms.Job{{ID: 1, Work: 1000, Procs: 10}},
+			makespan: 100,
+			want:     []want{{id: 1, start: 0, end: 100}},
+		},
+		{
+			// Expands immediately to 100 cores: 10 s.
+			name: "SingleMalleableJobExpandsToFillCluster", cores: 100,
+			jobs:     []rms.Job{{ID: 1, Work: 1000, Procs: 10, MaxProcs: 100, Malleable: true}},
+			makespan: 10,
+			want:     []want{{id: 1, start: 0, end: 10}},
+		},
+		{
+			// Serialized: 10 s each.
+			name: "TwoRigidJobsQueue", cores: 10,
+			jobs: []rms.Job{
+				{ID: 1, Work: 100, Procs: 10},
+				{ID: 2, Work: 100, Procs: 10},
+			},
+			makespan: 20,
+			want:     []want{{id: 1, start: 0, end: 10}, {id: 2, start: 10, end: 20}},
+		},
+		{
+			// Job 1 runs at 20 cores for 5 s (100 done), shrinks to 10
+			// while job 2 runs (50 more by t=10), then expands back to 20
+			// and finishes the remaining 50 in 2.5 s.
+			name: "MalleableShrinksForArrival", cores: 20,
+			jobs: []rms.Job{
+				{ID: 1, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true},
+				{ID: 2, Arrival: 5, Work: 50, Procs: 10},
+			},
+			makespan: 12.5,
+			want: []want{
+				{id: 1, start: 0, end: 12.5, reconfigs: 2},
+				{id: 2, start: 5, end: 10},
+			},
+		},
+		{
+			// The job launches directly at 20 cores: a priced cost, but no
+			// reconfiguration happens.
+			name: "InitialLaunchIsNotAReconfiguration", cores: 20, cost: fixed2,
+			jobs:     []rms.Job{{ID: 1, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true}},
+			makespan: 10,
+			want:     []want{{id: 1, start: 0, end: 10}},
+		},
+		{
+			// Job 1: 20 cores on [0,4] (80 done); shrink pause [4,6]; 10
+			// cores on [6,9] (30 more) while job 2 finishes at t=9; expand
+			// pause [9,11]; the remaining 90 at 20 cores end at 15.5.
+			name: "ReconfigurationCostDelaysJob", cores: 20, cost: fixed2,
+			jobs: []rms.Job{
+				{ID: 1, Work: 200, Procs: 10, MaxProcs: 20, Malleable: true},
+				{ID: 2, Arrival: 4, Work: 50, Procs: 10},
+			},
+			makespan: 15.5,
+			want: []want{
+				{id: 1, start: 0, end: 15.5, paused: 4, reconfigs: 2},
+				{id: 2, start: 4, end: 9},
+			},
+		},
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-6 }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cl := cluster.Config{Nodes: 1, CoresPerNode: c.cores}
+			res, err := Run(c.jobs, Params{Cluster: cl, Cost: c.cost, Policy: GreedyPolicy{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near(res.Makespan, c.makespan) {
+				t.Fatalf("makespan %g, want %g", res.Makespan, c.makespan)
+			}
+			for i, w := range c.want {
+				j := res.Jobs[i]
+				if j.ID != w.id || !near(j.Start, w.start) || !near(j.End, w.end) ||
+					!near(j.ReconfigSeconds, w.paused) || j.Reconfigs != w.reconfigs {
+					t.Fatalf("job %d: %+v, want start %g end %g, %d reconfigurations (%gs paused)",
+						w.id, j, w.start, w.end, w.reconfigs, w.paused)
+				}
+			}
+		})
+	}
+}
+
+// Property: on arbitrary small job mixes and clusters the scheduler
+// invariants hold under every policy.
+func TestPropertySchedulerInvariants(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cores := 32 + rng.Intn(128)
+		n := 1 + rng.Intn(8)
+		jobs := make([]rms.Job, n)
+		for i := range jobs {
+			procs := 1 + rng.Intn(cores)
+			jobs[i] = rms.Job{
+				ID:        i,
+				Arrival:   rng.Float64() * 50,
+				Work:      10 + rng.Float64()*500,
+				Procs:     procs,
+				MaxProcs:  procs + rng.Intn(cores),
+				Malleable: rng.Intn(2) == 0,
+				DataBytes: int64(rng.Intn(1 << 30)),
+			}
+		}
+		cl := cluster.Config{Nodes: 1, CoresPerNode: cores}
+		for _, pol := range Policies() {
+			res, err := Run(jobs, Params{Cluster: cl, Cost: rms.PaperCostModel(10e-3, 5e-3, 1e9, 20), Policy: pol})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, pol.Name(), err)
+			}
+			checkInvariants(t, fmt.Sprintf("seed %d %s", seed, pol.Name()), jobs, res, cores)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: adding work never shortens the makespan.
+func TestPropertyMakespanMonotoneInWork(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		build := func(extra float64) float64 {
+			jobs := make([]rms.Job, 4)
+			for i := range jobs {
+				jobs[i] = rms.Job{
+					ID: i, Arrival: float64(i) * 3,
+					Work:  100 + extra,
+					Procs: 16, MaxProcs: 64,
+					Malleable: i%2 == 0,
+				}
+			}
+			res, err := Run(jobs, Params{Cluster: cluster.Config{Nodes: 1, CoresPerNode: 64}, Policy: GreedyPolicy{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Makespan
+		}
+		return build(50+rng.Float64()*100) >= build(0)-1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
