@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/sim/ps"
 )
 
 func TestDefaultMatchesPaperTestbed(t *testing.T) {
@@ -145,7 +146,8 @@ func TestFilesystemSharesBandwidth(t *testing.T) {
 	var done []float64
 	for i := 0; i < 4; i++ {
 		k.Spawn("writer", func(p *sim.Proc) {
-			m.FS().Use(p, 1e9) // 1 GB each
+			var w ps.Waiter
+			m.FS().Use(&w, p, 1e9) // 1 GB each
 			done = append(done, p.Now())
 		})
 	}

@@ -92,7 +92,7 @@ func TestInstallValuesRejectsOverAnnouncedSizes(t *testing.T) {
 	tr.prepareTargets()
 	// Plan: target 0 receives [0,50) from source 0 and [50,100) from
 	// source 1, 400 bytes each. Source 1 announces one byte too many.
-	tr.sizes = [][]int64{{400}, {401}}
+	tr.sizes = []mpi.Payload{mpi.Int64s([]int64{400}), mpi.Int64s([]int64{401})}
 	expectPanicContains(t, "announced 401 bytes", func() {
 		tr.installValues([]mpi.Payload{mpi.Virtual(400), mpi.Virtual(400)})
 	})
@@ -102,7 +102,7 @@ func TestInstallValuesRejectsUnderAnnouncedSizes(t *testing.T) {
 	items := []Item{NewDenseVirtual("a", 100, 8, true)}
 	tr := newCOLTransfer(colTargetView(), items)
 	tr.prepareTargets()
-	tr.sizes = [][]int64{{400}, {392}}
+	tr.sizes = []mpi.Payload{mpi.Int64s([]int64{400}), mpi.Int64s([]int64{392})}
 	expectPanicContains(t, "announced 392 bytes", func() {
 		tr.installValues([]mpi.Payload{mpi.Virtual(400), mpi.Virtual(400)})
 	})
@@ -116,6 +116,6 @@ func TestInstallValuesAcceptsExactSizes(t *testing.T) {
 	tr := newCOLTransfer(colTargetView(), items)
 	tr.prepareTargets()
 	// Per peer: 400 bytes of "a" plus 200 bytes of "x".
-	tr.sizes = [][]int64{{400, 200}, {400, 200}}
+	tr.sizes = []mpi.Payload{mpi.Int64s([]int64{400, 200}), mpi.Int64s([]int64{400, 200})}
 	tr.installValues([]mpi.Payload{mpi.Virtual(600), mpi.Virtual(600)})
 }

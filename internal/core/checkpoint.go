@@ -73,7 +73,7 @@ func (t *crTransfer) runBlockingAll(c *mpi.Ctx) {
 			}
 			c.Sleep(machine.FSLatency())
 			if pl.Size > 0 {
-				fs.Use(c.SimProc(), float64(pl.Size))
+				c.Use(fs, float64(pl.Size))
 			}
 		}
 		t.files.complete[t.v.srcRank] = true
@@ -101,7 +101,7 @@ func (t *crTransfer) runBlockingAll(c *mpi.Ctx) {
 				n := it.WireBytes(ch.Lo, ch.Hi)
 				c.Sleep(machine.FSLatency())
 				if n > 0 {
-					fs.Use(c.SimProc(), float64(n))
+					c.Use(fs, float64(n))
 				}
 				if src.Data == nil {
 					it.Install(ch.Lo, ch.Hi, mpi.Virtual(n))

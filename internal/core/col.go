@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/partition"
@@ -25,7 +26,7 @@ type colTransfer struct {
 	phase    int // 0 = not started, 1 = sizes in flight, 2 = values in flight, 3 = done
 	sizesReq *mpi.AlltoallvReq
 	valsReq  *mpi.AlltoallvReq
-	sizes    [][]int64 // received size vectors, indexed by peer then item
+	sizes    []mpi.Payload // received size vectors, indexed by peer, read with Int64At
 
 	// hooks is the recovery ladder's bookkeeping (nil outside resilient
 	// passes). The COL path acks chunks at install time and ticks on phase
@@ -43,6 +44,13 @@ func newCOLTransfer(v *view, items []Item) *colTransfer {
 	return &colTransfer{v: v, items: items}
 }
 
+// outChunk is one chunk stage sends: its destination peer, its item and
+// its extracted payload.
+type outChunk struct {
+	dst, item int
+	pl        mpi.Payload
+}
+
 // stage extracts the outgoing data and builds the per-peer payloads. Peers
 // are the remote group for Baseline and the whole joint group for Merge;
 // non-target peers simply get zero-size contributions.
@@ -55,14 +63,15 @@ func (t *colTransfer) stage(c *mpi.Ctx) {
 	t.sendVals = make([]mpi.Payload, peers)
 	copyRate := c.World().Options().CopyRate
 
-	// Size vectors are built only for the O(overlap) peers this rank
-	// actually sends to; everyone else gets a zero-size payload, which
-	// decodeSizes reads back as an all-zeros announcement. The Alltoallv
+	// The outgoing chunks go into one O(chunks) list, item-major, then by
+	// range, and a stable sort by destination groups each peer's chunks in
+	// that order. Size vectors are built only for the O(overlap) peers
+	// this rank actually sends to; everyone else gets a zero-size payload,
+	// which installValues reads as an all-zeros announcement. The Alltoallv
 	// payload slices themselves stay O(peers) — that is the collective's
 	// API — but the metadata bytes on the wire drop from NS×NT×items to
 	// chunks×items.
-	perPeer := make([][]mpi.Payload, peers)
-	sizeVecs := make([][]int64, peers)
+	var out []outChunk
 	if t.v.isSource() {
 		for i, it := range t.items {
 			for _, ch := range sendChunksFor(it, t.v.ns, t.v.nt, t.v.srcRank) {
@@ -75,35 +84,39 @@ func (t *colTransfer) stage(c *mpi.Ctx) {
 				}
 				pl := it.Extract(ch.Lo, ch.Hi)
 				t.hooks.retain(chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: ch.Lo}, pl)
-				if sizeVecs[ch.Dst] == nil {
-					sizeVecs[ch.Dst] = make([]int64, len(t.items))
-				}
-				sizeVecs[ch.Dst][i] += pl.Size
-				perPeer[ch.Dst] = append(perPeer[ch.Dst], pl)
+				out = append(out, outChunk{dst: ch.Dst, item: i, pl: pl})
 			}
 		}
 	}
-	for p := 0; p < peers; p++ {
-		if sizeVecs[p] != nil {
-			t.sendSizes[p] = mpi.Int64s(sizeVecs[p])
+	if len(out) > 0 {
+		slices.SortStableFunc(out, func(a, b outChunk) int { return cmp.Compare(a.dst, b.dst) })
+		sizes := make([]int64, len(t.items))
+		for lo := 0; lo < len(out); {
+			dst, hi := out[lo].dst, lo
+			clear(sizes)
+			for ; hi < len(out) && out[hi].dst == dst; hi++ {
+				sizes[out[hi].item] += out[hi].pl.Size
+			}
+			t.sendSizes[dst] = mpi.Int64s(sizes)
+			t.sendVals[dst] = concatChunks(out[lo:hi])
+			lo = hi
 		}
-		t.sendVals[p] = concatPayloads(perPeer[p])
 	}
 	t.phase = 1
 }
 
-// concatPayloads merges pieces into one wire payload. When every piece is
-// virtual the result stays virtual (the emulation path: only sizes travel).
-// When real and virtual pieces mix — e.g. a virtual sparse matrix alongside
-// real solver vectors — the virtual pieces materialize as zero bytes so the
-// real data survives the single Alltoallv of Algorithm 2; their receivers
-// ignore payload contents anyway.
-func concatPayloads(pieces []mpi.Payload) mpi.Payload {
+// concatChunks merges one peer's chunks into one wire payload. When every
+// piece is virtual the result stays virtual (the emulation path: only
+// sizes travel). When real and virtual pieces mix — e.g. a virtual sparse
+// matrix alongside real solver vectors — the virtual pieces materialize as
+// zero bytes so the real data survives the single Alltoallv of Algorithm
+// 2; their receivers ignore payload contents anyway.
+func concatChunks(pieces []outChunk) mpi.Payload {
 	var total int64
 	anyReal := false
 	for _, p := range pieces {
-		total += p.Size
-		if !p.IsVirtual() && p.Size > 0 {
+		total += p.pl.Size
+		if !p.pl.IsVirtual() && p.pl.Size > 0 {
 			anyReal = true
 		}
 	}
@@ -112,10 +125,10 @@ func concatPayloads(pieces []mpi.Payload) mpi.Payload {
 	}
 	data := make([]byte, 0, total)
 	for _, p := range pieces {
-		if p.IsVirtual() {
-			data = append(data, make([]byte, p.Size)...)
+		if p.pl.IsVirtual() {
+			data = append(data, make([]byte, p.pl.Size)...)
 		} else {
-			data = append(data, p.Data...)
+			data = append(data, p.pl.Data...)
 		}
 	}
 	return mpi.Bytes(data)
@@ -178,21 +191,21 @@ func (t *colTransfer) drain(c *mpi.Ctx) {
 	}
 }
 
+// decodeSizes checks the received size vectors and keeps them for
+// installValues, which reads each announced size in place. A zero-size
+// payload is the sparse announcement of a peer with no overlapping chunks:
+// all zeros, with no vector materialized.
 func (t *colTransfer) decodeSizes(recv []mpi.Payload) {
-	t.sizes = make([][]int64, len(recv))
 	for p, pl := range recv {
 		if pl.Size == 0 {
-			// Sparse announcement: a peer with no overlapping chunks sends no
-			// size vector at all. Leave nil — readers treat it as all zeros —
-			// instead of materializing O(peers × items) zero vectors.
 			continue
 		}
-		t.sizes[p] = pl.AsInt64s()
-		if len(t.sizes[p]) != len(t.items) {
-			panic(fmt.Sprintf("core: size vector from peer %d has %d entries, want %d",
-				p, len(t.sizes[p]), len(t.items)))
+		if pl.IsVirtual() || pl.Size%8 != 0 || pl.Size/8 != int64(len(t.items)) {
+			panic(fmt.Sprintf("core: size vector from peer %d has %d bytes, want %d entries",
+				p, pl.Size, len(t.items)))
 		}
 	}
+	t.sizes = recv
 }
 
 func (t *colTransfer) prepareTargets() {
@@ -231,7 +244,7 @@ func (t *colTransfer) installValues(recv []mpi.Payload) {
 			chunks = append(chunks, rc{item: i, ch: ch})
 		}
 	}
-	sort.SliceStable(chunks, func(a, b int) bool { return chunks[a].ch.Src < chunks[b].ch.Src })
+	slices.SortStableFunc(chunks, func(a, b rc) int { return cmp.Compare(a.ch.Src, b.ch.Src) })
 
 	want := make([]int64, len(t.items))
 	cur := 0
@@ -245,19 +258,17 @@ func (t *colTransfer) installValues(recv []mpi.Payload) {
 		// may split that total over several chunks, so the check must
 		// accumulate per (peer, item) and demand exact totals. Comparing each
 		// chunk against the announced total would let an over-announcing peer
-		// slip through. Verify before touching any item. A nil size vector is
-		// the sparse all-zeros announcement.
-		for i := range want {
-			want[i] = 0
-		}
+		// slip through. Verify before touching any item. A zero-size vector
+		// is the sparse all-zeros announcement.
+		clear(want)
 		for _, m := range mine {
 			want[m.item] += t.items[m.item].WireBytes(m.ch.Lo, m.ch.Hi)
 		}
 		if t.sizes != nil {
 			for i, it := range t.items {
 				var got int64
-				if t.sizes[p] != nil {
-					got = t.sizes[p][i]
+				if t.sizes[p].Size != 0 {
+					got = t.sizes[p].Int64At(i)
 				}
 				if got != want[i] {
 					panic(fmt.Sprintf("core: peer %d announced %d bytes for %q, plan needs %d",

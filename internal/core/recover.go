@@ -274,7 +274,7 @@ func fsIO(c *mpi.Ctx, op string, n int64) {
 	start := c.Now()
 	c.Sleep(machine.FSLatency())
 	if n > 0 {
-		fs.Use(c.SimProc(), float64(n))
+		c.Use(fs, float64(n))
 	}
 	if rec := c.World().Sink(); rec != nil {
 		rec.Record(trace.Event{

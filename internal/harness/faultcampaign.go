@@ -120,11 +120,13 @@ func (s Setup) runFaultCell(p Pair, mal core.Config, rep int, fp FaultParams, si
 // an injector whose detector feeds the recovery protocol. The run records
 // into rec and streams into sink where the caller passes them; with both
 // nil it records nothing. Shared by the crash cell, the chaos campaign,
-// and plan replay.
+// and plan replay. The world's recycled message state goes on to the next
+// run.
 func (s Setup) runWithPlan(p Pair, mal core.Config, rep int, fp FaultParams,
 	plan fault.Plan, rec *trace.Recorder, sink trace.Sink) (synthapp.Result, error) {
 
 	w := s.NewWorld(rep)
+	defer w.Release()
 	inj := fault.NewInjector(w, plan)
 	inj.Arm()
 	return synthapp.Run(w, synthapp.RunParams{

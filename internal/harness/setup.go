@@ -136,9 +136,11 @@ func (s Setup) RunCellSink(p Pair, mal core.Config, rep int, sink trace.Sink) (s
 
 // runCell is the shared cell executor: a fresh seeded world, an optional
 // full recorder, an optional streaming sink (the two compose via
-// trace.Tee inside synthapp.Run).
+// trace.Tee inside synthapp.Run). The world's recycled message state goes
+// on to the next cell.
 func (s Setup) runCell(p Pair, mal core.Config, rep int, rec *trace.Recorder, sink trace.Sink) (synthapp.Result, error) {
 	w := s.NewWorld(rep)
+	defer w.Release()
 	return synthapp.Run(w, synthapp.RunParams{
 		Cfg: s.Cfg, Malleability: mal, NS: p.NS, NT: p.NT,
 		Recorder: rec, Sink: sink,

@@ -221,7 +221,8 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	tag := c.collTag(comm)
 	w := c.proc.w
 
-	recvs := make([]*RecvReq, npeers)
+	rc := w.msg()
+	recvs := rc.recvLists.get(npeers)
 	for i := 0; i < npeers; i++ {
 		recvs[i] = c.irecv(comm, i, tag)
 	}
@@ -239,14 +240,17 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 		c.Wait(rr)
 		out[i] = rr.payload
 		w.freeRecv(rr)
+		recvs[i] = nil
 		c.chargeCopy(out[i].Size)
 	}
+	rc.recvLists.put(recvs)
 	return out
 }
 
 // AlltoallvReq is the pending handle of a non-blocking Alltoallv. It
 // owns its per-peer requests and recycles each one as Done finds it
-// complete, keeping a receive's payload in the result.
+// complete, keeping a receive's payload in the result; once all are
+// complete it hands back the emptied lists too.
 type AlltoallvReq struct {
 	reqState
 	w     *World
@@ -283,6 +287,11 @@ func (r *AlltoallvReq) Done() bool {
 	if r.recvd < len(r.recvs) {
 		return false
 	}
+	rc := r.w.msg()
+	rc.sendLists.put(r.sends)
+	rc.recvLists.put(r.recvs)
+	r.sends, r.recvs = nil, nil
+	r.sent, r.recvd = 0, 0
 	r.done = true
 	return true
 }
@@ -323,11 +332,12 @@ func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) *AlltoallvReq {
 		})
 	}
 	tag := c.collTag(comm)
+	rc := c.proc.w.msg()
 	req := &AlltoallvReq{
 		w:     c.proc.w,
 		comm:  comm.ctxID,
-		sends: make([]*SendReq, npeers),
-		recvs: make([]*RecvReq, npeers),
+		sends: rc.sendLists.get(npeers),
+		recvs: rc.recvLists.get(npeers),
 		out:   make([]Payload, npeers),
 	}
 	for i := range req.recvs {

@@ -18,27 +18,42 @@ type Comm struct {
 	local  []*Process
 	remote []*Process // nil for intra-communicators
 
-	localRank  map[int]int // gid -> rank in local group
-	remoteRank map[int]int // gid -> rank in remote group
+	// localRank[gid] is process gid's rank in the local group, -1 for a
+	// process outside it; a gid past its end is not a member either. Send
+	// paths resolve a rank on every message, so this is an index, not a
+	// map lookup.
+	localRank []int32
 }
 
 func (w *World) newComm(local, remote []*Process) *Comm {
 	c := &Comm{
-		w:          w,
-		ctxID:      w.nextCtxID,
-		local:      local,
-		remote:     remote,
-		localRank:  make(map[int]int, len(local)),
-		remoteRank: make(map[int]int, len(remote)),
+		w:      w,
+		ctxID:  w.nextCtxID,
+		local:  local,
+		remote: remote,
 	}
 	w.nextCtxID++
-	for r, p := range local {
-		c.localRank[p.gid] = r
+	n := 0
+	for _, p := range local {
+		n = max(n, p.gid+1)
 	}
-	for r, p := range remote {
-		c.remoteRank[p.gid] = r
+	c.localRank = make([]int32, n)
+	for i := range c.localRank {
+		c.localRank[i] = -1
+	}
+	for r, p := range local {
+		c.localRank[p.gid] = int32(r)
 	}
 	return c
+}
+
+// rankOf returns process gid's rank in the local group, or -1 if it is
+// not a member.
+func (c *Comm) rankOf(gid int) int {
+	if gid < len(c.localRank) {
+		return int(c.localRank[gid])
+	}
+	return -1
 }
 
 // newInterComm builds the two views of an inter-communicator joining groups
@@ -65,12 +80,7 @@ func (c *Comm) IsInter() bool { return c.remote != nil }
 
 // Rank returns the calling context's rank in the local group, or -1 if the
 // process is not a member.
-func (c *Comm) Rank(ctx *Ctx) int {
-	if r, ok := c.localRank[ctx.proc.gid]; ok {
-		return r
-	}
-	return -1
-}
+func (c *Comm) Rank(ctx *Ctx) int { return c.rankOf(ctx.proc.gid) }
 
 // Member returns the local-group member at rank r.
 func (c *Comm) Member(r int) *Process { return c.localProc(r) }
@@ -108,7 +118,7 @@ func (c *Comm) peerProc(r int) *Process {
 // proc: the sender's rank in its own local group (which, across an
 // inter-communicator, is its rank in the receiver's remote group).
 func (c *Comm) senderRank(proc *Process) int {
-	if r, ok := c.localRank[proc.gid]; ok {
+	if r := c.rankOf(proc.gid); r >= 0 {
 		return r
 	}
 	panic(fmt.Sprintf("mpi: process g%d is not a member of comm %d", proc.gid, c.ctxID))

@@ -142,14 +142,16 @@ type envelope struct {
 // the payload and status have been handed to the receive request, the
 // sender's outEnvs entry is gone, and no mailbox or queue holds the
 // pointer. Lost or dropped envelopes are never recycled — the garbage
-// collector takes them. Only the pointers are cleared, so the free
-// envelope keeps nothing alive; Isend sets every other field. The flow
-// refers only to the fabric and to the envelope itself.
+// collector takes them. The pointers are cleared, so the free envelope
+// keeps nothing alive and Release can hand it to another world; Isend
+// sets every other field. The flow is finished, and the fabric no longer
+// reads it once its done handler (this call's caller) has run.
 func (w *World) freeEnvelope(e *envelope) {
 	e.comm, e.sender, e.dst = nil, nil, nil
 	e.payload.Data = nil
 	e.sreq, e.rreq = nil, nil
-	w.envs.put(e)
+	e.flow = netmodel.Flow{}
+	w.msg().envs.put(e)
 }
 
 // freeSend recycles a done send request that an mpi operation made for
@@ -159,7 +161,7 @@ func (w *World) freeSend(s *SendReq) {
 		panic("mpi: recycling a pending send request")
 	}
 	s.done = false
-	w.sends.put(s)
+	w.msg().sends.put(s)
 }
 
 // freeRecv recycles a done receive request that an mpi operation made for
@@ -169,7 +171,7 @@ func (w *World) freeRecv(r *RecvReq) {
 		panic("mpi: recycling a pending receive request")
 	}
 	*r = RecvReq{}
-	w.recvs.put(r)
+	w.msg().recvs.put(r)
 }
 
 func (e *envelope) matches(r *RecvReq) bool {
@@ -198,7 +200,7 @@ func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
 // isend is Isend into a recycled request. The calling operation owns it:
 // it waits for it and hands it back with freeSend.
 func (c *Ctx) isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
-	s := c.proc.w.sends.get()
+	s := c.proc.w.msg().sends.get()
 	c.startSend(s, comm, dst, tag, payload)
 	return s
 }
@@ -240,7 +242,7 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 	// cell's steady-state garbage near zero. Field writes rather than a
 	// struct literal, which would build the envelope aside and copy it in.
 	// Every field but the flow is set.
-	env := w.envs.get()
+	env := w.msg().envs.get()
 	env.comm, env.sender, env.dst = comm, c.proc, dstProc
 	env.srcRank, env.tag = comm.senderRank(c.proc), tag
 	env.payload = clonePayload(payload)
@@ -470,7 +472,7 @@ func (c *Ctx) Irecv(comm *Comm, src, tag int) *RecvReq {
 // it waits for it, reads its payload and status, and hands it back with
 // freeRecv.
 func (c *Ctx) irecv(comm *Comm, src, tag int) *RecvReq {
-	r := c.proc.w.recvs.get()
+	r := c.proc.w.msg().recvs.get()
 	c.startRecv(r, comm, src, tag)
 	return r
 }

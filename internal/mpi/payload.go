@@ -87,28 +87,9 @@ func Int64s(xs []int64) Payload {
 	return Payload{Size: int64(len(data)), Data: data}
 }
 
-// Int64sInto decodes a real payload into dst, reusing its backing array
-// when capacity allows, and returns the decoded slice.
-func (p Payload) Int64sInto(dst []int64) []int64 {
-	n := p.elems("AsInt64s")
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(p.Data[8*i:]))
-	}
-	return dst
-}
-
-// AsInt64s decodes a real payload into a fresh int64 slice.
-func (p Payload) AsInt64s() []int64 {
-	return p.Int64sInto(nil)
-}
-
 // Int64At decodes element i of an int64-encoded payload without
-// allocating — the decode half of the scratch-buffer idiom control
-// messages use (see AppendInt64s).
+// allocating — the decode half of Int64s and of the scratch-buffer idiom
+// control messages use (see AppendInt64s).
 func (p Payload) Int64At(i int) int64 {
 	n := p.elems("Int64At")
 	if i < 0 || i >= n {

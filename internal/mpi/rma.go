@@ -299,7 +299,7 @@ func (c *Ctx) Fence(win *Win) {
 func (comm *Comm) peerProcFor(c *Ctx, r int) *Process {
 	// The window stores one comm handle; a caller from the remote group of
 	// that handle addresses the handle's local group.
-	if _, isLocal := comm.localRank[c.proc.gid]; isLocal || comm.remote == nil {
+	if comm.rankOf(c.proc.gid) >= 0 || comm.remote == nil {
 		return comm.peerProc(r)
 	}
 	if r < 0 || r >= len(comm.local) {

@@ -96,6 +96,49 @@ func TestRoundTripAllocations(t *testing.T) {
 	}
 }
 
+// TestWaitUntilDeadlineAllocations: a polling WaitUntilDeadline that
+// parks allocates nothing, whether its predicate comes true (a message
+// from a sleeping peer arrives) or its deadline expires first. Its
+// deadline event is the context itself and its polling load belongs to
+// the context; the peer's Send and the receive behind the predicate use
+// requests mpi recycles.
+func TestWaitUntilDeadlineAllocations(t *testing.T) {
+	const runs = 100
+	w := testWorld(t, 2, 4, DefaultOptions())
+	var met, expired float64
+	w.Launch(2, func(r int) int { return r }, func(c *Ctx, comm *Comm) {
+		switch comm.Rank(c) {
+		case 0:
+			for tag := 0; tag <= runs; tag++ { // AllocsPerRun adds a warm-up call
+				c.Sleep(1)
+				c.Send(comm, 1, tag, Virtual(8))
+			}
+		case 1:
+			var r *RecvReq
+			arrived := func() bool { return r.Done() }
+			tag := 0
+			met = testing.AllocsPerRun(runs, func() {
+				r = c.irecv(comm, 0, tag)
+				if !c.WaitUntilDeadline(arrived, "message", c.Now()+10) {
+					t.Fatalf("tag %d: deadline expired before the message arrived", tag)
+				}
+				c.proc.w.freeRecv(r)
+				tag++
+			})
+			never := func() bool { return false }
+			expired = testing.AllocsPerRun(runs, func() {
+				if c.WaitUntilDeadline(never, "nothing", c.Now()+0.5) {
+					t.Fatal("a false predicate held")
+				}
+			})
+		}
+	})
+	runWorld(t, w)
+	if met != 0 || expired != 0 {
+		t.Errorf("WaitUntilDeadline: %g allocs when the predicate comes true, %g when the deadline expires, want 0", met, expired)
+	}
+}
+
 // TestWaitallResumesOnce: a rank that Waitalls on n receives completing at
 // distinct times is woken once per completion but resumed only once, by
 // the last: the kernel re-parks it on the other n-1 wakes.

@@ -17,6 +17,7 @@ package mpi
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -108,11 +109,9 @@ type World struct {
 
 	sink trace.Sink // nil when event tracing is off
 
-	// Recycled message state; see Isend and freeEnvelope, and
-	// isend and irecv for the requests mpi makes for itself.
-	envs  freelist[envelope]
-	sends freelist[SendReq]
-	recvs freelist[RecvReq]
+	// Recycled message state, drawn from msgPool on first use and handed
+	// back by Release; see msg.
+	rc *recycled
 
 	ext any // owned by a layer above mpi; see Ext
 }
@@ -125,11 +124,10 @@ func NewWorld(m *cluster.Machine, opts Options) *World {
 	return &World{machine: m, k: m.Kernel(), opts: opts, nextCtxID: 1, procs: make(map[int]*Process)}
 }
 
-// freelist holds objects of one kind that the world is done with, for
+// freelist holds objects of one kind that a world is done with, for
 // reuse. World code runs single-threaded under its kernel, so it needs no
-// lock, and each world has its own, so parallel runs share nothing. It
-// fills lazily: a world holds at most as many objects as it once had in
-// use at one time.
+// lock. It fills lazily: it holds at most as many objects as its worlds
+// once had in use at one time.
 type freelist[T any] struct{ free []*T }
 
 // get takes an object off the list, or allocates a zero one.
@@ -146,6 +144,67 @@ func (l *freelist[T]) get() *T {
 
 // put hands x back; the caller has cleared what x must not keep alive.
 func (l *freelist[T]) put(x *T) { l.free = append(l.free, x) }
+
+// recycled is a world's recycled message state: the envelopes and the
+// requests mpi makes for itself (see Isend and freeEnvelope, isend and
+// irecv), and Ialltoallv's per-peer request lists, which are all nil once
+// its Done has recycled their entries. One world uses it at a time.
+type recycled struct {
+	envs      freelist[envelope]
+	sends     freelist[SendReq]
+	recvs     freelist[RecvReq]
+	sendLists listPool[SendReq]
+	recvLists listPool[RecvReq]
+}
+
+// msgPool carries recycled message state from a world that Release handed
+// back to the next world that sends, so the cells one sweep worker runs in
+// turn allocate their peak of requests and envelopes once rather than
+// every time. The state in the pool refers to no world.
+var msgPool = sync.Pool{New: func() any { return new(recycled) }}
+
+// msg returns the world's recycled message state, drawing it from msgPool
+// on first use.
+func (w *World) msg() *recycled {
+	if w.rc == nil {
+		w.rc = msgPool.Get().(*recycled)
+	}
+	return w.rc
+}
+
+// Release hands the world's recycled message state to the next world.
+// Call it once Kernel.Run has returned and nothing will send on the world
+// again; a later send would draw fresh state. Free objects refer to
+// nothing in the world (freeEnvelope clears an envelope's pointers and
+// its flow, a done request is detached, Ialltoallv's lists are all nil),
+// so the state keeps no world alive. A world that is never released keeps
+// its state, and costs what it did before.
+func (w *World) Release() {
+	if w.rc != nil {
+		msgPool.Put(w.rc)
+		w.rc = nil
+	}
+}
+
+// listPool holds request lists whose entries are all nil, for reuse.
+type listPool[T any] struct{ lists [][]*T }
+
+// get returns a list of n nil entries, reusing the last list handed back
+// when it is long enough.
+func (p *listPool[T]) get(n int) []*T {
+	if k := len(p.lists); k > 0 {
+		l := p.lists[k-1]
+		p.lists[k-1] = nil
+		p.lists = p.lists[:k-1]
+		if cap(l) >= n {
+			return l[:n]
+		}
+	}
+	return make([]*T, n)
+}
+
+// put hands back l, whose entries the caller has set to nil.
+func (p *listPool[T]) put(l []*T) { p.lists = append(p.lists, l) }
 
 // MsgVerdict is a fault hook's decision about one point-to-point message.
 type MsgVerdict struct {
@@ -370,6 +429,13 @@ type Ctx struct {
 	any  anyDone
 	load ps.Task
 	reqs []Request
+
+	// expired reports whether WaitUntilDeadline's deadline, the context
+	// itself under ctxDeadline, has fired.
+	expired bool
+
+	// use is what Compute and Use block on while a resource serves them.
+	use ps.Waiter
 }
 
 // Proc returns the MPI process this context belongs to.
@@ -423,9 +489,14 @@ func (c *Ctx) Compute(seconds float64) {
 		return
 	}
 	end := c.span(trace.EvCompute, -1, "compute", 0)
-	c.cpu().Use(c.sp, seconds)
+	c.Use(c.cpu(), seconds)
 	end()
 }
+
+// Use consumes work units of r's service (a node's CPU, the checkpoint
+// filesystem) under processor sharing, blocking the context on a waiter
+// of its own.
+func (c *Ctx) Use(r *ps.Resource, work float64) { r.Use(&c.use, c.sp, work) }
 
 // Sleep advances virtual time without consuming CPU.
 func (c *Ctx) Sleep(seconds float64) { c.sp.Sleep(seconds) }
@@ -531,8 +602,11 @@ func (c *Ctx) WaitUntil(cond sim.Cond) {
 // clock reaches deadline, reporting whether pred held on return. The
 // resilient redistribution protocol uses it to bound epochs: a false return
 // is the timeout that triggers failure probing. Unlike WaitUntil, pred runs
-// in the waiting context after every wake, so it may block and send: the
-// resilient drive advances its transfer from inside the predicate.
+// in the waiting context after every wake, so it may compute and send: the
+// resilient drive advances its transfer from inside the predicate. It must
+// not wait (Wait, Waitall, Waitany, WaitUntil, WaitUntilDeadline): the
+// deadline wait holds the context's own polling load and deadline event,
+// which is why it allocates nothing, and a nested wait would restart them.
 func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float64) bool {
 	if pred() {
 		return true
@@ -541,24 +615,30 @@ func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float6
 	if deadline <= w.k.Now() {
 		return false
 	}
-	expired := false
-	t := w.k.At(deadline, func() {
-		expired = true
-		c.proc.progress.Broadcast()
-	})
+	c.expired = false
+	t := w.k.AtHandler(deadline, (*ctxDeadline)(c))
 	defer t.Cancel()
-	var load *ps.Task
 	if w.opts.WaitMode == PollingWait {
-		load = c.cpu().AddLoad()
-		defer load.Stop()
+		c.cpu().StartLoad(&c.load)
+		defer c.load.Stop()
 	}
 	for {
 		if pred() {
 			return true
 		}
-		if expired || w.k.Now() >= deadline {
+		if c.expired || w.k.Now() >= deadline {
 			return pred()
 		}
 		c.sp.WaitReason(c.proc.progress, reason)
 	}
+}
+
+// ctxDeadline is the event that ends a WaitUntilDeadline: the context
+// itself, under a type whose Fire flags the expiry and wakes the wait.
+type ctxDeadline Ctx
+
+func (d *ctxDeadline) Fire() {
+	c := (*Ctx)(d)
+	c.expired = true
+	c.proc.progress.Broadcast()
 }

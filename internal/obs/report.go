@@ -234,7 +234,9 @@ td, th { padding: 2px 10px; border-bottom: 1px solid #eee; text-align: left; fon
 
 {{if .Snap.Runtime}}<h2>Self-profile</h2>
 <p class="stats">heap {{.Snap.Runtime.HeapBytes}} B &middot; allocated {{.Snap.Runtime.TotalAllocBytes}} B
-&middot; GC cycles {{.Snap.Runtime.GCCycles}} &middot; goroutines {{.Snap.Runtime.Goroutines}}</p>{{end}}
+&middot; GC cycles {{.Snap.Runtime.GCCycles}} &middot; GC CPU {{.Snap.Runtime.GCCPUSeconds}} s
+(assists {{.Snap.Runtime.GCAssistCPUSeconds}} s) &middot; stacks {{.Snap.Runtime.StackBytes}} B
+&middot; goroutines {{.Snap.Runtime.Goroutines}}</p>{{end}}
 </body>
 </html>
 `))

@@ -32,7 +32,6 @@ import (
 type Resource struct {
 	k        *sim.Kernel
 	name     string
-	sigName  string  // Use's signal name, built once
 	capacity float64 // total service rate (e.g. cores)
 	perTask  float64 // max rate of one task (e.g. 1.0 core); 0 means no cap
 
@@ -41,18 +40,20 @@ type Resource struct {
 	lastUpdate float64
 	timer      sim.Timer
 	nextSeq    uint64
-	completed  []*Task   // onCompletion's scratch list, reused across completions
-	completeFn func()    // onCompletion bound once, so arming allocates nothing
-	waiters    []*waiter // Use's freelist
+	completed  []*Task // onCompletion's scratch list, reused across completions
+	completeFn func()  // onCompletion bound once, so arming allocates nothing
+	waitReason string  // what a process blocked in Use shows in deadlock reports
 }
 
-// waiter is what one Use blocks on: the task, a signal its completion
-// broadcasts, and that Broadcast bound once. A Use takes one from the
-// resource's freelist and returns it after the wake, so a steady stream of
-// Use calls allocates nothing.
-type waiter struct {
+// Waiter is what a Use blocks on: the task, a signal its completion
+// broadcasts, and that Broadcast bound once. Its owner, a simulated thread
+// that computes, keeps one for all its Use calls on any resource: a thread
+// is in at most one Use at a time, and once the first has bound the
+// Broadcast a steady stream of them allocates nothing. The zero value is
+// ready for use.
+type Waiter struct {
 	task Task
-	sig  *sim.Signal
+	sig  sim.Signal
 	wake func()
 }
 
@@ -75,11 +76,11 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 		panic(fmt.Sprintf("ps: resource %q with non-positive capacity %g", name, capacity))
 	}
 	r := &Resource{
-		k:        k,
-		name:     name,
-		sigName:  "ps:" + name,
-		capacity: capacity,
-		perTask:  perTask,
+		k:          k,
+		name:       name,
+		waitReason: "waiting on signal ps:" + name,
+		capacity:   capacity,
+		perTask:    perTask,
 	}
 	r.completeFn = r.onCompletion
 	return r
@@ -259,21 +260,15 @@ func (t *Task) Remaining() float64 { return t.remaining }
 
 // Use blocks the calling process until work units of service have been
 // delivered under processor sharing. It is the standard way for a simulated
-// computation to consume CPU.
-func (r *Resource) Use(p *sim.Proc, work float64) {
-	var w *waiter
-	if n := len(r.waiters); n > 0 {
-		w = r.waiters[n-1]
-		r.waiters[n-1] = nil
-		r.waiters = r.waiters[:n-1]
-	} else {
-		w = &waiter{sig: sim.NewSignal(r.sigName)}
+// computation to consume CPU. The process blocks on w, which must not be
+// in another Use.
+func (r *Resource) Use(w *Waiter, p *sim.Proc, work float64) {
+	if w.wake == nil {
 		w.wake = w.sig.Broadcast
 	}
 	r.start(&w.task, work, w.wake)
-	p.Wait(w.sig)
-	// Only the completion wakes w.sig, so the task is detached and w is
-	// free again. A process killed in Wait never gets here; its waiter is
-	// left to the garbage collector.
-	r.waiters = append(r.waiters, w)
+	// Only the completion wakes w.sig, so once the wait returns the task
+	// is detached and w is free again. A process killed while it waits
+	// never returns; its task still completes, and wakes no one.
+	p.WaitReason(&w.sig, r.waitReason)
 }

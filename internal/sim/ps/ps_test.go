@@ -19,7 +19,8 @@ func TestSingleTaskRunsAtPerTaskCap(t *testing.T) {
 	r := NewResource(k, "cpu", 20, 1)
 	var done float64
 	k.Spawn("p", func(p *sim.Proc) {
-		r.Use(p, 3) // 3 units of work at rate 1
+		var w Waiter
+		r.Use(&w, p, 3) // 3 units of work at rate 1
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -35,7 +36,8 @@ func TestUncappedTaskUsesFullCapacity(t *testing.T) {
 	r := NewResource(k, "nic", 10, 0)
 	var done float64
 	k.Spawn("p", func(p *sim.Proc) {
-		r.Use(p, 30)
+		var w Waiter
+		r.Use(&w, p, 30)
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -51,11 +53,13 @@ func TestEqualSharingBetweenTwoTasks(t *testing.T) {
 	r := NewResource(k, "cpu", 1, 1)
 	var d1, d2 float64
 	k.Spawn("a", func(p *sim.Proc) {
-		r.Use(p, 1)
+		var w Waiter
+		r.Use(&w, p, 1)
 		d1 = p.Now()
 	})
 	k.Spawn("b", func(p *sim.Proc) {
-		r.Use(p, 1)
+		var w Waiter
+		r.Use(&w, p, 1)
 		d2 = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -74,7 +78,8 @@ func TestOversubscriptionDilatesCompute(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 40; i++ {
 		k.Spawn("w", func(p *sim.Proc) {
-			r.Use(p, 1)
+			var w Waiter
+			r.Use(&w, p, 1)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -88,30 +93,40 @@ func TestOversubscriptionDilatesCompute(t *testing.T) {
 	}
 }
 
-// TestUseAllocations: once the resource's waiter freelist and the
-// kernel's event freelist are warm, a Use that blocks while a second user
-// shares the resource (so every start and completion cancels and re-arms
-// the completion timer) allocates nothing.
+// TestUseAllocations: once each user's waiter and the kernel's event
+// freelist are warm, a Use that blocks while other users share the
+// resource (so every start and completion cancels and re-arms the
+// completion timer) allocates nothing, whether one other process or many
+// are blocked in Use on the resource at the same time.
 func TestUseAllocations(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewResource(k, "node0", 1, 0)
-	done := false
-	var allocs float64
-	k.Spawn("other", func(p *sim.Proc) {
-		for !done {
-			r.Use(p, 0.3)
+	for _, others := range []int{1, 100} {
+		k := sim.NewKernel()
+		r := NewResource(k, "node0", 1, 0)
+		done := false
+		var allocs float64
+		for i := 0; i < others; i++ {
+			k.Spawn("other", func(p *sim.Proc) {
+				var w Waiter
+				for !done {
+					r.Use(&w, p, 0.3)
+				}
+			})
 		}
-	})
-	k.Spawn("user", func(p *sim.Proc) {
-		r.Use(p, 1)
-		allocs = testing.AllocsPerRun(100, func() { r.Use(p, 0.5) })
-		done = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("Use with a second user attached: %g allocs per op, want 0", allocs)
+		k.Spawn("user", func(p *sim.Proc) {
+			var w Waiter
+			r.Use(&w, p, 1)
+			if got := r.Load(); got != others {
+				t.Errorf("%d other users blocked in Use, want %d", got, others)
+			}
+			allocs = testing.AllocsPerRun(100, func() { r.Use(&w, p, 0.5) })
+			done = true
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("Use with %d other users attached: %g allocs per op, want 0", others, allocs)
+		}
 	}
 }
 
@@ -122,7 +137,8 @@ func TestNoDilationWhenUnderCapacity(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 10; i++ {
 		k.Spawn("w", func(p *sim.Proc) {
-			r.Use(p, 1)
+			var w Waiter
+			r.Use(&w, p, 1)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -145,12 +161,14 @@ func TestDynamicRateChange(t *testing.T) {
 	r := NewResource(k, "cpu", 1, 1)
 	var da, db float64
 	k.Spawn("a", func(p *sim.Proc) {
-		r.Use(p, 2)
+		var w Waiter
+		r.Use(&w, p, 2)
 		da = p.Now()
 	})
 	k.Spawn("b", func(p *sim.Proc) {
+		var w Waiter
 		p.Sleep(1)
-		r.Use(p, 0.5)
+		r.Use(&w, p, 0.5)
 		db = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -171,7 +189,8 @@ func TestAddLoadDilutesFiniteTasks(t *testing.T) {
 	load := r.AddLoad()
 	var done float64
 	k.Spawn("p", func(p *sim.Proc) {
-		r.Use(p, 1)
+		var w Waiter
+		r.Use(&w, p, 1)
 		done = p.Now()
 		load.Stop()
 	})
@@ -202,7 +221,8 @@ func TestStartLoadReusesTask(t *testing.T) {
 	})
 	var done float64
 	k.Spawn("p", func(p *sim.Proc) {
-		r.Use(p, 3)
+		var w Waiter
+		r.Use(&w, p, 3)
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -236,7 +256,8 @@ func TestStopRemovesLoad(t *testing.T) {
 	})
 	var done float64
 	k.Spawn("p", func(p *sim.Proc) {
-		r.Use(p, 2)
+		var w Waiter
+		r.Use(&w, p, 2)
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -252,8 +273,9 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	r := NewResource(k, "cpu", 1, 1)
 	var done float64 = -1
 	k.Spawn("p", func(p *sim.Proc) {
+		var w Waiter
 		p.Sleep(1)
-		r.Use(p, 0)
+		r.Use(&w, p, 0)
 		done = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -332,7 +354,8 @@ func TestPropertyEqualTasksFinishTogether(t *testing.T) {
 		finish := make([]float64, 0, n)
 		for i := 0; i < n; i++ {
 			k.Spawn("w", func(p *sim.Proc) {
-				r.Use(p, work)
+				var w Waiter
+				r.Use(&w, p, work)
 				finish = append(finish, p.Now())
 			})
 		}
