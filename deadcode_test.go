@@ -1,27 +1,32 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllowed lists the exported names under internal/ that only tests
-// and benchmarks use and that stay anyway, each with the reason it is kept.
-// A name is "pkg.Name" for a package-level declaration (pkg is the path
-// below internal/) and "pkg.Type.Method" for a method.
+// testOnlyAllowed lists what under internal/ only tests and benchmarks use
+// and stays anyway, each with the reason it is kept. A key is "pkg" for a
+// package that no non-test file imports (its names are then not listed),
+// "pkg.Name" for a package-level declaration and "pkg.Type.Method" for a
+// method; pkg is the path below internal/.
 var testOnlyAllowed = map[string]string{
 	"core.DenseItem.SetDistribution": "installs the keep-own remap BenchmarkAblationKeepOwnData measures",
 	"core.WaveValueTag":              "lets harness fault tests aim a drop at one wave segment without copying core's tag layout",
 	"harness.Setup.RunCell":          "one-cell entry point of the root integration tests and per-figure benchmarks",
-	"model.FromCluster":              "builds the closed-form model model_test checks the simulator against",
-	"model.System.IterationTime":     "closed-form iteration cost model_test checks the simulator against",
+	"model":                          "the only closed-form oracle model_test checks the simulator against; rms.PaperCostModel prices shrinks far too low to stand in",
 	"mpi.BlockingWait":               "the wait mode BenchmarkAblationWaitMode compares with polling",
 	"mpi.Ctx.Alltoall":               "the fixed-size size exchange of the paper's Algorithm 2",
 	"netmodel.Fabric.Stats":          "fabric counters the rate-recompute tests assert on",
@@ -43,148 +48,33 @@ var testOnlyAllowed = map[string]string{
 	"synthapp.StencilConfig":         "halo-exchange application of BenchmarkStencilApplication",
 }
 
-// interfaceMethods are kept by rule: they implement an interface that
-// code outside the package's own call sites invokes (fmt, errors,
-// encoding/json, sort, container/heap, io and the sim kernel's handler).
-var interfaceMethods = map[string]bool{
+// stdlibCalled are the methods kept by name: the standard library calls
+// them through its own interfaces (fmt, errors, encoding/json, sort,
+// container/heap, io), and its call sites are not type-checked here.
+var stdlibCalled = map[string]bool{
 	"Error": true, "Unwrap": true, "String": true, "MarshalJSON": true,
 	"UnmarshalJSON": true, "Len": true, "Less": true, "Swap": true,
-	"Push": true, "Pop": true, "Write": true, "Fire": true,
+	"Push": true, "Pop": true, "Write": true,
 }
 
-// TestNoExportUsedOnlyByTests fails when an exported name under internal/
-// is referenced from no non-test file of the module (cmd/, examples/ and
-// perfbench/ count as callers). Package-level names must be used
-// package-qualified from another package or unqualified inside their own;
-// a method counts as used when any non-test file selects its name.
+// TestNoExportUsedOnlyByTests fails when something under internal/ is used
+// by no non-test file of the module (cmd/, examples/, the root package and
+// perfbench/ count as callers) and testOnlyAllowed does not list it, and
+// when testOnlyAllowed lists something that is gone or used now.
 func TestNoExportUsedOnlyByTests(t *testing.T) {
-	type decl struct{ pkg, name, recv string }
-	var decls []decl
-	qualified := map[string]bool{} // "pkg.Name" selected through an import
-	local := map[string]bool{}     // "pkg.Name" used unqualified in pkg
-	selected := map[string]bool{}  // every selector name
-
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := ""
-		if rel, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/"); ok {
-			pkg = rel
-		}
-		imports := map[string]string{} // local name -> path below internal/
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			rel, ok := strings.CutPrefix(p, "repro/internal/")
-			if !ok {
-				continue
-			}
-			name := rel[strings.LastIndex(rel, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = rel
-		}
-		declared := map[*ast.Ident]bool{}
-		if pkg != "" {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					declared[d.Name] = true
-					if !d.Name.IsExported() {
-						continue
-					}
-					if d.Recv == nil {
-						decls = append(decls, decl{pkg, d.Name.Name, ""})
-					} else if recv := recvType(d.Recv.List[0].Type); ast.IsExported(recv) {
-						decls = append(decls, decl{pkg, d.Name.Name, recv})
-					}
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						switch s := s.(type) {
-						case *ast.TypeSpec:
-							declared[s.Name] = true
-							if s.Name.IsExported() {
-								decls = append(decls, decl{pkg, s.Name.Name, ""})
-							}
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								declared[n] = true
-								if n.IsExported() {
-									decls = append(decls, decl{pkg, n.Name, ""})
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		skip := map[*ast.Ident]bool{} // field names and selected names
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if rel, ok := imports[x.Name]; ok {
-						qualified[rel+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-			case *ast.Ident:
-				if pkg != "" && !declared[n] && !skip[n] {
-					local[pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	unused, err := testOnlyNames(".", "repro")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var unused []string
-	seen := map[string]bool{}
-	for _, d := range decls {
-		key := d.pkg + "." + d.name
-		if d.recv != "" {
-			if interfaceMethods[d.name] || selected[d.name] {
-				continue
-			}
-			key = d.pkg + "." + d.recv + "." + d.name
-		} else if qualified[key] || local[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := testOnlyAllowed[key]; !ok {
-			unused = append(unused, key)
-		}
-	}
-	sort.Strings(unused)
+	found := map[string]bool{}
 	for _, k := range unused {
-		t.Errorf("internal/%s is used only by tests: delete it, or allow it in testOnlyAllowed with a reason", k)
+		found[k] = true
+		if _, ok := testOnlyAllowed[k]; !ok {
+			t.Errorf("internal/%s is used only by tests: delete it, or allow it in testOnlyAllowed with a reason", k)
+		}
 	}
 	for k, reason := range testOnlyAllowed {
-		if !seen[k] {
+		if !found[k] {
 			t.Errorf("testOnlyAllowed lists %s, which is gone or has a non-test caller now: drop the entry", k)
 		}
 		if strings.TrimSpace(reason) == "" {
@@ -193,20 +83,174 @@ func TestNoExportUsedOnlyByTests(t *testing.T) {
 	}
 }
 
-// recvType returns the name of a method receiver's base type.
-func recvType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// TestTestOnlyNamesFixture runs the guard on testdata/deadcode: a method
+// whose name a non-test file selects only on another type (strings.Split),
+// a method reached only through an interface it implements, and a package
+// that only its own test imports.
+func TestTestOnlyNamesFixture(t *testing.T) {
+	got, err := testOnlyNames(filepath.Join("testdata", "deadcode"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"orphan", "words.Splitter.Split"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("testOnlyNames = %q, want %q", got, want)
+	}
+}
+
+// testOnlyNames type-checks the non-test files of the module at root, whose
+// path is module, and returns the sorted keys (see testOnlyAllowed) of the
+// packages under internal/ that no other package's non-test file imports,
+// and of the exported names and exported methods of exported types under
+// internal/ that no non-test file uses. A method also counts as used when
+// it implements a used interface method of the same name, or when
+// stdlibCalled lists its name. Names in an unimported package are not
+// listed apart from the package.
+func testOnlyNames(root, module string) ([]string, error) {
+	l := &loader{
+		root:     root,
+		module:   module,
+		fset:     token.NewFileSet(),
+		pkgs:     map[string]*types.Package{},
+		uses:     map[types.Object]bool{},
+		imported: map[string]bool{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		var noGo *build.NoGoError
+		if _, err := l.load(path.Join(module, filepath.ToSlash(rel))); err != nil && !errors.As(err, &noGo) {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Interface methods some non-test file calls, by name.
+	called := map[string][]*types.Interface{}
+	for obj := range l.uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				called[fn.Name()] = append(called[fn.Name()], iface)
+			}
 		}
 	}
+	implements := func(named *types.Named, name string) bool {
+		for _, iface := range called[name] {
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
+	prefix := module + "/internal/"
+	var unused []string
+	for p, pkg := range l.pkgs {
+		rel, ok := strings.CutPrefix(p, prefix)
+		if !ok {
+			continue
+		}
+		if !l.imported[p] {
+			unused = append(unused, rel)
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			if !l.uses[obj] {
+				unused = append(unused, rel+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() && !l.uses[m] && !stdlibCalled[m.Name()] && !implements(named, m.Name()) {
+					unused = append(unused, rel+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	return unused, nil
+}
+
+// loader type-checks the module's packages from source, each once, and
+// records what their non-test files use and import. It is the importer of
+// the packages it checks; the standard library comes from std.
+type loader struct {
+	root, module string
+	fset         *token.FileSet
+	std          types.Importer
+	pkgs         map[string]*types.Package // module packages checked so far
+	uses         map[types.Object]bool     // objects a non-test file names
+	imported     map[string]bool           // module packages another package imports
+}
+
+func (l *loader) Import(p string) (*types.Package, error) {
+	if p != l.module && !strings.HasPrefix(p, l.module+"/") {
+		return l.std.Import(p)
+	}
+	return l.load(p)
+}
+
+func (l *loader) load(p string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[p]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(p, l.module), "/")))
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	var typeErrs []error
+	conf := types.Config{Importer: l, Error: func(err error) { typeErrs = append(typeErrs, err) }}
+	pkg, _ := conf.Check(p, l.fset, files, info)
+	if len(typeErrs) > 0 {
+		return nil, fmt.Errorf("type-checking %s: %w", p, errors.Join(typeErrs...))
+	}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		l.uses[obj] = true
+	}
+	for _, imp := range pkg.Imports() {
+		l.imported[imp.Path()] = true
+	}
+	l.pkgs[p] = pkg
+	return pkg, nil
 }

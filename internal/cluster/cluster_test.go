@@ -172,7 +172,7 @@ func TestAccessors(t *testing.T) {
 	if m.Config().Nodes != cfg.Nodes {
 		t.Fatal("Config accessor broken")
 	}
-	if m.Fabric() == nil || m.Fabric().Nodes() != cfg.Nodes {
+	if m.Fabric() == nil || m.Fabric().Params() != cfg.Net {
 		t.Fatal("Fabric accessor broken")
 	}
 }

@@ -473,9 +473,6 @@ func (r *Reconfig) NewComm() *mpi.Comm {
 	return r.newComm
 }
 
-// Config returns the reconfiguration's configuration.
-func (r *Reconfig) Config() Config { return r.cfg }
-
 // Store returns the rank's item registry, whose blocks reflect the new
 // distribution once the reconfiguration completed.
 func (r *Reconfig) Store() *Store { return r.store }

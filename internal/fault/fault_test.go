@@ -83,7 +83,7 @@ func TestFailSpawnRetries(t *testing.T) {
 	rec := trace.NewRecorder()
 	w.SetSink(rec)
 	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-		c.Spawn(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {})
+		c.SpawnWithRetry(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {}, mpi.SpawnRetry{})
 	})
 	if err := w.Kernel().Run(); err != nil {
 		t.Fatal(err)

@@ -151,14 +151,6 @@ type FaultCampaignRow struct {
 	RecoveryPath float64
 }
 
-// SurvivalRate returns the fraction of runs that survived.
-func (r FaultCampaignRow) SurvivalRate() float64 {
-	if r.Runs == 0 {
-		return 0
-	}
-	return float64(r.Survived) / float64(r.Runs)
-}
-
 // RunFaultCampaign executes reps repetitions of every configuration on one
 // (NS, NT) pair, fanning the independent (config, rep) cells across
 // Setup.Workers cores. Rows, per-repetition DIED lines, and per-config

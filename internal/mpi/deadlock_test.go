@@ -63,14 +63,6 @@ var deadlockCases = []struct {
 			c.Send(comm, 0, 1, Virtual(8))
 		}
 	}},
-	{"probe", 2, func(c *Ctx, comm *Comm) {
-		switch comm.Rank(c) {
-		case 0:
-			c.Probe(comm, 1, 3)
-		case 1:
-			c.Send(comm, 0, 4, Virtual(8)) // eager: parks unmatched in the inbox
-		}
-	}},
 	{"wait-until", 2, func(c *Ctx, comm *Comm) {
 		if comm.Rank(c) == 1 {
 			c.WaitUntil(neverCond("test: condition that never holds"))

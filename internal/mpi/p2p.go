@@ -106,10 +106,6 @@ func (r *RecvReq) Handled() bool { return r.handled }
 // MarkHandled sets the Handled flag.
 func (r *RecvReq) MarkHandled() { r.handled = true }
 
-// Status returns the source/tag/size of the matched message. Valid once
-// Done.
-func (r *RecvReq) Status() Status { return r.status }
-
 // Payload returns the received payload. Valid once Done.
 func (r *RecvReq) Payload() Payload { return r.payload }
 
@@ -260,8 +256,6 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 		env.rreq = r
 	} else {
 		dstProc.inbox.push(env)
-		// Wake receivers blocked in Probe (they poll the mailbox).
-		dstProc.progress.Broadcast()
 	}
 	if env.eager || env.rreq != nil {
 		env.startFlow()
@@ -652,48 +646,6 @@ func (c *Ctx) Waitany(rs []Request) int {
 	c.any.rs = nil
 	rs[idx].setConsumed()
 	return idx
-}
-
-// Iprobe reports whether a message matching (src, tag) on comm is
-// available, returning its status without consuming it (MPI_Iprobe). The
-// manual redistribution style that cannot pre-derive its communication
-// pattern probes for size messages instead.
-func (c *Ctx) Iprobe(comm *Comm, src, tag int) (Status, bool) {
-	probe := &RecvReq{owner: c.proc, comm: comm, src: src, tag: tag}
-	for _, env := range c.proc.inbox.all() {
-		if env.matches(probe) {
-			return Status{Source: env.srcRank, Tag: env.tag, Size: env.payload.Size}, true
-		}
-	}
-	return Status{}, false
-}
-
-// probeMatch is Probe's condition: it holds once a matching message is in
-// the mailbox, and st is that message's status.
-type probeMatch struct {
-	c        *Ctx
-	comm     *Comm
-	src, tag int
-	st       Status
-}
-
-func (m *probeMatch) Done() bool {
-	st, ok := m.c.Iprobe(m.comm, m.src, m.tag)
-	m.st = st
-	return ok
-}
-
-// String describes the probe for deadlock reports.
-func (m *probeMatch) String() string {
-	return fmt.Sprintf("Probe src=%s tag=%s comm=%d", wildName(m.src), wildName(m.tag), m.comm.ctxID)
-}
-
-// Probe blocks until a matching message is available and returns its
-// status without consuming it (MPI_Probe).
-func (c *Ctx) Probe(comm *Comm, src, tag int) Status {
-	m := &probeMatch{c: c, comm: comm, src: src, tag: tag}
-	c.waitUntilDesc(m, nil)
-	return m.st
 }
 
 // Test reports whether the request has completed, without blocking.

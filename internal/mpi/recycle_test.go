@@ -149,7 +149,7 @@ func TestRecycledRequestsStayDetached(t *testing.T) {
 						} else {
 							s, rr := c.Isend(comm, dst, i, pl), c.Irecv(comm, src, i)
 							c.Waitall([]Request{s, rr})
-							got, st = rr.Payload(), rr.Status()
+							got, st = rr.Payload(), rr.status
 						}
 						want := recyclePayload(i, src, r, op.size[src][r])
 						if !bytes.Equal(got.Data, want.Data) || st != (Status{Source: src, Tag: i, Size: want.Size}) {

@@ -15,7 +15,7 @@ type spawnSt struct {
 }
 
 // SpawnRetry is the retry policy for injected spawn failures. The zero
-// value reproduces the plain Spawn behavior: unlimited immediate retries,
+// value gives unlimited immediate retries,
 // each paying the spawn cost again, with no extra trace events. A non-zero
 // policy additionally records one EvFault "spawn-retry" event per failed
 // attempt, waits a capped exponentially growing backoff before retrying,
@@ -57,9 +57,9 @@ func recordSpawnRetry(c *Ctx, comm int, attempt int) {
 	})
 }
 
-// Spawn launches n new MPI processes running fn, as MPI_Comm_spawn: it is
-// collective over comm (an intra-communicator), rank 0 pays the spawn cost
-// on the critical path, and it returns each caller's view of the
+// SpawnWithRetry launches n new MPI processes running fn, as
+// MPI_Comm_spawn: it is collective over comm (an intra-communicator), rank 0
+// pays the spawn cost on the critical path, and it returns each caller's view of the
 // inter-communicator connecting the spawning group to the children. The
 // children's Parent() returns their view of the same inter-communicator,
 // and fn additionally receives the children's own world communicator
@@ -68,12 +68,9 @@ func recordSpawnRetry(c *Ctx, comm int, attempt int) {
 // nodeOf maps each child rank to a node; if nil, the machine's block
 // placement is used (which, as in the paper's Baseline method, lands the
 // children on the nodes the sources already occupy — oversubscription).
-func (c *Ctx) Spawn(comm *Comm, n int, nodeOf func(childRank int) int, fn func(child *Ctx, childWorld *Comm)) *Comm {
-	return c.SpawnWithRetry(comm, n, nodeOf, fn, SpawnRetry{})
-}
-
-// SpawnWithRetry is Spawn under an explicit retry policy for injected
-// spawn failures (see SpawnRetry). The zero policy is exactly Spawn.
+//
+// pol is the retry policy for injected spawn failures (see SpawnRetry); the
+// zero policy retries at once and records nothing extra.
 func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
 	fn func(child *Ctx, childWorld *Comm), pol SpawnRetry) *Comm {
 	if comm.IsInter() {

@@ -159,7 +159,7 @@ func TestWaitallResumesOnce(t *testing.T) {
 			for tag := range rs {
 				rs[tag] = c.Irecv(comm, 0, tag)
 			}
-			k := c.SimProc().Kernel()
+			k := w.Kernel()
 			before := k.Stats()
 			c.Waitall(rs)
 			after := k.Stats()

@@ -31,8 +31,8 @@ func runWaitany(t *testing.T, seed int64, n int, waitany func(*Ctx, []Request) i
 	w.Launch(n+1, nil, func(c *Ctx, comm *Comm) {
 		r := comm.Rank(c)
 		if r > 0 {
-			// The tag-2 message matches no receive of the wait set: its
-			// delivery wakes rank 0 to find nothing new done.
+			// The tag-2 message completes a receive outside the wait set:
+			// its delivery wakes rank 0 to find nothing new done.
 			c.Sleep(at[r-1])
 			c.Send(comm, 0, 2, Virtual(64))
 			c.Sleep(0.005)
@@ -40,13 +40,16 @@ func runWaitany(t *testing.T, seed int64, n int, waitany func(*Ctx, []Request) i
 			return
 		}
 		reqs := make([]Request, n)
+		side := make([]Request, n)
 		for i := range reqs {
 			reqs[i] = c.Irecv(comm, i+1, 1)
+			side[i] = c.Irecv(comm, i+1, 2)
 		}
 		c.Sleep(0.025)
 		for {
 			i := waitany(c, reqs)
 			if i < 0 {
+				c.Waitall(side)
 				return
 			}
 			log.idxs = append(log.idxs, i)

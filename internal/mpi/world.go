@@ -95,13 +95,12 @@ type World struct {
 	nextCtxID int
 	nextGID   int
 
-	barriers    map[int]*fastBarrier    // shared per matching context
-	merges      map[int]*mergeSt        // pending Intercomm_merge rendezvous
-	spawns      map[int]*spawnSt        // pending Comm_spawn rendezvous
-	derived     map[derivedKey]*Comm    // communicators created by Dup/Sub
-	wins        map[derivedKey]*Win     // one-sided windows by creation site
-	winBarriers map[int]*winBarrier     // death-aware window-epoch barriers
-	splits      map[derivedKey]*splitSt // pending Comm_split rendezvous
+	barriers    map[int]*fastBarrier // shared per matching context
+	merges      map[int]*mergeSt     // pending Intercomm_merge rendezvous
+	spawns      map[int]*spawnSt     // pending Comm_spawn rendezvous
+	derived     map[derivedKey]*Comm // communicators created by Dup/Sub
+	wins        map[derivedKey]*Win  // one-sided windows by creation site
+	winBarriers map[int]*winBarrier  // death-aware window-epoch barriers
 
 	procs map[int]*Process // every process ever created, by gid
 
@@ -307,12 +306,6 @@ type Process struct {
 
 // GID returns the process's world-unique id.
 func (p *Process) GID() int { return p.gid }
-
-// Node returns the node the process is placed on.
-func (p *Process) Node() int { return p.node }
-
-// World returns the owning world.
-func (p *Process) World() *World { return p.w }
 
 // Parent returns the inter-communicator connecting this process to the
 // group that spawned it, or nil for initially launched processes
@@ -570,7 +563,7 @@ func (w *World) Launch(n int, nodeOf func(rank int) int, main func(c *Ctx, comm 
 // cond must therefore be pure (see sim.Cond). Deadlock reports describe
 // the operation still pending rather than just the progress signal: desc
 // renders it when non-nil, and a nil desc leaves it to cond's String (the
-// condition objects of Wait, Waitall, Waitany and Probe). Either is called only
+// condition objects of Wait, Waitall and Waitany). Either is called only
 // when a report is built. Every change to the state it reads (a request
 // completing) is followed by a Broadcast on the progress signal, and a
 // report is built only once every wake has run, so it renders what the

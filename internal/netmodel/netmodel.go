@@ -197,9 +197,6 @@ func NewFabric(k *sim.Kernel, params Params, nodes int) *Fabric {
 // Params returns the interconnect parameters.
 func (f *Fabric) Params() Params { return f.params }
 
-// Nodes returns the number of compute nodes attached to the fabric.
-func (f *Fabric) Nodes() int { return f.nodes }
-
 // Stats reports the fabric's counters.
 func (f *Fabric) Stats() Stats { return f.stats }
 
@@ -380,9 +377,6 @@ func (f *Fabric) deactivate(c *flowClass) {
 	f.active[last] = nil
 	f.active = f.active[:last]
 }
-
-// Remaining reports the bytes not yet delivered (after the latency phase).
-func (fl *Flow) Remaining() float64 { return fl.remaining }
 
 // advance drains service received since lastUpdate into every streaming
 // flow and refreshes each class's minRem. It stays O(streaming flows):

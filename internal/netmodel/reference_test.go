@@ -234,6 +234,11 @@ type flowUnderTest interface {
 	Remaining() float64
 }
 
+// fabricFlow gives a Fabric flow the Remaining sample refFlow has.
+type fabricFlow struct{ *Flow }
+
+func (fl fabricFlow) Remaining() float64 { return fl.remaining }
+
 // randomFabSchedule draws a schedule on an 8-node fabric: bursts of flow
 // starts at one instant (so many latency phases end together), a mix of
 // inter- and intra-node flows over a few busy nodes (so classes hold many
@@ -341,8 +346,10 @@ func TestFabricMatchesReference(t *testing.T) {
 	newFabric := func(k *sim.Kernel, p Params, nodes int) fabUnderTest {
 		f := NewFabric(k, p, nodes)
 		return fabUnderTest{
-			transfer: func(src, dst int, size int64, done func()) flowUnderTest { return f.Transfer(src, dst, size, done) },
-			degrade:  f.SetNodeDegradation,
+			transfer: func(src, dst int, size int64, done func()) flowUnderTest {
+				return fabricFlow{f.Transfer(src, dst, size, done)}
+			},
+			degrade: f.SetNodeDegradation,
 		}
 	}
 	newRef := func(k *sim.Kernel, p Params, nodes int) fabUnderTest {

@@ -110,9 +110,6 @@ func (h *Hist) Observe(v float64) {
 // Count returns the number of samples.
 func (h *Hist) Count() uint64 { return h.count }
 
-// Sum returns the exact sample sum.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Min returns the exact smallest sample (0 when empty).
 func (h *Hist) Min() float64 {
 	if h.count == 0 {

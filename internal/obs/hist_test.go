@@ -92,8 +92,8 @@ func TestHistMerge(t *testing.T) {
 	}
 	// Summation order differs between the merged and interleaved paths, so
 	// the float sums agree only to rounding.
-	if math.Abs(a.Sum()-both.Sum()) > 1e-9*both.Sum() {
-		t.Fatalf("merge sum = %g, want %g", a.Sum(), both.Sum())
+	if math.Abs(a.sum-both.sum) > 1e-9*both.sum {
+		t.Fatalf("merge sum = %g, want %g", a.sum, both.sum)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 		if a.Quantile(q) != both.Quantile(q) {
@@ -144,8 +144,8 @@ func TestHistReset(t *testing.T) {
 	h := NewHist()
 	h.Observe(42)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(1) != 0 {
-		t.Fatalf("reset hist not empty: count=%d sum=%g", h.Count(), h.Sum())
+	if h.Count() != 0 || h.sum != 0 || h.Quantile(1) != 0 {
+		t.Fatalf("reset hist not empty: count=%d sum=%g", h.Count(), h.sum)
 	}
 	h.Observe(7)
 	if h.Count() != 1 || h.Min() != 7 {

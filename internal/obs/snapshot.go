@@ -91,15 +91,6 @@ func (s Snapshot) Counter(key string) int64 {
 	return 0
 }
 
-// Gauge returns a snapshot gauge's value (0 when absent).
-func (s Snapshot) Gauge(key string) float64 {
-	i := sort.Search(len(s.Gauges), func(i int) bool { return s.Gauges[i].Key >= key })
-	if i < len(s.Gauges) && s.Gauges[i].Key == key {
-		return s.Gauges[i].Value
-	}
-	return 0
-}
-
 // HistNamed returns a snapshot histogram by name (zero value when absent).
 func (s Snapshot) HistNamed(name string) (HistSnapshot, bool) {
 	i := sort.Search(len(s.Hists), func(i int) bool { return s.Hists[i].Name >= name })

@@ -48,9 +48,6 @@ func (d BlockDist) Hi(r int) int64 {
 	return d.Lo(r + 1)
 }
 
-// Count returns the number of elements owned by part r.
-func (d BlockDist) Count(r int) int64 { return d.Hi(r) - d.Lo(r) }
-
 // Owner returns the part owning global index i.
 func (d BlockDist) Owner(i int64) int {
 	if i < 0 || i >= d.N {
@@ -153,19 +150,6 @@ func (p Plan) RecvChunks(t int) []Chunk {
 		}
 	}
 	return out
-}
-
-// Counts returns the ns×nt matrix of element counts, the input of
-// MPI_Alltoallv-style redistribution.
-func (p Plan) Counts() [][]int64 {
-	m := make([][]int64, p.NS)
-	for s := range m {
-		m[s] = make([]int64, p.NT)
-	}
-	for _, c := range p.Chunks {
-		m[c.Src][c.Dst] += c.Count()
-	}
-	return m
 }
 
 // LocalBytes returns the number of elements that stay on a part that is

@@ -19,8 +19,8 @@ func TestBlockDistBasics(t *testing.T) {
 func TestBlockDistEvenSplit(t *testing.T) {
 	d := NewBlockDist(20, 4)
 	for r := 0; r < 4; r++ {
-		if d.Count(r) != 5 {
-			t.Fatalf("Count(%d) = %d, want 5", r, d.Count(r))
+		if d.Hi(r)-d.Lo(r) != 5 {
+			t.Fatalf("part %d owns %d, want 5", r, d.Hi(r)-d.Lo(r))
 		}
 	}
 }
@@ -29,9 +29,9 @@ func TestBlockDistMorePartsThanElements(t *testing.T) {
 	d := NewBlockDist(2, 5)
 	total := int64(0)
 	for r := 0; r < 5; r++ {
-		total += d.Count(r)
-		if d.Count(r) > 1 {
-			t.Fatalf("Count(%d) = %d, want <= 1", r, d.Count(r))
+		total += d.Hi(r) - d.Lo(r)
+		if d.Hi(r)-d.Lo(r) > 1 {
+			t.Fatalf("part %d owns %d, want <= 1", r, d.Hi(r)-d.Lo(r))
 		}
 	}
 	if total != 2 {
@@ -66,13 +66,13 @@ func TestPropertyBlockDistPartitions(t *testing.T) {
 			if d.Lo(r) != prevHi {
 				return false // contiguous, no gaps
 			}
-			if d.Count(r) < 0 {
+			if d.Hi(r)-d.Lo(r) < 0 {
 				return false
 			}
-			total += d.Count(r)
+			total += d.Hi(r) - d.Lo(r)
 			prevHi = d.Hi(r)
 			// Balanced: counts differ by at most 1.
-			if d.Count(r) > n/int64(p)+1 {
+			if d.Hi(r)-d.Lo(r) > n/int64(p)+1 {
 				return false
 			}
 		}
@@ -95,11 +95,23 @@ func TestPlanIdentityWhenSameCounts(t *testing.T) {
 	}
 }
 
+// countMatrix sums p's chunks into its ns×nt matrix of element counts.
+func countMatrix(p Plan) [][]int64 {
+	m := make([][]int64, p.NS)
+	for s := range m {
+		m[s] = make([]int64, p.NT)
+	}
+	for _, c := range p.Chunks {
+		m[c.Src][c.Dst] += c.Count()
+	}
+	return m
+}
+
 func TestPlanExpansion(t *testing.T) {
 	// 10 elements from 2 to 5 parts: sources [0,5) and [5,10); targets get
 	// 2 each.
 	p := NewPlan(10, 2, 5)
-	counts := p.Counts()
+	counts := countMatrix(p)
 	want := [][]int64{
 		{2, 2, 1, 0, 0},
 		{0, 0, 1, 2, 2},
@@ -115,7 +127,7 @@ func TestPlanExpansion(t *testing.T) {
 
 func TestPlanShrink(t *testing.T) {
 	p := NewPlan(10, 5, 2)
-	counts := p.Counts()
+	counts := countMatrix(p)
 	want := [][]int64{
 		{2, 0},
 		{2, 0},
@@ -149,8 +161,8 @@ func TestSendRecvChunksOrdered(t *testing.T) {
 		for _, c := range chunks {
 			got += c.Count()
 		}
-		if got != dd.Count(d) {
-			t.Fatalf("target %d receives %d elements, want %d", d, got, dd.Count(d))
+		if got != dd.Hi(d)-dd.Lo(d) {
+			t.Fatalf("target %d receives %d elements, want %d", d, got, dd.Hi(d)-dd.Lo(d))
 		}
 	}
 }

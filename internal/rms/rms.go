@@ -37,7 +37,10 @@ type CostModel func(ns, nt int, dataBytes int64) float64
 // created) plus the data transfer at the given per-node bandwidth with
 // coresPerNode ranks per node. Like the netmodel constructors, physically
 // meaningless parameters are rejected at construction — they would
-// otherwise surface much later as NaN or negative makespans.
+// otherwise surface much later as NaN or negative makespans. The transfer
+// term spreads the bytes over the ⌈max(ns, nt)/coresPerNode⌉ nodes of the
+// larger group, whereas a shrink's receive side is bounded by the target's
+// fewer nodes, so shrinks are priced well below what the simulator takes.
 func PaperCostModel(spawnBase, spawnPerProc, bandwidth float64, coresPerNode int) CostModel {
 	if coresPerNode < 1 {
 		panic(fmt.Sprintf("rms: cost model with %d cores/node", coresPerNode))

@@ -158,7 +158,7 @@ func TestSignalBroadcastWakesAllWaitersFIFO(t *testing.T) {
 		name := fmt.Sprintf("w%d", i)
 		k.Spawn(name, func(p *Proc) {
 			p.Wait(s)
-			woke = append(woke, p.Name())
+			woke = append(woke, p.name)
 		})
 	}
 	k.Spawn("broadcaster", func(p *Proc) {

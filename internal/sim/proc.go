@@ -79,12 +79,6 @@ func (p *Proc) run() {
 	fn(p)
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() float64 { return p.k.now }
 

@@ -86,9 +86,6 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 	return r
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns the total service rate.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
@@ -254,9 +251,6 @@ func (t *Task) Stop() bool {
 	t.r.reschedule()
 	return true
 }
-
-// Remaining reports the unserved work of a finite task.
-func (t *Task) Remaining() float64 { return t.remaining }
 
 // Use blocks the calling process until work units of service have been
 // delivered under processor sharing. It is the standard way for a simulated

@@ -178,7 +178,7 @@ func TestWaitUntilConditionMustBePure(t *testing.T) {
 		want   string
 	}{
 		{"parks", func(p *Proc) { p.Sleep(1) }, `park called by process "waiter" while it is not running`},
-		{"schedules", func(p *Proc) { p.Kernel().After(1, func() {}) }, `condition of process "waiter" scheduled an event`},
+		{"schedules", func(p *Proc) { p.k.After(1, func() {}) }, `condition of process "waiter" scheduled an event`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,15 +108,24 @@ func TestMonitorCSVGolden(t *testing.T) {
 	}
 }
 
-func TestMonitorJSONGolden(t *testing.T) {
+// monitorJSON encodes m's rank logs as indented JSON.
+func monitorJSON(t *testing.T, m *Monitor) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := goldenMonitor().WriteJSON(&buf); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(m.Ranks()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "monitor.json", buf.Bytes())
+	return buf.Bytes()
+}
+
+func TestMonitorJSONGolden(t *testing.T) {
+	buf := monitorJSON(t, goldenMonitor())
+	checkGolden(t, "monitor.json", buf)
 
 	var back []RankLog
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 3 || back[2].Counters["iterations"] != 12 {

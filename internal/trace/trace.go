@@ -11,7 +11,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -136,13 +135,6 @@ func (m *Monitor) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits the full structure.
-func (m *Monitor) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.Ranks())
 }
 
 // SummaryRow aggregates one (module, name) across ranks.

@@ -65,12 +65,8 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	m := NewMonitor()
 	m.Rank(2).Record("m", "n", 1, 2)
 	m.Rank(2).Add("c", 7)
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var back []RankLog
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(monitorJSON(t, m), &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 || back[0].Rank != 2 || back[0].Counters["c"] != 7 {
