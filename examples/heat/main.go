@@ -116,7 +116,7 @@ func main() {
 			// Halo exchange with neighbors, then the local stencil step.
 			left, right := leftBoundary(), rightBoundary()
 			var reqs []mpi.Request
-			var lreq, rreq *mpi.RecvReq
+			var lreq, rreq mpi.Request // null unless there is a neighbor
 			if rank > 0 {
 				reqs = append(reqs, c.Isend(comm, rank-1, 1, mpi.Float64s(u[:1])))
 				lreq = c.Irecv(comm, rank-1, 2)
@@ -128,11 +128,14 @@ func main() {
 				reqs = append(reqs, rreq)
 			}
 			c.Waitall(reqs)
-			if lreq != nil {
+			if !lreq.IsNull() {
 				left = lreq.Payload().AsFloat64s()[0]
 			}
-			if rreq != nil {
+			if !rreq.IsNull() {
 				right = rreq.Payload().AsFloat64s()[0]
+			}
+			for _, r := range reqs {
+				c.Free(r) // back to the world's pool for the next step
 			}
 			stepField(u, next, left, right)
 			u, next = next, u

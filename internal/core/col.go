@@ -24,8 +24,8 @@ type colTransfer struct {
 	sendSizes []mpi.Payload // per-peer size vector (one int64 per item)
 
 	phase    int // 0 = not started, 1 = sizes in flight, 2 = values in flight, 3 = done
-	sizesReq *mpi.AlltoallvReq
-	valsReq  *mpi.AlltoallvReq
+	sizesReq mpi.Request
+	valsReq  mpi.Request
 	sizes    []mpi.Payload // received size vectors, indexed by peer, read with Int64At
 
 	// hooks is the recovery ladder's bookkeeping (nil outside resilient

@@ -265,30 +265,37 @@ func (s *SparseItem) SetBlock(lo, hi int64) { s.lo, s.hi = lo, hi }
 // order.
 type Store struct {
 	items []Item
-	index map[string]int
 }
 
 // NewStore returns an empty registry.
-func NewStore() *Store {
-	return &Store{index: make(map[string]int)}
+func NewStore() *Store { return &Store{} }
+
+// find returns the registration index of the item named name, or -1. A
+// store holds a handful of items, so a scan beats a name index.
+func (st *Store) find(name string) int {
+	for i, it := range st.items {
+		if it.Name() == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Register adds an item. Names must be unique.
 func (st *Store) Register(it Item) {
-	if _, dup := st.index[it.Name()]; dup {
+	if st.find(it.Name()) >= 0 {
 		panic(fmt.Sprintf("core: duplicate item %q", it.Name()))
 	}
-	st.index[it.Name()] = len(st.items)
 	st.items = append(st.items, it)
 }
 
-// IndexOf returns the registration index of it. The lookup goes through the
-// name index and then verifies identity, so a foreign item that merely
-// shares a name with a registered one is reported as absent rather than
-// aliased to it.
+// IndexOf returns the registration index of it. The lookup finds the item
+// by name and then verifies identity, so a foreign item that merely shares
+// a name with a registered one is reported as absent rather than aliased
+// to it.
 func (st *Store) IndexOf(it Item) (int, bool) {
-	i, ok := st.index[it.Name()]
-	if !ok || st.items[i] != it {
+	i := st.find(it.Name())
+	if i < 0 || st.items[i] != it {
 		return 0, false
 	}
 	return i, true
@@ -296,7 +303,7 @@ func (st *Store) IndexOf(it Item) (int, bool) {
 
 // Item returns the registered item by name, or nil.
 func (st *Store) Item(name string) Item {
-	if i, ok := st.index[name]; ok {
+	if i := st.find(name); i >= 0 {
 		return st.items[i]
 	}
 	return nil

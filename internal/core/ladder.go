@@ -219,10 +219,6 @@ func (a *ackTracker) retainedCopy(k chunkKey) (mpi.Payload, bool) {
 	return st.retained, true
 }
 
-// liveSpans reports how many unacked spans still hold ledger state — the
-// bounded-memory invariant the reap tests assert.
-func (a *ackTracker) liveSpans() int { return len(a.chunks) }
-
 // ladderHooks threads the ladder's bookkeeping into a transfer: the shared
 // ack ledger, the rank-local Prepare ledger (so a selective round never
 // re-Prepares — and thereby wipes — an item holding installed chunks), the

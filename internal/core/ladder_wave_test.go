@@ -27,8 +27,8 @@ func TestAckTrackerBoundedLedger(t *testing.T) {
 		a.retain(k, mpi.Virtual(256))
 		a.markSent(k)
 	}
-	if got := a.liveSpans(); got != 4 {
-		t.Fatalf("liveSpans = %d after 4 unacked retains, want 4", got)
+	if got := len(a.chunks); got != 4 {
+		t.Fatalf("%d spans hold ledger state after 4 unacked retains, want 4", got)
 	}
 	if a.peakRetained != 512 {
 		t.Errorf("peakRetained = %d, want 512 (budget admits exactly two copies)", a.peakRetained)
@@ -55,8 +55,8 @@ func TestAckTrackerBoundedLedger(t *testing.T) {
 	for _, k := range segs {
 		a.ack(k)
 	}
-	if got := a.liveSpans(); got != 0 {
-		t.Errorf("liveSpans = %d after acking every span, want 0 (reap at ack)", got)
+	if got := len(a.chunks); got != 0 {
+		t.Errorf("%d spans hold ledger state after acking every span, want 0 (reap at ack)", got)
 	}
 	if a.retained[3] != 0 {
 		t.Errorf("retained[3] = %d bytes after acking every span, want 0", a.retained[3])
@@ -77,8 +77,8 @@ func TestAckTrackerBoundedLedger(t *testing.T) {
 	// Retaining an already-delivered span is a no-op: the ledger never
 	// regrows for finished work.
 	a.retain(key(0, 32), mpi.Virtual(256))
-	if got := a.liveSpans(); got != 0 {
-		t.Errorf("liveSpans = %d after retaining a delivered span, want 0", got)
+	if got := len(a.chunks); got != 0 {
+		t.Errorf("%d spans hold ledger state after retaining a delivered span, want 0", got)
 	}
 }
 

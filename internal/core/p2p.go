@@ -15,9 +15,8 @@ type p2pTransfer struct {
 	items  []Item
 	tagIdx []int // store-wide index per item, fixing the tag pair
 
-	sendReqs []mpi.Request
-
-	// Receiver state (Algorithm 1's second half).
+	// Receiver state (Algorithm 1's second half). A receive is freed once
+	// handled, and its slot becomes the null request.
 	recvReqs []mpi.Request
 	recvMeta []p2pRecvMeta
 	numRcv   int // value messages still pending
@@ -29,7 +28,8 @@ type p2pTransfer struct {
 
 	// The source stages its sends, then issues them in waves whose value
 	// bytes stay within the ceiling; with no ceiling the single wave is the
-	// paper's one-shot Algorithm 1. Resilient passes run the same schedule:
+	// paper's one-shot Algorithm 1. A wave retires, and the cursor frees its
+	// sends, once they have all completed. Resilient passes run the same schedule:
 	// the ladder's ack ledger is keyed on the segmented spans, so both
 	// sides agree on ledger entries without metadata exchange.
 	footprint
@@ -120,7 +120,6 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 	if t.v.isSource() {
 		chunks, n := t.v.wireChunks(t.items, t.ceiling, t.v.sendChunks)
 		t.staged = make([]stagedSend, 0, n)
-		t.sendReqs = make([]mpi.Request, 0, 2*n) // a size and a values message each
 		for i, it := range t.items {
 			occ := map[int]int{}
 			for _, ch := range chunks[i] {
@@ -186,7 +185,7 @@ func (t *p2pTransfer) start(c *mpi.Ctx) {
 	// messages in one wave; a size message is 8 bytes of metadata riding
 	// alongside its values.
 	t.waves = newWaveCursor(len(t.staged), func(i int) int64 { return t.staged[i].pl.Size },
-		t.ceiling, &t.gauge)
+		t.ceiling, &t.gauge, true)
 	t.advanceWaves(c)
 }
 
@@ -218,9 +217,7 @@ func (t *p2pTransfer) advanceWaves(c *mpi.Ctx) {
 // send issues one message of the active wave, live bytes of it counting
 // against the ceiling until the wave retires.
 func (t *p2pTransfer) send(c *mpi.Ctx, dst, tag int, pl mpi.Payload, live int64) {
-	req := t.v.sendTo(c, dst, tag, pl)
-	t.sendReqs = append(t.sendReqs, req)
-	t.waves.issue(req, live)
+	t.waves.issue(t.v.sendTo(c, dst, tag, pl), live)
 }
 
 // progress advances the receiver state machine without blocking and reports
@@ -237,21 +234,23 @@ func (t *p2pTransfer) progress(c *mpi.Ctx) bool {
 	// pass: if it is the last outstanding receive, no future event will wake
 	// the rank again and it would sleep to its epoch deadline.
 	for idx := 0; idx < len(t.recvReqs); idx++ {
-		rr, ok := t.recvReqs[idx].(*mpi.RecvReq)
-		if !ok || !rr.Done() || rr.Handled() {
-			continue
+		if rr := t.recvReqs[idx]; !rr.IsNull() && rr.Done() {
+			t.handleRecv(c, idx)
 		}
-		t.handleRecv(c, idx, rr)
 	}
-	done := t.numRcv == 0 && t.waves.issuedAll() && c.Testall(t.sendReqs)
+	// Every retired wave's sends completed, so the active wave's are the
+	// only ones that may still be pending.
+	done := t.numRcv == 0 && t.waves.issuedAll() && c.Testall(t.waves.reqs)
 	if done {
+		t.waves.retire(c)
 		t.reportPeak(c)
 	}
 	return done
 }
 
 // runBlockingAll drives the pass to completion, blocking per Algorithm 1: a
-// Waitany-driven receive loop, then MPI_Waitall on the sends. Under a
+// Waitany-driven receive loop, then MPI_Waitall on the last wave's sends
+// (every earlier wave's completed before it retired). Under a
 // ceiling the wait set adds the active wave's sends, so a rank blocked on
 // receives still releases its next wave the moment the current one
 // completes — without that, two ranks could park on each other's
@@ -277,25 +276,26 @@ func (t *p2pTransfer) runBlockingAll(c *mpi.Ctx) {
 		if idx >= len(t.recvReqs) {
 			continue // a wave send completed; loop back to advance the wave
 		}
-		if rr := t.recvReqs[idx].(*mpi.RecvReq); !rr.Handled() {
-			t.handleRecv(c, idx, rr)
-		}
+		t.handleRecv(c, idx)
 	}
-	c.Waitall(t.sendReqs)
+	c.Waitall(t.waves.reqs)
+	t.waves.retire(c)
 	t.reportPeak(c)
 }
 
 // drain completes the pass from wherever progress left off.
 func (t *p2pTransfer) drain(c *mpi.Ctx) { t.runBlockingAll(c) }
 
-// handleRecv processes one completed receive: a size message posts the
-// matching values receive; a values message installs the chunk.
-func (t *p2pTransfer) handleRecv(c *mpi.Ctx, idx int, rr *mpi.RecvReq) {
+// handleRecv processes the idx-th receive, complete and not yet handled,
+// and frees it, nulling its slot: a size message posts the matching values
+// receive, then frees itself; a values message frees itself, then
+// installs the chunk.
+func (t *p2pTransfer) handleRecv(c *mpi.Ctx, idx int) {
 	meta := t.recvMeta[idx]
-	rr.MarkHandled()
+	pl := t.recvReqs[idx].Payload()
 	it := t.items[meta.item]
 	if meta.isSize {
-		size := rr.Payload().Int64At(0)
+		size := pl.Int64At(0)
 		if want := it.WireBytes(meta.lo, meta.hi); size != want {
 			panic(fmt.Sprintf("core: %q size message %d from source %d, plan says %d",
 				it.Name(), size, meta.src, want))
@@ -304,13 +304,21 @@ func (t *p2pTransfer) handleRecv(c *mpi.Ctx, idx int, rr *mpi.RecvReq) {
 		t.gauge.add(size) // incoming values are live from here to install
 		t.recvReqs = append(t.recvReqs, t.v.recvFrom(c, meta.src, meta.vtag))
 		t.recvMeta = append(t.recvMeta, p2pRecvMeta{item: meta.item, src: meta.src, lo: meta.lo, hi: meta.hi, posted: c.Now()})
+		t.freeRecv(c, idx)
 		return
 	}
-	it.Install(meta.lo, meta.hi, rr.Payload())
-	t.gauge.sub(rr.Payload().Size)
+	t.freeRecv(c, idx)
+	it.Install(meta.lo, meta.hi, pl)
+	t.gauge.sub(pl.Size)
 	t.numRcv--
 	t.hooks.sample(c.Now() - meta.posted)
 	t.hooks.ack(chunkKey{item: meta.item, src: meta.src, dst: t.v.tgtRank, lo: meta.lo, hi: meta.hi})
+}
+
+// freeRecv frees the idx-th receive, which handleRecv has read.
+func (t *p2pTransfer) freeRecv(c *mpi.Ctx, idx int) {
+	c.Free(t.recvReqs[idx])
+	t.recvReqs[idx] = mpi.Request{}
 }
 
 // reap harvests value receives that completed after the epoch aborted, so
@@ -318,12 +326,10 @@ func (t *p2pTransfer) handleRecv(c *mpi.Ctx, idx int, rr *mpi.RecvReq) {
 // messages are skipped: handling one would post a fresh value receive into
 // an epoch that is already over.
 func (t *p2pTransfer) reap(c *mpi.Ctx) {
-	for idx := range t.recvReqs {
-		rr, ok := t.recvReqs[idx].(*mpi.RecvReq)
-		if !ok || t.recvMeta[idx].isSize || !rr.Done() || rr.Handled() {
-			continue
+	for idx, rr := range t.recvReqs {
+		if !rr.IsNull() && !t.recvMeta[idx].isSize && rr.Done() {
+			t.handleRecv(c, idx)
 		}
-		t.handleRecv(c, idx, rr)
 	}
 }
 

@@ -735,7 +735,7 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 	// Wave-paced issue: each wave is issued once the previous one completed,
 	// and the method lands that one first. The last wave's bytes stay on the
 	// gauge until the round commits, so they are retired below, not by next.
-	waves := newWaveCursor(len(r.ops), func(e int) int64 { return r.ops[e].n }, ceiling, &rp.gauge)
+	waves := newWaveCursor(len(r.ops), func(e int) int64 { return r.ops[e].n }, ceiling, &rp.gauge, false)
 	seenDone, landed := 0, 0
 	done := func() bool {
 		for landed < len(r.ops) && c.Testall(waves.reqs) {
@@ -767,7 +767,7 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 		fmt.Sprintf("%s %d", r.what, round)); reason != "" {
 		return reason
 	}
-	waves.retire()
+	waves.retire(c)
 	for i := range r.received {
 		rp.installSpan(&r.received[i])
 		rp.acks.ack(r.received[i].key)
@@ -778,7 +778,7 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 // installSpan stores a span that arrived over the network.
 func (rp *resilientPass) installSpan(op *wireOp) {
 	it := rp.items[op.key.item]
-	pl := op.req.(interface{ Payload() mpi.Payload }).Payload()
+	pl := op.req.Payload()
 	if want := it.WireBytes(op.key.lo, op.key.hi); pl.Size != want {
 		panic(fmt.Sprintf("core: recovery chunk of %q: got %d bytes, want %d",
 			it.Name(), pl.Size, want))

@@ -40,15 +40,16 @@ type rmaTransfer struct {
 
 // rmaGet is one staged, possibly segmented Get: the element range [lo, hi)
 // of item from source rank src, at wire offset off and n bytes into the
-// source's exposed block.
+// source's exposed block. Its request is in the wave cursor while its wave
+// is active (req), and freed when the wave retires, after every Get of the
+// wave has installed.
 type rmaGet struct {
 	item    int
 	src     int
 	off, n  int64
 	lo, hi  int64
-	req     *mpi.RMAReq // nil until its wave is pulled
-	posted  float64     // issue time, for the ladder's RTT samples
-	handled bool        // installed and acked
+	posted  float64 // issue time, for the ladder's RTT samples
+	handled bool    // installed and acked
 }
 
 // key names the Get's span in the ladder's ack ledger; dst is the pulling
@@ -132,7 +133,7 @@ func (t *rmaTransfer) setup(c *mpi.Ctx) {
 				}
 			}
 		}
-		t.waves = newWaveCursor(len(t.gets), func(i int) int64 { return t.gets[i].n }, t.ceiling, &t.gauge)
+		t.waves = newWaveCursor(len(t.gets), func(i int) int64 { return t.gets[i].n }, t.ceiling, &t.gauge, true)
 		t.nextWave(c)
 	}
 	t.phase = 1
@@ -148,12 +149,15 @@ func (t *rmaTransfer) nextWave(c *mpi.Ctx) bool {
 	for i := t.waves.lo; i < t.waves.hi; i++ {
 		g := &t.gets[i]
 		t.hooks.markSent(g.key(t.v.tgtRank))
-		g.req = c.Get(t.wins[g.item], g.src, g.off, g.off+g.n)
+		req := c.Get(t.wins[g.item], g.src, g.off, g.off+g.n)
 		g.posted = c.Now()
-		t.waves.issue(g.req, g.n)
+		t.waves.issue(req, g.n)
 	}
 	return true
 }
+
+// req returns the request of the i-th Get, which is in the active wave.
+func (t *rmaTransfer) req(i int) mpi.Request { return t.waves.reqs[i-t.waves.lo] }
 
 // installWave installs every Get of the landed active wave and pulls the
 // next one, reporting whether one was issued.
@@ -172,9 +176,10 @@ func (t *rmaTransfer) installOne(c *mpi.Ctx, i int) {
 		return
 	}
 	g.handled = true
-	t.items[g.item].Install(g.lo, g.hi, g.req.Payload())
+	pl := t.req(i).Payload()
+	t.items[g.item].Install(g.lo, g.hi, pl)
 	if copyRate := c.World().Options().CopyRate; copyRate > 0 {
-		c.Compute(float64(g.req.Payload().Size) / copyRate)
+		c.Compute(float64(pl.Size) / copyRate)
 	}
 	t.waves.release(g.n)
 	t.hooks.sample(c.Now() - g.posted)
@@ -207,7 +212,7 @@ func (t *rmaTransfer) progress(c *mpi.Ctx) bool {
 		landed := true
 		for i := t.waves.lo; i < t.waves.hi; i++ {
 			switch {
-			case !t.gets[i].req.Done():
+			case !t.req(i).Done():
 				landed = false
 			case t.hooks != nil:
 				t.installOne(c, i)
@@ -236,10 +241,11 @@ func (t *rmaTransfer) pull(c *mpi.Ctx) {
 
 // reap harvests Gets that completed after the epoch aborted, installing
 // and acking their chunks so the next recovery round does not re-pull
-// already-landed data.
+// already-landed data. Only the active wave can hold such Gets: a wave
+// retires once every Get of it has installed.
 func (t *rmaTransfer) reap(c *mpi.Ctx) {
-	for i := range t.gets[:t.waves.hi] {
-		if t.gets[i].req.Done() {
+	for i := t.waves.lo; i < t.waves.hi; i++ {
+		if t.req(i).Done() {
 			t.installOne(c, i)
 		}
 	}

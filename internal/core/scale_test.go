@@ -90,6 +90,28 @@ func TestShrinkScaleContract(t *testing.T) {
 	}
 }
 
+// maxShrinkBytesPerRank bounds the host memory a rank allocates in a
+// 1024-rank shrink, the first in its process (no warm message state).
+// When Isend, Irecv and Get allocated the requests they return, a P2PS
+// rank allocated 6224 bytes and an RMAS rank 3997. With those requests
+// drawn from the world's pool and freed by core, and core.Store without
+// its name map, they measured 5374 and 2784 (5478 and 2856 under -race).
+// The bounds are the new levels plus 10%.
+var maxShrinkBytesPerRank = map[CommMethod]float64{P2P: 5910, RMA: 3060}
+
+// TestShrinkBytesPerRank: a 1024-rank Merge P2PS or RMAS shrink allocates
+// no more host memory per rank than the pooled requests leave it.
+func TestShrinkBytesPerRank(t *testing.T) {
+	const n = 1024
+	for _, cfg := range shrinkConfigs() {
+		got := shrinkBytesPerRank(t, launchShrink(t, n, cfg), n)
+		t.Logf("%s: %.0f bytes/rank at %d ranks", cfg, got, n)
+		if max := maxShrinkBytesPerRank[cfg.Comm]; got > max {
+			t.Errorf("%s: %.0f bytes allocated per rank at %d ranks, want at most %.0f", cfg, got, n, max)
+		}
+	}
+}
+
 // BenchmarkShrink times the Merge P2PS and RMAS 2:1 shrinks at N =
 // 10²/10³/10⁴ ranks, the world built outside the timer; bytes/rank is the
 // host memory the run allocates per rank.

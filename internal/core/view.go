@@ -68,12 +68,12 @@ func (v *view) recvChunks(it Item) []partition.Chunk {
 }
 
 // sendTo posts a non-blocking send to target t.
-func (v *view) sendTo(c *mpi.Ctx, t, tag int, pl mpi.Payload) *mpi.SendReq {
+func (v *view) sendTo(c *mpi.Ctx, t, tag int, pl mpi.Payload) mpi.Request {
 	return c.Isend(v.comm, t, tag, pl)
 }
 
 // recvFrom posts a non-blocking receive from source s.
-func (v *view) recvFrom(c *mpi.Ctx, s, tag int) *mpi.RecvReq {
+func (v *view) recvFrom(c *mpi.Ctx, s, tag int) mpi.Request {
 	return c.Irecv(v.comm, s, tag)
 }
 

@@ -161,7 +161,9 @@ func (g *liveGauge) sub(n int64) { g.live -= n }
 // wave at a time: next retires the active wave once its requests have all
 // completed and opens the following one, whose entries [lo, hi) the caller
 // issues through issue. Issued payload bytes stay live on the gauge until
-// they are released (an RMA attempt's install) or their wave retires.
+// they are released (an RMA attempt's install) or their wave retires. An
+// owning cursor frees the active wave's requests as the wave retires, so
+// its caller reads a request only while its wave is active.
 type waveCursor struct {
 	cuts   []int         // exclusive end index of each wave (waveCuts)
 	n      int           // waves opened so far; the active wave is number n
@@ -169,16 +171,18 @@ type waveCursor struct {
 	reqs   []mpi.Request // requests of the active wave
 	bytes  int64         // live payload bytes of the active wave
 	gauge  *liveGauge
+	owns   bool // free reqs as their wave retires
 }
 
 // newWaveCursor plans the waves of n staged entries, entry i carrying
-// size(i) payload bytes, under ceiling; issued bytes meter on g.
-func newWaveCursor(n int, size func(i int) int64, ceiling int64, g *liveGauge) waveCursor {
+// size(i) payload bytes, under ceiling; issued bytes meter on g. With owns
+// the cursor frees each wave's requests as the wave retires.
+func newWaveCursor(n int, size func(i int) int64, ceiling int64, g *liveGauge, owns bool) waveCursor {
 	sizes := make([]int64, n)
 	for i := range sizes {
 		sizes[i] = size(i)
 	}
-	return waveCursor{cuts: waveCuts(sizes, ceiling), gauge: g}
+	return waveCursor{cuts: waveCuts(sizes, ceiling), gauge: g, owns: owns}
 }
 
 // issuedAll reports whether every wave has been opened.
@@ -191,7 +195,7 @@ func (w *waveCursor) next(c *mpi.Ctx) bool {
 	if !c.Testall(w.reqs) {
 		return false
 	}
-	w.retire()
+	w.retire(c)
 	if w.issuedAll() {
 		return false
 	}
@@ -200,10 +204,16 @@ func (w *waveCursor) next(c *mpi.Ctx) bool {
 	return true
 }
 
-// retire releases the active wave's remaining live bytes and closes it.
-func (w *waveCursor) retire() {
+// retire releases the active wave's remaining live bytes, and an owning
+// cursor its complete requests, and closes it.
+func (w *waveCursor) retire(c *mpi.Ctx) {
 	w.gauge.sub(w.bytes)
 	w.bytes = 0
+	if w.owns {
+		for _, r := range w.reqs {
+			c.Free(r)
+		}
+	}
 	w.reqs = w.reqs[:0]
 	w.lo = w.hi
 }

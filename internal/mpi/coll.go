@@ -96,7 +96,7 @@ func (c *Ctx) Bcast(comm *Comm, root int, payload Payload) Payload {
 		if vr&(mask-1) == 0 && vr&mask == 0 {
 			child := vr + mask
 			if child < p {
-				reqs = append(reqs, c.isend(comm, (child+root)%p, tag, payload))
+				reqs = append(reqs, c.isend(comm, (child+root)%p, tag, payload).handle())
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	for s := 0; s < npeers; s++ {
 		dst := (r + s) % npeers
 		sr := c.isend(comm, dst, tag, send[dst])
-		c.Wait(sr)
+		c.Wait(sr.handle())
 		w.freeSend(sr)
 		if pen := c.schedPenalty(); pen > 0 {
 			c.Sleep(pen)
@@ -237,7 +237,7 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	}
 	out := make([]Payload, npeers)
 	for i, rr := range recvs {
-		c.Wait(rr)
+		c.Wait(rr.handle())
 		out[i] = rr.payload
 		w.freeRecv(rr)
 		recvs[i] = nil
@@ -247,28 +247,28 @@ func (c *Ctx) alltoallvPairwise(comm *Comm, send []Payload) []Payload {
 	return out
 }
 
-// AlltoallvReq is the pending handle of a non-blocking Alltoallv. It
-// owns its per-peer requests and recycles each one as Done finds it
-// complete, keeping a receive's payload in the result; once all are
-// complete it hands back the emptied lists too.
-type AlltoallvReq struct {
+// alltoallvReq is a non-blocking Alltoallv's request. It owns its
+// per-peer requests and recycles each one as poll finds it complete,
+// keeping a receive's payload in the result; once all are complete it
+// hands back the emptied lists too. It is not pooled: the caller keeps
+// its result.
+type alltoallvReq struct {
 	reqState
 	w     *World
 	comm  int // matching-context id, for deadlock reports
-	sends []*SendReq
-	recvs []*RecvReq
+	sends []*sendReq
+	recvs []*recvReq
 	out   []Payload
 	// sent and recvd count the prefixes of sends and recvs known complete,
-	// and already recycled; completion never reverts, so Done resumes its
+	// and already recycled; completion never reverts, so poll resumes its
 	// scan there.
 	sent, recvd int
 }
 
-// Done reports whether every underlying transfer has completed.
-func (r *AlltoallvReq) Done() bool {
-	if r.done {
-		return true
-	}
+func (*alltoallvReq) kind() string { return "Ialltoallv" }
+
+// poll reports whether every underlying transfer has completed.
+func (r *alltoallvReq) poll() bool {
 	for r.sent < len(r.sends) && r.sends[r.sent].done {
 		r.w.freeSend(r.sends[r.sent])
 		r.sends[r.sent] = nil
@@ -296,29 +296,36 @@ func (r *AlltoallvReq) Done() bool {
 	return true
 }
 
-func (r *AlltoallvReq) describe() string {
+func (r *alltoallvReq) describe() string {
 	pendS, pendR := 0, 0
 	for _, s := range r.sends[r.sent:] {
-		if !s.Done() {
+		if !s.done {
 			pendS++
 		}
 	}
 	for _, rr := range r.recvs[r.recvd:] {
-		if !rr.Done() {
+		if !rr.done {
 			pendR++
 		}
 	}
 	return fmt.Sprintf("Ialltoallv comm=%d (%d sends, %d recvs pending)", r.comm, pendS, pendR)
 }
 
-// Result returns the received payloads indexed by peer rank. Valid once
-// Done; the slice is the request's, returned on every call.
-func (r *AlltoallvReq) Result() []Payload { return r.out }
+// Result returns the received payloads of a complete Ialltoallv, indexed
+// by peer rank; the slice is the request's, returned on every call.
+func (r Request) Result() []Payload {
+	if s := r.state("Result"); s != nil && s.done {
+		if a, ok := s.op.(*alltoallvReq); ok {
+			return a.out
+		}
+	}
+	panic("mpi: Result of a request that is not a complete Ialltoallv")
+}
 
 // Ialltoallv starts a non-blocking Alltoallv (scattered sends/receives on
 // both intra- and inter-communicators, like MPICH's MPI_Ialltoallv) and
 // returns a request to Test or Wait on.
-func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) *AlltoallvReq {
+func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) Request {
 	npeers := len(comm.peerGroup())
 	if len(send) != npeers {
 		panic(fmt.Sprintf("mpi: Ialltoallv with %d payloads for %d peers", len(send), npeers))
@@ -333,7 +340,7 @@ func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) *AlltoallvReq {
 	}
 	tag := c.collTag(comm)
 	rc := c.proc.w.msg()
-	req := &AlltoallvReq{
+	req := &alltoallvReq{
 		w:     c.proc.w,
 		comm:  comm.ctxID,
 		sends: rc.sendLists.get(npeers),
@@ -348,5 +355,6 @@ func (c *Ctx) Ialltoallv(comm *Comm, send []Payload) *AlltoallvReq {
 		dst := (r + s) % npeers // stagger destinations to spread NIC load
 		req.sends[s] = c.isend(comm, dst, tag, send[dst])
 	}
-	return req
+	req.op = req
+	return req.handle()
 }

@@ -20,25 +20,144 @@ type Status struct {
 	Size   int64
 }
 
-// Request is the common handle for pending operations.
-type Request interface {
-	// Done reports whether the operation has completed.
-	Done() bool
-	// consumed marks/tests Waitany bookkeeping.
-	isConsumed() bool
-	setConsumed()
+// Request is a handle to a pending operation, returned by value: a
+// pointer to the operation's state plus the generation it had when the
+// handle was made, the way sim.Timer is. Copying one allocates nothing,
+// and handles compare equal when they name the same operation.
+//
+// The zero Request is the null request (MPI_REQUEST_NULL): it reads as
+// done, has an empty payload, and Waitany skips it.
+//
+// The requests that Isend, Irecv and Get return come from the world's
+// recycled message state. Free hands one back (MPI_Request_free): at once
+// when it is complete, or at its completion when it is still pending.
+// Either way Free bumps the request's generation, so the handle goes
+// stale, and any later use of it (Done, Payload, Wait, Free, ...) panics
+// and names the request. A request that is never freed is left to the
+// garbage collector.
+type Request struct {
+	s   *reqState
+	gen uint32
+}
+
+// reqState is the state every request kind shares. It heads each kind's
+// struct, and op points back at that struct, for descriptions and to
+// recycle it.
+type reqState struct {
+	op       reqOp
+	gen      uint32 // bumped each time the request is freed
+	done     bool
+	consumed bool // Waitany returned it
+	freed    bool // Free was called while it was pending
+}
+
+// reqOp is a request kind: the struct a reqState heads.
+type reqOp interface {
+	// kind names the operation that made the request.
+	kind() string
 	// describe names the pending operation for deadlock reports.
 	describe() string
 }
 
-type reqState struct {
-	done     bool
-	consumed bool
+// handle returns a handle to the request in its current generation.
+func (s *reqState) handle() Request { return Request{s: s, gen: s.gen} }
+
+// reset readies a complete request for reuse, making every handle to it
+// stale.
+func (s *reqState) reset() {
+	if !s.done {
+		panic("mpi: recycling a pending " + s.op.kind() + " request")
+	}
+	s.gen++
+	s.done, s.consumed, s.freed = false, false, false
 }
 
-func (r *reqState) Done() bool       { return r.done }
-func (r *reqState) isConsumed() bool { return r.consumed }
-func (r *reqState) setConsumed()     { r.consumed = true }
+// state returns the request's state, or nil for the null request. It
+// panics, naming the request and the operation use, when the handle is
+// stale.
+func (r Request) state(use string) *reqState {
+	s := r.s
+	if s != nil && s.gen != r.gen {
+		panic(fmt.Sprintf("mpi: %s on a freed %s request (handle generation %d, request now at %d)",
+			use, s.op.kind(), r.gen, s.gen))
+	}
+	return s
+}
+
+// IsNull reports whether r is the null request.
+func (r Request) IsNull() bool { return r.s == nil }
+
+// Done reports whether the operation has completed. The null request is
+// always done.
+func (r Request) Done() bool {
+	s := r.state("Done")
+	if s == nil || s.done {
+		return true
+	}
+	if a, ok := s.op.(*alltoallvReq); ok {
+		return a.poll()
+	}
+	return false
+}
+
+// Payload returns the received payload of a complete Irecv or Get, and
+// an empty one for the null request.
+func (r Request) Payload() Payload {
+	s := r.state("Payload")
+	if s == nil {
+		return Payload{}
+	}
+	switch q := s.op.(type) {
+	case *recvReq:
+		return q.payload
+	case *rmaReq:
+		return q.payload
+	}
+	panic("mpi: Payload of a " + s.op.kind() + " request, which receives nothing")
+}
+
+// consumed reports whether Waitany must skip r: it is null, or Waitany
+// already returned it.
+func (r Request) consumed() bool {
+	s := r.state("Waitany")
+	return s == nil || s.consumed
+}
+
+// describe names the pending operation for deadlock reports.
+func (r Request) describe() string { return r.s.op.describe() }
+
+// Free releases the request (MPI_Request_free). A complete request is
+// recycled at once; a pending one completes as usual, and its completion
+// recycles it. The handle is stale from here on. Freeing the null request
+// does nothing.
+func (c *Ctx) Free(r Request) {
+	s := r.state("Free")
+	if s == nil {
+		return
+	}
+	if !s.done {
+		s.gen++
+		s.freed = true
+		return
+	}
+	c.proc.w.free(s)
+}
+
+// free recycles the complete request s into the world's message state.
+// Ialltoallv requests are not pooled: freeing one only makes its handles
+// stale.
+func (w *World) free(s *reqState) {
+	switch q := s.op.(type) {
+	case *sendReq:
+		w.freeSend(q)
+	case *recvReq:
+		w.freeRecv(q)
+	case *rmaReq:
+		w.freeGet(q)
+	default:
+		s.reset()
+	}
+}
 
 // wildName renders a source or tag wildcard for operation descriptions.
 func wildName(v int) string {
@@ -58,22 +177,28 @@ func tagName(t int) string {
 	return wildName(t)
 }
 
-// SendReq is a pending send. It completes when the payload has been
+// sendReq is a send request. It completes when the payload has been
 // delivered into the destination mailbox.
 //
-// Requests follow MPI's ownership rule. One that Isend or Irecv returns
-// belongs to the caller and is left to the garbage collector. One that an
-// mpi operation makes for itself (isend, irecv: the per-peer requests of
-// collectives, barriers, Send, Recv and Sendrecv) belongs to that
-// operation, which recycles it through the world's freelist once it sees
-// it complete. That is safe because a request is detached when it
-// completes: once done, no envelope, mailbox or posted queue refers to it.
-type SendReq struct {
+// Every request comes off the world's freelist and goes back to it once
+// its owner frees it, and MPI's ownership rule says who that is. A
+// request that Isend, Irecv or Get returns belongs to the caller, who
+// hands it back with Ctx.Free; one the caller never frees is left to the
+// garbage collector. A request that an mpi operation makes for itself
+// (isend, irecv: the per-peer requests of collectives, barriers, Send,
+// Recv and Sendrecv) belongs to that operation, which recycles it once it
+// sees it complete. Recycling a complete request is safe because a
+// request is detached when it completes: once done, no envelope, mailbox
+// or posted queue refers to it. A pending request that its caller freed
+// is recycled by its completion, after the last reference to it is gone.
+type sendReq struct {
 	reqState
 	env *envelope
 }
 
-func (r *SendReq) describe() string {
+func (*sendReq) kind() string { return "Isend" }
+
+func (r *sendReq) describe() string {
 	if r.env == nil {
 		return "Isend (dropped)"
 	}
@@ -81,8 +206,8 @@ func (r *SendReq) describe() string {
 	return fmt.Sprintf("Isend to g%d tag=%s comm=%d bytes=%d", e.dst.gid, tagName(e.tag), e.comm.ctxID, e.payload.Size)
 }
 
-// RecvReq is a pending receive.
-type RecvReq struct {
+// recvReq is a receive request.
+type recvReq struct {
 	reqState
 	owner   *Process
 	comm    *Comm
@@ -90,24 +215,14 @@ type RecvReq struct {
 	tag     int // wanted tag or AnyTag
 	status  Status
 	payload Payload
-	handled bool
 	phase   string // posting context's phase tag, for the delivery event
 }
 
-func (r *RecvReq) describe() string {
+func (*recvReq) kind() string { return "Irecv" }
+
+func (r *recvReq) describe() string {
 	return fmt.Sprintf("Irecv src=%s tag=%s comm=%d", wildName(r.src), tagName(r.tag), r.comm.ctxID)
 }
-
-// Handled reports whether MarkHandled was called; a convenience flag for
-// caller state machines that poll request lists (Algorithm 3's
-// Test_Redistribution), with no MPI semantics.
-func (r *RecvReq) Handled() bool { return r.handled }
-
-// MarkHandled sets the Handled flag.
-func (r *RecvReq) MarkHandled() { r.handled = true }
-
-// Payload returns the received payload. Valid once Done.
-func (r *RecvReq) Payload() Payload { return r.payload }
 
 // envelope is a message in flight or parked in a mailbox.
 type envelope struct {
@@ -125,8 +240,8 @@ type envelope struct {
 	lost      bool    // sender crashed before the payload arrived
 	delay     float64 // injected extra latency before the payload moves
 	outIdx    int     // position in sender.outEnvs until the payload arrives
-	sreq      *SendReq
-	rreq      *RecvReq
+	sreq      *sendReq
+	rreq      *recvReq
 
 	// The payload's transfer, started in place and kept across recycling.
 	// Its done handler is the envelope itself (envFlowDone).
@@ -150,27 +265,24 @@ func (w *World) freeEnvelope(e *envelope) {
 	w.msg().envs.put(e)
 }
 
-// freeSend recycles a done send request that an mpi operation made for
-// itself with isend. Done implies detached, so there is nothing to clear.
-func (w *World) freeSend(s *SendReq) {
-	if !s.done {
-		panic("mpi: recycling a pending send request")
-	}
-	s.done = false
+// freeSend recycles a done send request. Done implies detached, so there
+// is nothing to clear.
+func (w *World) freeSend(s *sendReq) {
+	s.reset()
 	w.msg().sends.put(s)
 }
 
-// freeRecv recycles a done receive request that an mpi operation made for
-// itself with irecv, once the operation has read its payload and status.
-func (w *World) freeRecv(r *RecvReq) {
-	if !r.done {
-		panic("mpi: recycling a pending receive request")
-	}
-	*r = RecvReq{}
+// freeRecv recycles a done receive request, once its owner has read its
+// payload and status. It clears the pointers; irecv and complete set
+// every other field. Field writes, not a struct literal: keeping the
+// reqState would build the literal aside and copy it in.
+func (w *World) freeRecv(r *recvReq) {
+	r.reset()
+	r.owner, r.comm, r.payload, r.phase = nil, nil, Payload{}, ""
 	w.msg().recvs.put(r)
 }
 
-func (e *envelope) matches(r *RecvReq) bool {
+func (e *envelope) matches(r *recvReq) bool {
 	if e.comm.ctxID != r.comm.ctxID {
 		return false
 	}
@@ -187,22 +299,14 @@ func (e *envelope) matches(r *RecvReq) bool {
 // given tag. On an inter-communicator dst indexes the remote group.
 // Messages up to the eager threshold start moving immediately; larger ones
 // wait for a matching receive (rendezvous).
-func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
-	s := new(SendReq)
-	c.startSend(s, comm, dst, tag, payload)
-	return s
+func (c *Ctx) Isend(comm *Comm, dst, tag int, payload Payload) Request {
+	return c.isend(comm, dst, tag, payload).handle()
 }
 
-// isend is Isend into a recycled request. The calling operation owns it:
-// it waits for it and hands it back with freeSend.
-func (c *Ctx) isend(comm *Comm, dst, tag int, payload Payload) *SendReq {
-	s := c.proc.w.msg().sends.get()
-	c.startSend(s, comm, dst, tag, payload)
-	return s
-}
-
-// startSend posts the send behind Isend and isend into s.
-func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
+// isend posts the send behind Isend into a request off the world's
+// freelist. An mpi operation that calls it owns the request: it waits for
+// it and hands it back with freeSend.
+func (c *Ctx) isend(comm *Comm, dst, tag int, payload Payload) *sendReq {
 	if comm.Rank(c) < 0 {
 		panic(fmt.Sprintf("mpi: Isend by non-member g%d", c.proc.gid))
 	}
@@ -210,6 +314,8 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 		panic(fmt.Sprintf("mpi: Isend with negative tag %d", tag))
 	}
 	w := c.proc.w
+	s := w.msg().sends.get()
+	s.op = s
 	dstProc := comm.peerProc(dst)
 	c.chargeCopy(payload.Size) // pack
 
@@ -230,7 +336,7 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 		// The message vanishes on the wire: the sender observes a normal
 		// local completion, the receiver never sees anything.
 		s.done = true
-		return
+		return s
 	}
 
 	// The envelope comes off the world's freelist: envelopes are the
@@ -260,6 +366,7 @@ func (c *Ctx) startSend(s *SendReq, comm *Comm, dst, tag int, payload Payload) {
 	if env.eager || env.rreq != nil {
 		env.startFlow()
 	}
+	return s
 }
 
 // startFlow launches the network transfer for the envelope's payload, or
@@ -342,10 +449,14 @@ func (e *envelope) onFlowDone() {
 	// at once: its owner may recycle it while the envelope still waits in
 	// the mailbox for a receive.
 	if e.eager {
-		e.sreq.done = true
-		e.sreq.env = nil
+		sr := e.sreq
+		sr.done = true
+		sr.env = nil
 		e.sreq = nil
 		s.progress.Broadcast()
+		if sr.freed {
+			s.w.freeSend(sr)
+		}
 	}
 	e.complete()
 }
@@ -390,19 +501,26 @@ func (e *envelope) complete() {
 		})
 	}
 	r.owner.progress.Broadcast()
+	w := e.comm.w
+	if r.freed {
+		w.freeRecv(r)
+	}
 	if s := e.sreq; s != nil { // a rendezvous send; an eager one is detached
 		s.done = true
 		s.env = nil
 		e.sender.progress.Broadcast()
+		if s.freed {
+			w.freeSend(s)
+		}
 	}
 	// The pair is finished on both sides; recycle the envelope, which
 	// detaches the receive request.
-	e.comm.w.freeEnvelope(e)
+	w.freeEnvelope(e)
 }
 
 // matchPosted scans the process's posted receives for the first match, in
 // post order, removing and returning it.
-func (p *Process) matchPosted(env *envelope) *RecvReq {
+func (p *Process) matchPosted(env *envelope) *recvReq {
 	for i, r := range p.posted.all() {
 		if env.matches(r) {
 			p.posted.remove(i)
@@ -456,27 +574,19 @@ func (q *matchQueue[T]) remove(i int) {
 
 // Irecv posts a non-blocking receive for a message on comm from source
 // rank src (or AnySource) with tag (or AnyTag).
-func (c *Ctx) Irecv(comm *Comm, src, tag int) *RecvReq {
-	r := new(RecvReq)
-	c.startRecv(r, comm, src, tag)
-	return r
+func (c *Ctx) Irecv(comm *Comm, src, tag int) Request {
+	return c.irecv(comm, src, tag).handle()
 }
 
-// irecv is Irecv into a recycled request. The calling operation owns it:
-// it waits for it, reads its payload and status, and hands it back with
-// freeRecv.
-func (c *Ctx) irecv(comm *Comm, src, tag int) *RecvReq {
-	r := c.proc.w.msg().recvs.get()
-	c.startRecv(r, comm, src, tag)
-	return r
-}
-
-// startRecv posts the receive behind Irecv and irecv into the zero
-// request r.
-func (c *Ctx) startRecv(r *RecvReq, comm *Comm, src, tag int) {
+// irecv posts the receive behind Irecv into a request off the world's
+// freelist. An mpi operation that calls it owns the request: it waits for
+// it, reads its payload and status, and hands it back with freeRecv.
+func (c *Ctx) irecv(comm *Comm, src, tag int) *recvReq {
 	if comm.Rank(c) < 0 {
 		panic(fmt.Sprintf("mpi: Irecv by non-member g%d (use your own view of the communicator)", c.proc.gid))
 	}
+	r := c.proc.w.msg().recvs.get()
+	r.op = r
 	r.owner, r.comm, r.src, r.tag, r.phase = c.proc, comm, src, tag, c.phase
 	// Match the oldest compatible envelope already in the mailbox.
 	for i, env := range c.proc.inbox.all() {
@@ -485,10 +595,11 @@ func (c *Ctx) startRecv(r *RecvReq, comm *Comm, src, tag int) {
 			env.rreq = r
 			env.startFlow() // no-op if already streaming
 			env.complete()  // no-op unless data already arrived
-			return
+			return r
 		}
 	}
 	c.proc.posted.push(r)
+	return r
 }
 
 // Send is the blocking send: Isend followed by Wait. With the rendezvous
@@ -496,14 +607,14 @@ func (c *Ctx) startRecv(r *RecvReq, comm *Comm, src, tag int) {
 // receive — the deadlock hazard of §3.1.
 func (c *Ctx) Send(comm *Comm, dst, tag int, payload Payload) {
 	s := c.isend(comm, dst, tag, payload)
-	c.Wait(s)
+	c.Wait(s.handle())
 	c.proc.w.freeSend(s)
 }
 
 // Recv is the blocking receive.
 func (c *Ctx) Recv(comm *Comm, src, tag int) (Payload, Status) {
 	r := c.irecv(comm, src, tag)
-	c.Wait(r)
+	c.Wait(r.handle())
 	pl, st := r.payload, r.status
 	c.proc.w.freeRecv(r)
 	c.chargeCopy(pl.Size) // unpack
@@ -525,8 +636,8 @@ func (c *Ctx) Sendrecv(comm *Comm, dst, sendTag int, payload Payload, src, recvT
 
 // waitPair waits for the send and the receive of one exchange step, and
 // recycles the send; the caller reads and recycles the receive.
-func (c *Ctx) waitPair(s *SendReq, r *RecvReq) {
-	c.reqs = append(c.reqs[:0], s, r)
+func (c *Ctx) waitPair(s *sendReq, r *recvReq) {
+	c.reqs = append(c.reqs[:0], s.handle(), r.handle())
 	c.Waitall(c.reqs)
 	clear(c.reqs)
 	c.proc.w.freeSend(s)
@@ -538,8 +649,8 @@ func (c *Ctx) waitallFree(sends []Request) {
 	c.reqs = sends // keep a grown list for the next operation
 	c.Waitall(sends)
 	for i, s := range sends {
-		c.proc.w.freeSend(s.(*SendReq))
-		sends[i] = nil
+		c.proc.w.free(s.s)
+		sends[i] = Request{}
 	}
 }
 
@@ -552,12 +663,13 @@ func (w *waitCond) String() string { return "Wait: " + w.r.describe() }
 
 // Wait blocks until the request completes.
 func (c *Ctx) Wait(r Request) {
+	r.state("Wait")
 	if r.Done() {
 		return
 	}
 	c.wait.r = r
 	c.waitUntilDesc(&c.wait, nil)
-	c.wait.r = nil
+	c.wait.r = Request{}
 }
 
 // allDone is Waitall's condition. next is the length of the prefix of rs
@@ -607,7 +719,7 @@ type anyDone struct {
 
 func (a *anyDone) Done() bool {
 	for i := a.next; i < len(a.rs); i++ {
-		if r := a.rs[i]; r.Done() && !r.isConsumed() {
+		if r := a.rs[i]; !r.consumed() && r.Done() {
 			a.idx = i
 			return true
 		}
@@ -619,7 +731,7 @@ func (a *anyDone) Done() bool {
 func (a *anyDone) String() string {
 	pending, first := 0, ""
 	for _, r := range a.rs {
-		if !r.Done() && !r.isConsumed() {
+		if !r.consumed() && !r.Done() {
 			if pending == 0 {
 				first = r.describe()
 			}
@@ -630,11 +742,12 @@ func (a *anyDone) String() string {
 }
 
 // Waitany blocks until at least one not-yet-consumed request completes and
-// returns its index, marking it consumed (MPI_Waitany). If every request is
-// already consumed it returns -1 (MPI_UNDEFINED).
+// returns its index, marking it consumed (MPI_Waitany). Null requests
+// count as consumed. If every request is consumed it returns -1
+// (MPI_UNDEFINED).
 func (c *Ctx) Waitany(rs []Request) int {
 	next := 0
-	for next < len(rs) && rs[next].isConsumed() {
+	for next < len(rs) && rs[next].consumed() {
 		next++
 	}
 	if next == len(rs) {
@@ -644,7 +757,7 @@ func (c *Ctx) Waitany(rs []Request) int {
 	c.waitUntilDesc(&c.any, nil)
 	idx := c.any.idx
 	c.any.rs = nil
-	rs[idx].setConsumed()
+	rs[idx].s.consumed = true
 	return idx
 }
 

@@ -7,13 +7,19 @@ import (
 	"testing"
 )
 
-// recycleOp is one step of TestRecycledRequestsStayDetached: an Alltoallv
-// over the whole communicator, or a Sendrecv with the ranks shift apart.
+// Step kinds of TestRecycledRequestsStayDetached.
+const (
+	stepAlltoallv = iota // an Alltoallv over the whole communicator
+	stepSendrecv         // a Sendrecv with the ranks shift apart
+	stepWaitany          // an all-to-all exchange drained by a Waitany loop
+)
+
+// recycleOp is one step of TestRecycledRequestsStayDetached.
 type recycleOp struct {
-	alltoallv bool
-	shift     int
-	delay     []float64 // delay[r]: rank r's sleep before the step
-	size      [][]int   // size[src][dst] of the step's messages
+	kind  int
+	shift int
+	delay []float64 // delay[r]: rank r's sleep before the step
+	size  [][]int   // size[src][dst] of the step's messages
 }
 
 // recyclePayload is the content of the message from src to dst in step op.
@@ -74,16 +80,19 @@ func checkDetached(t *testing.T, w *World) (detachedInInbox bool) {
 	return detachedInInbox
 }
 
-// TestRecycledRequestsStayDetached: ranks enter back-to-back Alltoallvs
-// and Sendrecvs on one communicator at staggered times, with mostly eager
-// and some rendezvous messages. Eager sends finish before their receivers
-// post, so later steps reuse recycled requests while earlier steps'
-// envelopes still wait in mailboxes. After every step the world must keep
-// the request invariant (no request completes while a message of its own
-// is undelivered, and none is recycled while anything refers to it), every
-// received payload must be the one sent, and every step must end at the
-// same virtual time as the same exchange built from caller-owned Isend and
-// Irecv requests, which are never recycled.
+// TestRecycledRequestsStayDetached: ranks enter back-to-back Alltoallvs,
+// Sendrecvs and Waitany-drained exchanges on one communicator at staggered
+// times, with mostly eager and some rendezvous messages. Eager sends
+// finish before their receivers post, so later steps reuse recycled
+// requests while earlier steps' envelopes still wait in mailboxes. In a
+// Waitany step the caller frees each receive as Waitany returns it, in the
+// middle of the loop, and frees every other send while it is still
+// pending, so its completion recycles it. After every step the world must
+// keep the request invariant (no request completes while a message of its
+// own is undelivered, and none is recycled while anything refers to it),
+// every received payload must be the one sent, and every step must end at
+// the same virtual time as the same exchange built from caller-owned Isend
+// and Irecv requests that are never freed.
 func TestRecycledRequestsStayDetached(t *testing.T) {
 	const ranks, steps = 5, 16
 	opts := defaultTestOptions()
@@ -92,7 +101,7 @@ func TestRecycledRequestsStayDetached(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]recycleOp, steps)
 		for i := range ops {
-			op := recycleOp{alltoallv: rng.Intn(2) == 0, shift: 1 + rng.Intn(ranks-1)}
+			op := recycleOp{kind: rng.Intn(3), shift: 1 + rng.Intn(ranks-1)}
 			op.delay = make([]float64, ranks)
 			op.size = make([][]int, ranks)
 			for r := range op.size {
@@ -122,21 +131,24 @@ func TestRecycledRequestsStayDetached(t *testing.T) {
 				r := comm.Rank(c)
 				for i, op := range ops {
 					c.Sleep(op.delay[r])
-					if op.alltoallv {
+					if op.kind != stepSendrecv {
 						send := make([]Payload, ranks)
 						for q := range send {
 							send[q] = recyclePayload(i, r, q, op.size[r][q])
 						}
 						var out []Payload
-						if recycled {
+						switch {
+						case op.kind == stepWaitany:
+							out = waitanyExchange(c, comm, i, send, recycled)
+						case recycled:
 							out = c.Alltoallv(comm, send)
-						} else {
+						default:
 							out = refAlltoallv(c, comm, i, send)
 						}
 						for q, got := range out {
 							want := recyclePayload(i, q, r, op.size[q][r])
 							if !bytes.Equal(got.Data, want.Data) {
-								t.Errorf("seed %d step %d: rank %d got the wrong Alltoallv payload from %d", seed, i, r, q)
+								t.Errorf("seed %d step %d: rank %d got the wrong all-to-all payload from %d", seed, i, r, q)
 							}
 						}
 					} else {
@@ -149,7 +161,7 @@ func TestRecycledRequestsStayDetached(t *testing.T) {
 						} else {
 							s, rr := c.Isend(comm, dst, i, pl), c.Irecv(comm, src, i)
 							c.Waitall([]Request{s, rr})
-							got, st = rr.Payload(), rr.status
+							got, st = rr.Payload(), rr.s.op.(*recvReq).status
 						}
 						want := recyclePayload(i, src, r, op.size[src][r])
 						if !bytes.Equal(got.Data, want.Data) || st != (Status{Source: src, Tag: i, Size: want.Size}) {
@@ -188,7 +200,7 @@ func TestRecycledRequestsStayDetached(t *testing.T) {
 func refAlltoallv(c *Ctx, comm *Comm, tag int, send []Payload) []Payload {
 	n := len(send)
 	reqs := make([]Request, 2*n) // sends, then receives
-	recvs := make([]*RecvReq, n)
+	recvs := make([]Request, n)
 	for q := range recvs {
 		recvs[q] = c.Irecv(comm, q, tag)
 		reqs[n+q] = recvs[q]
@@ -202,6 +214,50 @@ func refAlltoallv(c *Ctx, comm *Comm, tag int, send []Payload) []Payload {
 	out := make([]Payload, n)
 	for q, rr := range recvs {
 		out[q] = rr.Payload()
+	}
+	return out
+}
+
+// waitanyExchange is an all-to-all exchange of caller-owned requests, with
+// the step index as its tag, whose receives a Waitany loop drains. It
+// waits for every odd-numbered send. With free, it frees each receive as
+// Waitany returns it and each even-numbered send at once, still pending;
+// without, it drops the even-numbered sends unfreed.
+func waitanyExchange(c *Ctx, comm *Comm, tag int, send []Payload, free bool) []Payload {
+	n := len(send)
+	recvs := make([]Request, n)
+	for q := range recvs {
+		recvs[q] = c.Irecv(comm, q, tag)
+	}
+	r := comm.Rank(c)
+	var sends []Request
+	for s := 0; s < n; s++ {
+		dst := (r + s) % n
+		req := c.Isend(comm, dst, tag, send[dst])
+		switch {
+		case s%2 == 1:
+			sends = append(sends, req)
+		case free:
+			c.Free(req)
+		}
+	}
+	out := make([]Payload, n)
+	for {
+		q := c.Waitany(recvs)
+		if q < 0 {
+			break
+		}
+		out[q] = recvs[q].Payload()
+		if free {
+			c.Free(recvs[q])
+			recvs[q] = Request{}
+		}
+	}
+	c.Waitall(sends)
+	if free {
+		for _, s := range sends {
+			c.Free(s)
+		}
 	}
 	return out
 }

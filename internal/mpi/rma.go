@@ -163,11 +163,12 @@ func (c *Ctx) WinCreate(comm *Comm, local Payload) *Win {
 	return win
 }
 
-// RMAReq is a pending one-sided operation. A Get in flight is driven by
-// the request itself: it is the handler that ends the read request's
-// latency (getLatency) and the done handler of the data's transfer
-// (getDone), which it owns.
-type RMAReq struct {
+// rmaReq is a one-sided Get request. A Get in flight is driven by the
+// request itself: it is the handler that ends the read request's latency
+// (getLatency) and the done handler of the data's transfer (getDone),
+// which it owns. Like the send and receive requests, it comes off the
+// world's freelist, and Free hands it back.
+type rmaReq struct {
 	reqState
 	payload Payload
 
@@ -187,14 +188,23 @@ type RMAReq struct {
 	flow   netmodel.Flow
 }
 
-// Payload returns the fetched bytes of a completed Get.
-func (r *RMAReq) Payload() Payload { return r.payload }
+func (*rmaReq) kind() string { return "Get" }
 
-func (r *RMAReq) describe() string {
+func (r *rmaReq) describe() string {
 	if r.dropped {
 		return fmt.Sprintf("Get from g%d comm=%d bytes=%d (lost on the wire)", r.src, r.comm, r.bytes)
 	}
 	return fmt.Sprintf("Get from g%d comm=%d bytes=%d", r.src, r.comm, r.bytes)
+}
+
+// freeGet recycles a done Get request. Its done handler (getDone) has
+// cleared the in-flight ends and data, so clearing the payload and the
+// finished flow leaves it referring to nothing; Get sets every other
+// field it reads.
+func (w *World) freeGet(r *rmaReq) {
+	r.reset()
+	r.payload, r.dropped, r.phase, r.flow = Payload{}, false, "", netmodel.Flow{}
+	w.msg().gets.put(r)
 }
 
 // Get starts a one-sided read of bytes [lo, hi) from the window region
@@ -211,21 +221,24 @@ func (r *RMAReq) describe() string {
 // that died before exposing likewise returns a request that never
 // completes, rather than panicking: reading revoked memory is a fault,
 // not a programming error.
-func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
+func (c *Ctx) Get(win *Win, target int, lo, hi int64) Request {
 	tp := win.comm.peerProcFor(c, target)
 	exp, ok := win.exposed[tp.gid]
-	if !ok {
-		if tp.dead {
-			return &RMAReq{src: tp.gid, comm: win.comm.ctxID, bytes: hi - lo, dropped: true}
-		}
+	if !ok && !tp.dead {
 		panic(fmt.Sprintf("mpi: Get from rank %d which exposed nothing", target))
 	}
-	if lo < 0 || hi < lo || hi > exp.Size {
+	if ok && (lo < 0 || hi < lo || hi > exp.Size) {
 		panic(fmt.Sprintf("mpi: Get [%d,%d) outside exposed %d bytes", lo, hi, exp.Size))
 	}
-	req := &RMAReq{src: tp.gid, comm: win.comm.ctxID, bytes: hi - lo}
 	origin := c.proc
 	w := origin.w
+	req := w.msg().gets.get()
+	req.op = req
+	req.src, req.comm, req.bytes = tp.gid, win.comm.ctxID, hi-lo
+	if !ok {
+		req.dropped = true
+		return req.handle()
+	}
 	var delay float64
 	if w.hooks != nil {
 		verdict := w.hooks.FilterSend(tp, origin, -1, win.comm, hi-lo)
@@ -233,7 +246,7 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 			// The read request (or its response) vanishes: no data ever
 			// lands.
 			req.dropped = true
-			return req
+			return req.handle()
 		}
 		delay = verdict.Delay
 	}
@@ -248,24 +261,24 @@ func (c *Ctx) Get(win *Win, target int, lo, hi int64) *RMAReq {
 		lat = w.machine.Fabric().Params().IntraLatency
 	}
 	w.k.AfterHandler(lat+delay, (*getLatency)(req))
-	return req
+	return req.handle()
 }
 
 // getLatency ends a Get's read-request latency: the request itself, under
 // a type whose Fire starts the data flowing back.
-type getLatency RMAReq
+type getLatency rmaReq
 
 func (l *getLatency) Fire() {
-	r := (*RMAReq)(l)
+	r := (*rmaReq)(l)
 	r.origin.w.machine.Fabric().Start(&r.flow, r.tp.node, r.origin.node, r.bytes, (*getDone)(r))
 }
 
 // getDone is the done handler of a Get's data transfer: the request
 // itself, under a type whose Fire delivers it.
-type getDone RMAReq
+type getDone rmaReq
 
 func (d *getDone) Fire() {
-	r := (*RMAReq)(d)
+	r := (*rmaReq)(d)
 	origin, gid, data := r.origin, r.src, r.data
 	r.origin, r.tp, r.data = nil, nil, Payload{}
 	if origin.dead {
@@ -284,6 +297,9 @@ func (d *getDone) Fire() {
 		})
 	}
 	origin.progress.Broadcast()
+	if r.freed {
+		w.freeGet(r)
+	}
 }
 
 // Fence synchronizes every live window member (an access epoch boundary,

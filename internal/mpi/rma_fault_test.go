@@ -91,7 +91,7 @@ func TestGetDelayedOnWire(t *testing.T) {
 func TestCrashedOriginTakesNoDelivery(t *testing.T) {
 	w := testWorld(t, 2, 4, defaultTestOptions())
 	var originGID int
-	var g *RMAReq
+	var g Request
 	comm := w.Launch(2, nil, func(c *Ctx, comm *Comm) {
 		var local Payload
 		if comm.Rank(c) == 0 {

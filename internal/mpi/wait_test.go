@@ -9,15 +9,16 @@ import (
 
 // maxWaitAllocs bounds the allocations of one Wait that parks on a pending
 // Irecv until an eager message from a sleeping peer completes it. The
-// count covers the whole round, and what remains is the peer's SendReq:
-// Isend returns it to its caller, so mpi cannot recycle it. The Wait's
-// condition and polling load belong to its context; parks, wakes, the
-// envelope, its flow and the timers allocate nothing.
-const maxWaitAllocs = 1
+// count covers the whole round, the peer's Isend included: the peer frees
+// its send while it is pending, so the send's completion recycles it for
+// the next round. The Wait's condition and polling load belong to its
+// context; parks, wakes, the envelope, its flow and the timers allocate
+// nothing.
+const maxWaitAllocs = 0
 
 // TestWaitAllocations: a Wait that parks formats no deadlock reason and
-// schedules its wake without a Timer, so a round allocates no more than
-// the message itself needs.
+// schedules its wake without a Timer, and the freed send's request is
+// recycled, so a round allocates nothing.
 func TestWaitAllocations(t *testing.T) {
 	const runs = 100
 	w := testWorld(t, 2, 4, defaultTestOptions())
@@ -28,10 +29,10 @@ func TestWaitAllocations(t *testing.T) {
 		case 0:
 			for tag := 0; tag <= runs; tag++ { // AllocsPerRun adds a warm-up call
 				c.Sleep(1)
-				c.Isend(comm, 1, tag, Virtual(8))
+				c.Free(c.Isend(comm, 1, tag, Virtual(8)))
 			}
 		case 1:
-			rs := make([]*RecvReq, runs+1)
+			rs := make([]Request, runs+1)
 			for tag := range rs {
 				rs[tag] = c.Irecv(comm, 0, tag)
 			}
@@ -56,18 +57,16 @@ func TestWaitAllocations(t *testing.T) {
 
 // maxRoundTripAllocs bounds the allocations of one P2P round trip: an
 // eager message each way, each an Isend, an Irecv posted before it, a
-// Wait on both, and the flow's completion. What remains is the two
-// SendReqs and two RecvReqs that Isend and Irecv return to their callers;
-// one of the peer's falls outside the measured rounds and
-// testing.AllocsPerRun divides in integers, so the four read as 3. Wait conditions and
-// polling loads belong to the contexts; envelopes, flows, timers,
-// deferred launches and the copy cost's Use waiters are recycled or bound
-// once.
-const maxRoundTripAllocs = 3
+// Wait on both, and the flow's completion. Both ranks free their requests
+// once they are done, so the requests come back from the world's
+// freelists like the envelopes, flows, timers and deferred launches; Wait
+// conditions, polling loads and the copy cost's Use waiters belong to the
+// contexts.
+const maxRoundTripAllocs = 0
 
 // TestRoundTripAllocations: a ping-pong between ranks on two nodes, with
-// the default copy cost and scheduler quantum, allocates no more per round
-// trip than its requests and parked Waits need.
+// the default copy cost and scheduler quantum, whose ranks free their
+// requests, allocates nothing per round trip once the world is warm.
 func TestRoundTripAllocations(t *testing.T) {
 	const runs = 100
 	w := testWorld(t, 2, 4, DefaultOptions())
@@ -78,15 +77,21 @@ func TestRoundTripAllocations(t *testing.T) {
 			tag := 0
 			allocs = testing.AllocsPerRun(runs, func() {
 				r := c.Irecv(comm, 1, tag)
-				c.Wait(c.Isend(comm, 1, tag, Virtual(8)))
+				s := c.Isend(comm, 1, tag, Virtual(8))
+				c.Wait(s)
+				c.Free(s)
 				c.Wait(r)
+				c.Free(r)
 				tag++
 			})
 		case 1:
 			for tag := 0; tag <= runs; tag++ { // AllocsPerRun adds a warm-up call
 				r := c.Irecv(comm, 0, tag)
 				c.Wait(r)
-				c.Wait(c.Isend(comm, 0, tag, Virtual(8)))
+				c.Free(r)
+				s := c.Isend(comm, 0, tag, Virtual(8))
+				c.Wait(s)
+				c.Free(s)
 			}
 		}
 	})
@@ -114,8 +119,8 @@ func TestWaitUntilDeadlineAllocations(t *testing.T) {
 				c.Send(comm, 1, tag, Virtual(8))
 			}
 		case 1:
-			var r *RecvReq
-			arrived := func() bool { return r.Done() }
+			var r *recvReq
+			arrived := func() bool { return r.done }
 			tag := 0
 			met = testing.AllocsPerRun(runs, func() {
 				r = c.irecv(comm, 0, tag)

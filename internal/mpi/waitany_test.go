@@ -67,7 +67,7 @@ func fullScanWaitany(c *Ctx, rs []Request) int {
 	idx := -1
 	scan := func() bool {
 		for i, r := range rs {
-			if r.Done() && !r.isConsumed() {
+			if r.Done() && !r.consumed() {
 				idx = i
 				return true
 			}
@@ -76,13 +76,13 @@ func fullScanWaitany(c *Ctx, rs []Request) int {
 	}
 	pending := false
 	for _, r := range rs {
-		pending = pending || !r.isConsumed()
+		pending = pending || !r.consumed()
 	}
 	if !pending {
 		return -1
 	}
 	c.WaitUntil(sim.CondFunc(scan))
-	rs[idx].setConsumed()
+	rs[idx].s.consumed = true
 	return idx
 }
 

@@ -144,16 +144,17 @@ func (l *freelist[T]) get() *T {
 // put hands x back; the caller has cleared what x must not keep alive.
 func (l *freelist[T]) put(x *T) { l.free = append(l.free, x) }
 
-// recycled is a world's recycled message state: the envelopes and the
-// requests mpi makes for itself (see Isend and freeEnvelope, isend and
-// irecv), and Ialltoallv's per-peer request lists, which are all nil once
-// its Done has recycled their entries. One world uses it at a time.
+// recycled is a world's recycled message state: the envelopes (see
+// Isend and freeEnvelope), the send, receive and Get requests (see
+// Request), and Ialltoallv's per-peer request lists, which are all nil
+// once its poll has recycled their entries. One world uses it at a time.
 type recycled struct {
 	envs      freelist[envelope]
-	sends     freelist[SendReq]
-	recvs     freelist[RecvReq]
-	sendLists listPool[SendReq]
-	recvLists listPool[RecvReq]
+	sends     freelist[sendReq]
+	recvs     freelist[recvReq]
+	gets      freelist[rmaReq]
+	sendLists listPool[sendReq]
+	recvLists listPool[recvReq]
 }
 
 // msgPool carries recycled message state from a world that Release handed
@@ -175,9 +176,9 @@ func (w *World) msg() *recycled {
 // Call it once Kernel.Run has returned and nothing will send on the world
 // again; a later send would draw fresh state. Free objects refer to
 // nothing in the world (freeEnvelope clears an envelope's pointers and
-// its flow, a done request is detached, Ialltoallv's lists are all nil),
-// so the state keeps no world alive. A world that is never released keeps
-// its state, and costs what it did before.
+// its flow, a freed request is detached and cleared, Ialltoallv's lists
+// are all nil), so the state keeps no world alive. A world that is never
+// released keeps its state, and costs what it did before.
 func (w *World) Release() {
 	if w.rc != nil {
 		msgPool.Put(w.rc)
@@ -287,7 +288,7 @@ type Process struct {
 	node int
 
 	inbox    matchQueue[*envelope] // unmatched arrivals, in send order
-	posted   matchQueue[*RecvReq]  // unmatched receives, in post order
+	posted   matchQueue[*recvReq]  // unmatched receives, in post order
 	progress *sim.Signal
 
 	parent *Comm // intercomm to the group that spawned this process

@@ -131,9 +131,8 @@ func (k *Kernel) Now() float64 { return k.now }
 // and was reused for a later schedule) can never cancel the new occupant.
 // The zero Timer is a handle to nothing; its Cancel reports false.
 type Timer struct {
-	ev   *event
-	gen  uint32
-	when float64
+	ev  *event
+	gen uint32
 }
 
 // Cancel stops the timer. It reports whether the event was still pending.
@@ -206,7 +205,7 @@ func (k *Kernel) AtHandler(at float64, h Handler) Timer {
 	}
 	e := k.newEvent(at, h)
 	k.push(e)
-	return Timer{ev: e, gen: e.gen, when: at}
+	return Timer{ev: e, gen: e.gen}
 }
 
 // schedule wakes p at virtual time at. It stamps the next sequence number

@@ -59,22 +59,8 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// regularizedGammaP computes P(a, x), the lower regularized incomplete
+// regularizedGammaQ computes Q(a, x), the upper regularized incomplete
 // gamma function, via series (x < a+1) or continued fraction.
-func regularizedGammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		panic(fmt.Sprintf("stats: gammaP(a=%g, x=%g)", a, x))
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
-// regularizedGammaQ computes Q(a, x) = 1 - P(a, x).
 func regularizedGammaQ(a, x float64) float64 {
 	if x < a+1 {
 		return 1 - gammaSeries(a, x)

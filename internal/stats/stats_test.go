@@ -309,30 +309,6 @@ func TestPropertyKWShiftInvariant(t *testing.T) {
 	}
 }
 
-func TestRegularizedGammaP(t *testing.T) {
-	// P(a,x) + Q(a,x) = 1 across both the series and continued-fraction
-	// branches; chi-square CDF known values.
-	for _, c := range []struct{ a, x float64 }{{0.5, 0.1}, {0.5, 5}, {2, 1}, {2, 10}, {10, 3}, {10, 30}} {
-		p := regularizedGammaP(c.a, c.x)
-		q := regularizedGammaQ(c.a, c.x)
-		if math.Abs(p+q-1) > 1e-12 {
-			t.Fatalf("P+Q = %g at a=%g x=%g", p+q, c.a, c.x)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("P = %g outside [0,1]", p)
-		}
-	}
-	if regularizedGammaP(1, 0) != 0 {
-		t.Fatal("P(a,0) != 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("gammaP with bad args did not panic")
-		}
-	}()
-	regularizedGammaP(-1, 1)
-}
-
 func TestStudentTDegenerateArgs(t *testing.T) {
 	defer func() {
 		if recover() == nil {

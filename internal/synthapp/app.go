@@ -388,6 +388,8 @@ func (rs *runState) ringExchange(c *mpi.Ctx, comm *mpi.Comm, bytes int64) {
 	s := c.Isend(comm, right, 3, mpi.Virtual(bytes))
 	rr := c.Irecv(comm, left, 3)
 	c.Waitall([]mpi.Request{s, rr})
+	c.Free(s)
+	c.Free(rr)
 }
 
 // agree implements the sources' completion consensus at a checkpoint: all
