@@ -119,6 +119,9 @@ func (t *crTransfer) progress(c *mpi.Ctx) bool {
 	panic("core: checkpoint/restart cannot overlap execution; use Overlap = Sync")
 }
 
+// ready holds, so a drive resumes into progress's panic.
+func (t *crTransfer) ready() bool { return true }
+
 func (t *crTransfer) drain(c *mpi.Ctx) {
 	panic("core: checkpoint/restart cannot overlap execution; use Overlap = Sync")
 }

@@ -177,6 +177,19 @@ func (t *colTransfer) progress(c *mpi.Ctx) bool {
 	}
 }
 
+// ready reports whether progress would act: the pass has not started, its
+// pending phase's Ialltoallv has completed, or it is done.
+func (t *colTransfer) ready() bool {
+	switch t.phase {
+	case 1:
+		return t.sizesReq.Done()
+	case 2:
+		return t.valsReq.Done()
+	default:
+		return true
+	}
+}
+
 // drain finishes the non-blocking pass by waiting on whichever phase is
 // pending (used when an asynchronous reconfiguration must be drained before
 // the variable-data phase).

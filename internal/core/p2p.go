@@ -248,6 +248,22 @@ func (t *p2pTransfer) progress(c *mpi.Ctx) bool {
 	return done
 }
 
+// ready reports whether progress would act: the pass has not started, a
+// posted receive has completed, or the active wave's sends have all
+// completed and the wave has sends to retire, a next wave to open, or no
+// receive left to wait for.
+func (t *p2pTransfer) ready() bool {
+	if !t.started {
+		return true
+	}
+	for _, rr := range t.recvReqs {
+		if !rr.IsNull() && rr.Done() {
+			return true
+		}
+	}
+	return t.waves.landed() && (len(t.waves.reqs) > 0 || !t.waves.issuedAll() || t.numRcv == 0)
+}
+
 // runBlockingAll drives the pass to completion, blocking per Algorithm 1: a
 // Waitany-driven receive loop, then MPI_Waitall on the last wave's sends
 // (every earlier wave's completed before it retired). Under a
@@ -356,18 +372,18 @@ func newResendRecovery(r *recovery) resendRecovery {
 				seq := occ[ch.Dst]
 				occ[ch.Dst]++
 				key := chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: sp.lo, hi: sp.hi}
-				if rp.acks.acked(key) || r.failed[v.targetGID(ch.Dst)] {
+				if rp.hooks.acks.acked(key) || r.failed[v.targetGID(ch.Dst)] {
 					continue // already delivered, or no survivor to receive it
 				}
-				pl, ok := rp.acks.retainedCopy(key)
+				pl, ok := rp.hooks.acks.retainedCopy(key)
 				if !ok && r.pristine(v.srcRank) {
 					pl, ok = it.Extract(sp.lo, sp.hi), true
 				}
 				if !ok {
 					continue // copy gone: the target reads the checkpoint
 				}
-				rp.acks.noteResend(key, pl.Size)
-				rp.acks.markSent(key)
+				rp.hooks.acks.noteResend(key, pl.Size)
+				rp.hooks.acks.markSent(key)
 				r.ops = append(r.ops, wireOp{key: key, n: pl.Size, tag: recoveryTag(r.round, rp.tagIdx[i], seq), pl: pl})
 			}
 		}
@@ -379,7 +395,7 @@ func (n resendRecovery) reissue(c *mpi.Ctx, key chunkKey, seq int) bool {
 	if n.failed[n.rp.v.sourceGID(key.src)] {
 		return false
 	}
-	if _, ok := n.rp.acks.retainedCopy(key); !ok && !n.pristine(key.src) {
+	if _, ok := n.rp.hooks.acks.retainedCopy(key); !ok && !n.pristine(key.src) {
 		return false
 	}
 	op := wireOp{key: key, req: n.rp.v.recvFrom(c, key.src, recoveryTag(n.round, n.rp.tagIdx[key.item], seq))}

@@ -57,8 +57,9 @@ type TargetFunc func(ctx *mpi.Ctx, newComm *mpi.Comm, store *Store)
 type xfer interface {
 	// runBlockingAll drives the pass to completion with blocking semantics.
 	runBlockingAll(c *mpi.Ctx)
-	// progress advances without blocking and reports completion.
-	progress(c *mpi.Ctx) bool
+	// progress advances without blocking and reports completion; ready is
+	// its pure half (see drive).
+	drive
 	// drain completes the pass from wherever progress left off.
 	drain(c *mpi.Ctx)
 }

@@ -223,6 +223,12 @@ type epochState struct {
 type passRegistry struct {
 	epochs map[int]*epochState
 	files  map[int]*crFiles
+
+	// expiries counts the deadline waits of resilient drives that ended
+	// at their deadline. A fault-free pass whose epochs fit the deadline
+	// has none: a wait that expires there lost a wake its drive's
+	// readiness should have seen.
+	expiries int
 }
 
 func registryOf(w *mpi.World) *passRegistry {
@@ -316,20 +322,43 @@ type resilientPass struct {
 	parts []int
 	files *crFiles
 
-	// Ladder state. acks is shared pass-wide (st.acks); hooks, rtt, ticks
-	// and prepared are rank-local.
-	acks     *ackTracker
-	hooks    *ladderHooks
-	rtt      *RTTEstimator
-	ticks    int
-	prepared map[int]bool
+	// Ladder state, which the pass hands its transfers as hooks: the ack
+	// ledger is shared pass-wide (st.acks); the RTT estimator, the Prepare
+	// ledger and ticks, the progress count hooks.ticks points at, are
+	// rank-local.
+	hooks ladderHooks
+	ticks int
 	// gauge tracks the live payload bytes of wave-paced recovery rounds;
 	// the pass-end report folds it with the attempt transfer's own peak.
 	gauge liveGauge
 	// x is the rank's round-0 attempt transfer, kept so recovery rounds can
 	// reap receives that completed after the abort.
 	x xfer
+	// The drive in progress (resilientDrive): what it advances, and the
+	// detector version its failure scan last saw. Its deadline waits park
+	// on the pass itself, under driveReady.
+	drive drive
+	ver   int
 }
+
+// drive is what resilientDrive advances: the attempt's transfer or a
+// recovery round. progress advances without blocking, and may compute and
+// send, and reports completion. ready is its pure half: it only reads
+// state (see sim.Cond), since the kernel tests it on each wake of the
+// waiting rank, and it must hold whenever progress would do anything or
+// report completion; otherwise the rank stays parked.
+type drive interface {
+	progress(c *mpi.Ctx) bool
+	ready() bool
+}
+
+// driveReady is the readiness of a pass's drive in progress: the pass
+// itself, under a type whose Done holds once a failure was detected since
+// the drive last scanned for one, or once the drive can take a step. So
+// parking a drive allocates nothing.
+type driveReady resilientPass
+
+func (r *driveReady) Done() bool { return r.res.Detector.Version() != r.ver || r.drive.ready() }
 
 // runResilientPass executes one redistribution pass under the recovery
 // protocol. All participants (sources and targets) must call it.
@@ -346,12 +375,9 @@ func runResilientPass(c *mpi.Ctx, cfg Config, v *view, items []Item, tagIdx []in
 		st:          epochStateFor(c.World(), v.comm.CtxID()),
 		parts:       passParticipants(v),
 		files:       crStoreFor(c, v),
-		rtt:         &RTTEstimator{},
-		prepared:    map[int]bool{},
 	}
-	rp.acks = rp.st.acks
-	rp.acks.setRetainBudget(cfg.MemCeiling)
-	rp.hooks = &ladderHooks{acks: rp.acks, prepared: rp.prepared, rtt: rp.rtt, ticks: &rp.ticks}
+	rp.hooks = ladderHooks{acks: rp.st.acks, prepared: map[int]bool{}, rtt: &RTTEstimator{}, ticks: &rp.ticks}
+	rp.hooks.acks.setRetainBudget(cfg.MemCeiling)
 
 	// Protect: every source persists its pass items before the epoch, so a
 	// block lost to a crash (or overwritten by a Merge target's Prepare)
@@ -436,8 +462,8 @@ func (rp *resilientPass) reportPassTelemetry(c *mpi.Ctx) {
 		peak = lp.livePeak()
 	}
 	reportPeakLive(c, peak)
-	reportGauge(c, PeakRetainedBytesGauge, rp.acks.peakRetained)
-	reportGauge(c, RetransmittedBytesGauge, rp.acks.resentBytes)
+	reportGauge(c, PeakRetainedBytesGauge, rp.hooks.acks.peakRetained)
+	reportGauge(c, RetransmittedBytesGauge, rp.hooks.acks.resentBytes)
 }
 
 // escalateTo proposes rung r for the pass. The shared rung only moves up,
@@ -515,11 +541,15 @@ func (rp *resilientPass) protect(c *mpi.Ctx) {
 	rp.files.complete[rp.v.srcRank] = true
 }
 
-// failedSet snapshots which participants are currently detected as failed.
+// failedSet snapshots which participants are currently detected as
+// failed: nil, which reads as empty, when none has.
 func (rp *resilientPass) failedSet() map[int]bool {
-	out := map[int]bool{}
+	var out map[int]bool
 	for _, g := range rp.parts {
 		if rp.res.Detector.Failed(g) {
+			if out == nil {
+				out = map[int]bool{}
+			}
 			out[g] = true
 		}
 	}
@@ -545,11 +575,10 @@ func (rp *resilientPass) newFailure(failedAtPlan map[int]bool) int {
 func (rp *resilientPass) attempt(c *mpi.Ctx, failedAtPlan map[int]bool) string {
 	x := newXfer(rp.cfg, rp.v, rp.items, rp.tagIdx)
 	if aa, ok := x.(ackAware); ok {
-		aa.setLadderHooks(rp.hooks)
+		aa.setLadderHooks(&rp.hooks)
 	}
 	rp.x = x
-	return rp.resilientDrive(c, failedAtPlan, func() bool { return x.progress(c) },
-		"redistribution epoch")
+	return rp.resilientDrive(c, failedAtPlan, x, "redistribution epoch")
 }
 
 // deadline computes the epoch deadline: the Jacobson RTO over observed
@@ -558,10 +587,10 @@ func (rp *resilientPass) attempt(c *mpi.Ctx, failedAtPlan map[int]bool) string {
 // no samples yet — the first epoch, or the COL path, which only observes
 // phase-level completions — it is the configured fixed Timeout.
 func (rp *resilientPass) deadline() float64 {
-	if rp.rtt.Samples() == 0 {
+	if rp.hooks.rtt.Samples() == 0 {
 		return rp.res.timeout()
 	}
-	d := 4 * rp.rtt.RTO()
+	d := 4 * rp.hooks.rtt.RTO()
 	if min := rp.res.minTimeout(); d < min {
 		return min
 	}
@@ -571,7 +600,7 @@ func (rp *resilientPass) deadline() float64 {
 	return d
 }
 
-// resilientDrive advances step until it reports completion, under the
+// resilientDrive advances d until it reports completion, under the
 // ladder's rung-1 deadline policy. It returns a non-empty abort reason
 // when a participant outside failedAtPlan fails, or when the adaptive
 // deadline expires MaxExtensions times in a row without observed progress
@@ -579,31 +608,33 @@ func (rp *resilientPass) deadline() float64 {
 // and backs the window off exponentially up to BackoffCap; any progress
 // resets both the extension budget and the window).
 func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
-	step func() bool, what string) string {
+	d drive, what string) string {
 
 	det := rp.res.Detector
 	reason := ""
 	// The failure scan is O(parts); gate it on the detector version so the
-	// per-wake predicate — evaluated on every message delivery — only pays
-	// for it when a new failure could actually have appeared.
-	ver := -1
-	pred := func() bool {
-		if v := det.Version(); v != ver {
-			ver = v
+	// step only pays for it when a new failure could actually have
+	// appeared. The wait's readiness (driveReady) holds from that version
+	// change until the step has scanned.
+	rp.drive, rp.ver = d, -1
+	step := func() bool {
+		if v := det.Version(); v != rp.ver {
+			rp.ver = v
 			if g := rp.newFailure(failedAtPlan); g >= 0 {
 				reason = fmt.Sprintf("g%d failed", g)
 				return true
 			}
 		}
-		return step()
+		return d.progress(c)
 	}
 	desc := fmt.Sprintf("core: %s on comm %d", what, rp.v.comm.CtxID())
-	d := rp.deadline()
+	window := rp.deadline()
 	for ext := 0; ; {
 		ticksBefore := rp.ticks
-		if c.WaitUntilDeadline(pred, desc, c.Now()+d) {
+		if c.WaitUntilDeadline((*driveReady)(rp), step, desc, c.Now()+window) {
 			return reason
 		}
+		registryOf(c.World()).expiries++
 		det.Probe()
 		if g := rp.newFailure(failedAtPlan); g >= 0 {
 			return fmt.Sprintf("g%d failed", g)
@@ -612,7 +643,7 @@ func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
 			// Flows completed inside the window: the epoch is progressing,
 			// re-arm without spending the extension budget.
 			ext = 0
-			d = rp.deadline()
+			window = rp.deadline()
 			continue
 		}
 		if ext >= rp.res.maxExtensions() {
@@ -620,24 +651,78 @@ func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
 		}
 		ext++
 		recordFault(c, "extend", rungAdaptive)
-		d *= rp.res.backoffFactor()
-		if cap := rp.res.backoffCap(); d > cap {
-			d = cap
+		window *= rp.res.backoffFactor()
+		if cap := rp.res.backoffCap(); window > cap {
+			window = cap
 		}
 	}
 }
 
-// recovery is one rank's state in one recovery round.
+// recovery is one rank's state in one recovery round, and the round's
+// drive.
 type recovery struct {
 	rp     *resilientPass
 	round  int
 	failed map[int]bool // participants detected failed when the round was planned
 	full   bool
 	what   string // the drive's name in deadlock reports
+	net    recoveryNet
 
 	ops      []wireOp      // staged re-issues, paced in waves by the drive
 	reqs     []mpi.Request // every request the drive waits for
 	received []wireOp      // receives the target walk posted, installed at commit
+
+	// Wave-paced issue: each wave is issued once the previous one
+	// completed, and the method lands that one first. landed is how many
+	// ops have landed, seenDone how many of reqs progress has counted.
+	waves            waveCursor
+	landed, seenDone int
+}
+
+// progress lands every wave whose requests have all completed and issues
+// the next, and counts request completions as epoch progress for the
+// adaptive deadline. It reports whether every wave was issued and every
+// request completed.
+func (r *recovery) progress(c *mpi.Ctx) bool {
+	for r.landed < len(r.ops) && c.Testall(r.waves.reqs) {
+		r.net.land(c, r.ops[r.landed:r.waves.hi])
+		r.landed = r.waves.hi
+		if r.waves.issuedAll() || !r.waves.next(c) {
+			break
+		}
+		for e := r.waves.lo; e < r.waves.hi; e++ {
+			req := r.net.issue(c, &r.ops[e])
+			r.reqs = append(r.reqs, req)
+			r.waves.issue(req, r.ops[e].n)
+		}
+	}
+	n := r.completed()
+	if n > r.seenDone {
+		r.rp.ticks += n - r.seenDone
+		r.seenDone = n
+	}
+	return r.waves.issuedAll() && n == len(r.reqs)
+}
+
+// ready reports whether progress would act: a wave can land, a request
+// completed since progress last counted, or the round is complete.
+func (r *recovery) ready() bool {
+	if r.landed < len(r.ops) && r.waves.landed() {
+		return true
+	}
+	n := r.completed()
+	return n > r.seenDone || r.waves.issuedAll() && n == len(r.reqs)
+}
+
+// completed counts the round's completed requests.
+func (r *recovery) completed() int {
+	n := 0
+	for _, q := range r.reqs {
+		if q.Done() {
+			n++
+		}
+	}
+	return n
 }
 
 // wireOp is one span a recovery round puts back on the network: a source's
@@ -701,20 +786,19 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 	v := rp.v
 	ceiling := rp.cfg.MemCeiling
 	r := &recovery{rp: rp, round: round, failed: failedAtPlan, full: full}
-	var net recoveryNet
 	if rp.cfg.Comm == RMA && !full {
-		net = newPullRecovery(c, r)
+		r.net = newPullRecovery(c, r)
 	} else {
-		net = newResendRecovery(r)
+		r.net = newResendRecovery(r)
 	}
 	if v.isTarget() {
 		for i, it := range rp.items {
 			// Re-Prepare only when nothing of this item may survive: a
 			// selective round must not wipe chunks earlier rounds installed.
-			if full || !rp.prepared[i] {
+			if full || !rp.hooks.prepared[i] {
 				lo, hi := targetRange(it, v.nt, v.tgtRank)
 				it.Prepare(lo, hi)
-				rp.prepared[i] = true
+				rp.hooks.prepared[i] = true
 			}
 			occ := map[int]int{}
 			for _, ch := range recvChunksFor(it, v.ns, v.nt, v.tgtRank) {
@@ -722,55 +806,27 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 					seq := occ[ch.Src]
 					occ[ch.Src]++
 					key := chunkKey{item: i, src: ch.Src, dst: ch.Dst, lo: sp.lo, hi: sp.hi}
-					if !full && (rp.acks.acked(key) || net.reissue(c, key, seq)) {
+					if !full && (rp.hooks.acks.acked(key) || r.net.reissue(c, key, seq)) {
 						continue
 					}
 					rp.readSpan(c, i, it, ch.Src, sp.lo, sp.hi)
-					rp.acks.ack(key)
+					rp.hooks.acks.ack(key)
 				}
 			}
 		}
 	}
 
-	// Wave-paced issue: each wave is issued once the previous one completed,
-	// and the method lands that one first. The last wave's bytes stay on the
-	// gauge until the round commits, so they are retired below, not by next.
-	waves := newWaveCursor(len(r.ops), func(e int) int64 { return r.ops[e].n }, ceiling, &rp.gauge, false)
-	seenDone, landed := 0, 0
-	done := func() bool {
-		for landed < len(r.ops) && c.Testall(waves.reqs) {
-			net.land(c, r.ops[landed:waves.hi])
-			landed = waves.hi
-			if waves.issuedAll() || !waves.next(c) {
-				break
-			}
-			for e := waves.lo; e < waves.hi; e++ {
-				req := net.issue(c, &r.ops[e])
-				r.reqs = append(r.reqs, req)
-				waves.issue(req, r.ops[e].n)
-			}
-		}
-		n := 0
-		for _, q := range r.reqs {
-			if q.Done() {
-				n++
-			}
-		}
-		if n > seenDone {
-			// Completions are epoch progress for the adaptive deadline.
-			rp.ticks += n - seenDone
-			seenDone = n
-		}
-		return waves.issuedAll() && n == len(r.reqs)
-	}
-	if reason := rp.resilientDrive(c, failedAtPlan, done,
+	// The last wave's bytes stay on the gauge until the round commits, so
+	// they are retired below, not by next.
+	r.waves = newWaveCursor(len(r.ops), func(e int) int64 { return r.ops[e].n }, ceiling, &rp.gauge, false)
+	if reason := rp.resilientDrive(c, failedAtPlan, r,
 		fmt.Sprintf("%s %d", r.what, round)); reason != "" {
 		return reason
 	}
-	waves.retire(c)
+	r.waves.retire(c)
 	for i := range r.received {
 		rp.installSpan(&r.received[i])
-		rp.acks.ack(r.received[i].key)
+		rp.hooks.acks.ack(r.received[i].key)
 	}
 	return ""
 }

@@ -228,6 +228,25 @@ func (t *rmaTransfer) progress(c *mpi.Ctx) bool {
 	}
 }
 
+// ready reports whether progress would act: the pass has not started or
+// has no pulls left to wait for, a landed Get of the active wave waits to
+// install, or the whole wave has landed.
+func (t *rmaTransfer) ready() bool {
+	if t.phase != 1 || !t.v.isTarget() {
+		return true
+	}
+	landed := true
+	for i := t.waves.lo; i < t.waves.hi; i++ {
+		switch {
+		case !t.req(i).Done():
+			landed = false
+		case t.hooks != nil && !t.gets[i].handled:
+			return true
+		}
+	}
+	return landed
+}
+
 // pull blocks until every remaining wave has landed and installed.
 func (t *rmaTransfer) pull(c *mpi.Ctx) {
 	for {
@@ -320,7 +339,7 @@ func newPullRecovery(c *mpi.Ctx, r *recovery) pullRecovery {
 }
 
 func (n pullRecovery) reissue(c *mpi.Ctx, key chunkKey, seq int) bool {
-	acks := n.rp.acks
+	acks := n.rp.hooks.acks
 	switch {
 	case n.rp.v.selfChunk(key.src, key.dst):
 		acks.ack(key) // kept in place by Prepare
@@ -350,7 +369,7 @@ func (n pullRecovery) land(c *mpi.Ctx, ops []wireOp) {
 		if copyRate > 0 {
 			c.Compute(float64(ops[i].n) / copyRate)
 		}
-		n.rp.rtt.Observe(c.Now() - ops[i].posted)
-		n.rp.acks.ack(ops[i].key)
+		n.rp.hooks.rtt.Observe(c.Now() - ops[i].posted)
+		n.rp.hooks.acks.ack(ops[i].key)
 	}
 }

@@ -27,12 +27,18 @@ func shrinkConfigs() []Config {
 }
 
 // launchShrink builds a world of n ranks on the default 10 GbE cluster and
-// launches the shrink to n/2 ranks under cfg; running its kernel runs the
-// reconfiguration. Survivors check that they hold the new communicator.
-func launchShrink(tb testing.TB, n int, cfg Config) *mpi.World {
+// launches the shrink to n/2 ranks under cfg, a resilient pass with a
+// detector that sees no failure when resilient is set; running its kernel
+// runs the reconfiguration. Survivors check that they hold the new
+// communicator.
+func launchShrink(tb testing.TB, n int, cfg Config, resilient bool) *mpi.World {
 	opts := mpi.DefaultOptions()
 	opts.SchedQuantum = 30e-3
 	w := mpi.NewWorld(cluster.New(sim.NewKernel(), cluster.Default(netmodel.Ethernet10G())), opts)
+	var res *Resilience
+	if resilient {
+		res = &Resilience{Detector: newStubDetector(w)}
+	}
 	nt := n / 2
 	elems := int64(n) * shrinkElemsPerRank
 	w.Launch(n, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
@@ -41,7 +47,7 @@ func launchShrink(tb testing.TB, n int, cfg Config) *mpi.World {
 		r := int64(comm.Rank(c))
 		it.SetBlock(r*shrinkElemsPerRank, (r+1)*shrinkElemsPerRank)
 		st.Register(it)
-		rc := StartReconfig(c, cfg, comm, nt, st, nil, nil)
+		rc := StartReconfigRes(c, cfg, comm, nt, st, nil, nil, res)
 		rc.Wait(c)
 		if rc.Continues() && rc.NewComm().Size() != nt {
 			tb.Errorf("rank %d: new communicator of %d ranks, want %d", r, rc.NewComm().Size(), nt)
@@ -78,7 +84,7 @@ func TestShrinkScaleContract(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			var perRank [2]float64
 			for i, n := range []int{256, 1024} {
-				perRank[i] = shrinkBytesPerRank(t, launchShrink(t, n, cfg), n)
+				perRank[i] = shrinkBytesPerRank(t, launchShrink(t, n, cfg, false), n)
 			}
 			growth := perRank[1] / perRank[0]
 			t.Logf("bytes/rank: %.0f at 256 ranks, %.0f at 1024 ranks (growth %.2fx)", perRank[0], perRank[1], growth)
@@ -104,7 +110,7 @@ var maxShrinkBytesPerRank = map[CommMethod]float64{P2P: 5910, RMA: 3060}
 func TestShrinkBytesPerRank(t *testing.T) {
 	const n = 1024
 	for _, cfg := range shrinkConfigs() {
-		got := shrinkBytesPerRank(t, launchShrink(t, n, cfg), n)
+		got := shrinkBytesPerRank(t, launchShrink(t, n, cfg, false), n)
 		t.Logf("%s: %.0f bytes/rank at %d ranks", cfg, got, n)
 		if max := maxShrinkBytesPerRank[cfg.Comm]; got > max {
 			t.Errorf("%s: %.0f bytes allocated per rank at %d ranks, want at most %.0f", cfg, got, n, max)
@@ -123,7 +129,7 @@ func BenchmarkShrink(b *testing.B) {
 				var bytes float64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					w := launchShrink(b, n, cfg)
+					w := launchShrink(b, n, cfg, false)
 					b.StartTimer()
 					bytes += shrinkBytesPerRank(b, w, n)
 				}

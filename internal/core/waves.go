@@ -204,6 +204,18 @@ func (w *waveCursor) next(c *mpi.Ctx) bool {
 	return true
 }
 
+// landed reports whether every request of the active wave has completed,
+// as next's test does; a drive's readiness calls it, where no context
+// runs.
+func (w *waveCursor) landed() bool {
+	for _, r := range w.reqs {
+		if !r.Done() {
+			return false
+		}
+	}
+	return true
+}
+
 // retire releases the active wave's remaining live bytes, and an owning
 // cursor its complete requests, and closes it.
 func (w *waveCursor) retire(c *mpi.Ctx) {

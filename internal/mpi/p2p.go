@@ -672,12 +672,16 @@ func (c *Ctx) Wait(r Request) {
 	c.wait.r = Request{}
 }
 
+// waitList is the state of Waitall's and Waitany's conditions, which a
+// context keeps in one place (Ctx.list): it blocks in one wait at a time.
+type waitList struct {
+	rs        []Request
+	next, idx int
+}
+
 // allDone is Waitall's condition. next is the length of the prefix of rs
 // known complete: completion never reverts, so each test resumes there.
-type allDone struct {
-	rs   []Request
-	next int
-}
+type allDone waitList
 
 func (a *allDone) Done() bool {
 	for a.next < len(a.rs) && a.rs[a.next].Done() {
@@ -702,20 +706,16 @@ func (a *allDone) String() string {
 
 // Waitall blocks until every request completes.
 func (c *Ctx) Waitall(rs []Request) {
-	c.all.rs, c.all.next = rs, 0
-	c.waitUntilDesc(&c.all, nil)
-	c.all.rs = nil
+	c.list.rs, c.list.next = rs, 0
+	c.waitUntilDesc((*allDone)(&c.list), nil)
+	c.list.rs = nil
 }
 
 // anyDone is Waitany's condition: it holds once some request is complete
 // and not yet consumed, and idx is the first such index. next is the
 // length of the consumed prefix of rs, which Waitany's first scan finds:
 // nothing is consumed while Waitany waits, so every test starts there.
-type anyDone struct {
-	rs   []Request
-	next int
-	idx  int
-}
+type anyDone waitList
 
 func (a *anyDone) Done() bool {
 	for i := a.next; i < len(a.rs); i++ {
@@ -753,10 +753,10 @@ func (c *Ctx) Waitany(rs []Request) int {
 	if next == len(rs) {
 		return -1
 	}
-	c.any.rs, c.any.next = rs, next
-	c.waitUntilDesc(&c.any, nil)
-	idx := c.any.idx
-	c.any.rs = nil
+	c.list.rs, c.list.next = rs, next
+	c.waitUntilDesc((*anyDone)(&c.list), nil)
+	idx := c.list.idx
+	c.list.rs = nil
 	rs[idx].s.consumed = true
 	return idx
 }

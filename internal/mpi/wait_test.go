@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // maxWaitAllocs bounds the allocations of one Wait that parks on a pending
@@ -124,7 +126,7 @@ func TestWaitUntilDeadlineAllocations(t *testing.T) {
 			tag := 0
 			met = testing.AllocsPerRun(runs, func() {
 				r = c.irecv(comm, 0, tag)
-				if !c.WaitUntilDeadline(arrived, "message", c.Now()+10) {
+				if !c.WaitUntilDeadline(sim.CondFunc(arrived), arrived, "message", c.Now()+10) {
 					t.Fatalf("tag %d: deadline expired before the message arrived", tag)
 				}
 				c.proc.w.freeRecv(r)
@@ -132,7 +134,7 @@ func TestWaitUntilDeadlineAllocations(t *testing.T) {
 			})
 			never := func() bool { return false }
 			expired = testing.AllocsPerRun(runs, func() {
-				if c.WaitUntilDeadline(never, "nothing", c.Now()+0.5) {
+				if c.WaitUntilDeadline(sim.CondFunc(never), never, "nothing", c.Now()+0.5) {
 					t.Fatal("a false predicate held")
 				}
 			})
@@ -177,6 +179,68 @@ func TestWaitallResumesOnce(t *testing.T) {
 	}
 	if reparks != n-1 {
 		t.Errorf("%d wakes were re-parked in the kernel, want %d", reparks, n-1)
+	}
+}
+
+// TestDeadlineWaitResumesOncePerPhase: a rank that drives two
+// back-to-back Ialltoallvs over n peers through one WaitUntilDeadline, as
+// core's COL drive does, is resumed once per phase, by the wake that
+// completes it; the kernel re-parks every other wake, one per message.
+// Resumed on every wake instead, the rank would resume once per message.
+func TestDeadlineWaitResumesOncePerPhase(t *testing.T) {
+	const n = 8
+	run := func(real bool) (resumes, reparks uint64) {
+		w := testWorld(t, n, 1, defaultTestOptions())
+		w.Launch(n, nil, func(c *Ctx, comm *Comm) {
+			// Distinct rendezvous sizes finish at distinct times.
+			send := make([]Payload, n)
+			for p := range send {
+				send[p] = Virtual(int64(100<<10 + 1000*(comm.Rank(c)*n+p)))
+			}
+			if comm.Rank(c) != 0 {
+				// The peers post both phases and exit, so rank 0 is the
+				// only process left to resume.
+				c.Ialltoallv(comm, send)
+				c.Ialltoallv(comm, send)
+				return
+			}
+			c.Sleep(1) // until every peer has posted and exited
+			phase := 0
+			var req Request
+			step := func() bool {
+				switch {
+				case phase == 0 || phase == 1 && req.Done():
+					req = c.Ialltoallv(comm, send)
+					phase++
+					return false
+				}
+				return phase == 2 && req.Done()
+			}
+			ready := sim.CondFunc(func() bool { return true })
+			if real {
+				ready = func() bool { return req.Done() }
+			}
+			k := w.Kernel()
+			before := k.Stats()
+			if !c.WaitUntilDeadline(ready, step, "two Ialltoallv phases", c.Now()+10) {
+				t.Error("the deadline expired before both phases completed")
+			}
+			after := k.Stats()
+			resumes, reparks = after.Resumes-before.Resumes, after.Reparks-before.Reparks
+		})
+		runWorld(t, w)
+		return resumes, reparks
+	}
+	resumes, reparks := run(true)
+	everyWake, _ := run(false)
+	if resumes != 2 {
+		t.Errorf("the deadline wait was resumed %d times over two phases, want 2", resumes)
+	}
+	if resumes+reparks != everyWake {
+		t.Errorf("%d resumes + %d re-parks, want the %d wakes that resume a rank on every wake", resumes, reparks, everyWake)
+	}
+	if everyWake < 2*(n-1) {
+		t.Errorf("only %d wakes over two phases of %d peers: the phases do not complete message by message", everyWake, n)
 	}
 }
 

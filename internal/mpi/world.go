@@ -414,19 +414,24 @@ type Ctx struct {
 	phase string // reconfiguration phase tag applied to recorded events
 
 	// A context blocks in one wait at a time, so each wait reuses these
-	// instead of allocating its own: Wait's, Waitall's and Waitany's
-	// conditions, the CPU load a polling wait adds, and the request list
-	// of a blocking operation that waits on several of its own requests at
-	// once.
+	// instead of allocating its own: Wait's condition, the state of
+	// Waitall's and Waitany's (allDone and anyDone views of list), the CPU
+	// load a polling wait adds, and the request list of a blocking
+	// operation that waits on several of its own requests at once.
 	wait waitCond
-	all  allDone
-	any  anyDone
+	list waitList
 	load ps.Task
 	reqs []Request
 
-	// expired reports whether WaitUntilDeadline's deadline, the context
-	// itself under ctxDeadline, has fired.
-	expired bool
+	// dl is the WaitUntilDeadline in progress: what it parks on is the
+	// context itself under deadlineCond, and what ends it, under
+	// ctxDeadline.
+	dl struct {
+		ready   sim.Cond
+		reason  string
+		expired bool // the deadline event has fired
+		parked  bool // the pre-park test of this park has run
+	}
 
 	// use is what Compute and Use block on while a resource serves them.
 	use ps.Waiter
@@ -592,24 +597,38 @@ func (c *Ctx) WaitUntil(cond sim.Cond) {
 	c.waitUntilDesc(cond, nil)
 }
 
-// WaitUntilDeadline blocks like WaitUntil but gives up when the virtual
-// clock reaches deadline, reporting whether pred held on return. The
-// resilient redistribution protocol uses it to bound epochs: a false return
-// is the timeout that triggers failure probing. Unlike WaitUntil, pred runs
-// in the waiting context after every wake, so it may compute and send: the
-// resilient drive advances its transfer from inside the predicate. It must
-// not wait (Wait, Waitall, Waitany, WaitUntil, WaitUntilDeadline): the
-// deadline wait holds the context's own polling load and deadline event,
-// which is why it allocates nothing, and a nested wait would restart them.
-func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float64) bool {
-	if pred() {
+// WaitUntilDeadline runs step until it reports true or the virtual clock
+// reaches deadline, and returns step's last report. The resilient
+// redistribution protocol uses it to bound epochs: a false return is the
+// timeout that triggers failure probing.
+//
+// The wait is split in two. step runs in the waiting context, first at
+// once and then after each wake that lets it act, so it may compute and
+// send: the resilient drive advances its transfer there. ready is the
+// pure half (see sim.Cond): the kernel tests it on each wake of the
+// context's progress signal, and while neither it nor the deadline holds
+// the context stays parked instead of being resumed. ready must therefore
+// hold whenever step would do anything or report true; a ready that holds
+// more often only costs resumes, one that misses an action loses a wake
+// until the deadline. A wake that ready turns away re-parks where the
+// context's own re-park would have put it, so every event order and
+// output is that of resuming step on every wake. reason describes the
+// wait in deadlock reports.
+//
+// step must not wait (Wait, Waitall, Waitany, WaitUntil,
+// WaitUntilDeadline): the deadline wait holds the context's own polling
+// load, deadline event and condition, which is why it allocates nothing,
+// and a nested wait would restart them.
+func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, reason string, deadline float64) bool {
+	if step() {
 		return true
 	}
 	w := c.proc.w
 	if deadline <= w.k.Now() {
 		return false
 	}
-	c.expired = false
+	c.dl.ready, c.dl.reason, c.dl.expired = ready, reason, false
+	defer func() { c.dl.ready = nil }()
 	t := w.k.AtHandler(deadline, (*ctxDeadline)(c))
 	defer t.Cancel()
 	if w.opts.WaitMode == PollingWait {
@@ -617,15 +636,39 @@ func (c *Ctx) WaitUntilDeadline(pred func() bool, reason string, deadline float6
 		defer c.load.Stop()
 	}
 	for {
-		if pred() {
+		if step() {
 			return true
 		}
-		if c.expired || w.k.Now() >= deadline {
-			return pred()
+		if c.dl.expired || w.k.Now() >= deadline {
+			return step()
 		}
-		c.sp.WaitReason(c.proc.progress, reason)
+		c.dl.parked = false
+		c.sp.WaitUntil(c.proc.progress, (*deadlineCond)(c), nil)
 	}
 }
+
+// deadlineCond is the condition a WaitUntilDeadline parks on: the context
+// itself, under a type whose Done holds once the deadline event has fired
+// or the wait's readiness holds, and whose String is the wait's reason. A
+// wake at or past the deadline always follows the deadline event: a wake
+// is stamped when its Broadcast runs, after the deadline was armed.
+type deadlineCond Ctx
+
+func (d *deadlineCond) Done() bool {
+	c := (*Ctx)(d)
+	if !c.dl.parked {
+		// sim.Proc.WaitUntil's test before it parks. step has just run
+		// and found nothing it could finish, so the context parks
+		// whatever ready says, as it always has: a completion step could
+		// not see (one that landed while it computed) waits for the next
+		// wake.
+		c.dl.parked = true
+		return false
+	}
+	return c.dl.expired || c.dl.ready.Done()
+}
+
+func (d *deadlineCond) String() string { return d.dl.reason }
 
 // ctxDeadline is the event that ends a WaitUntilDeadline: the context
 // itself, under a type whose Fire flags the expiry and wakes the wait.
@@ -633,6 +676,6 @@ type ctxDeadline Ctx
 
 func (d *ctxDeadline) Fire() {
 	c := (*Ctx)(d)
-	c.expired = true
+	c.dl.expired = true
 	c.proc.progress.Broadcast()
 }

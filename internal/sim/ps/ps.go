@@ -36,6 +36,7 @@ type Resource struct {
 	perTask  float64 // max rate of one task (e.g. 1.0 core); 0 means no cap
 
 	tasks      []*Task // attached finite tasks; tasks[t.idx] == t
+	minRem     float64 // the least remaining work of tasks, +Inf with none
 	loads      int     // attached load tasks
 	lastUpdate float64
 	timer      sim.Timer
@@ -81,6 +82,7 @@ func NewResource(k *sim.Kernel, name string, capacity, perTask float64) *Resourc
 		waitReason: "waiting on signal ps:" + name,
 		capacity:   capacity,
 		perTask:    perTask,
+		minRem:     math.Inf(1),
 	}
 	r.completeFn = r.onCompletion
 	return r
@@ -105,7 +107,8 @@ func (r *Resource) Rate() float64 {
 	return rate
 }
 
-// advance applies the service received since lastUpdate to all finite tasks.
+// advance applies the service received since lastUpdate to all finite
+// tasks, and finds the least remaining work in the same loop.
 func (r *Resource) advance() {
 	now := r.k.Now()
 	elapsed := now - r.lastUpdate
@@ -114,32 +117,36 @@ func (r *Resource) advance() {
 		return
 	}
 	served := r.Rate() * elapsed
+	minRem := math.Inf(1)
 	for _, t := range r.tasks {
 		t.remaining -= served
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
+		if t.remaining < minRem {
+			minRem = t.remaining
+		}
 	}
+	r.minRem = minRem
 }
 
 // reschedule arms the completion timer for the earliest finishing task.
+// Every task is served at the same positive rate, and dividing by it is
+// monotone, so the least remaining work gives the least finishing time,
+// bit for bit, without a scan.
 func (r *Resource) reschedule() {
 	r.timer.Cancel()
 	rate := r.Rate()
 	if rate <= 0 || len(r.tasks) == 0 {
 		return
 	}
-	earliest := math.Inf(1)
-	for _, t := range r.tasks {
-		if dt := t.remaining / rate; dt < earliest {
-			earliest = dt
-		}
-	}
-	r.timer = r.k.After(earliest, r.completeFn)
+	r.timer = r.k.After(r.minRem/rate, r.completeFn)
 }
 
 // detach marks a task stopped and removes it: a load from the count, a
 // finite task from the slice by swapping the last task into its place.
+// Only the removal of a task that held the least remaining work rescans
+// for it.
 func (r *Resource) detach(t *Task) {
 	t.stopped = true
 	if t.infinite {
@@ -150,6 +157,12 @@ func (r *Resource) detach(t *Task) {
 	r.tasks[t.idx], last.idx = last, t.idx
 	r.tasks[len(r.tasks)-1] = nil
 	r.tasks = r.tasks[:len(r.tasks)-1]
+	if t.remaining == r.minRem {
+		r.minRem = math.Inf(1)
+		for _, o := range r.tasks {
+			r.minRem = min(r.minRem, o.remaining)
+		}
+	}
 }
 
 func (r *Resource) onCompletion() {
@@ -159,12 +172,17 @@ func (r *Resource) onCompletion() {
 	const eps = 1e-12
 	now := r.k.Now()
 	rate := r.Rate()
+	// The scan also finds the least remaining work of the tasks that go
+	// on, so detaching the finished ones rescans nothing.
+	r.minRem = math.Inf(1)
 	for _, t := range r.tasks {
 		// Done when the residue is negligible or when serving it cannot
 		// advance the clock (the completion event would re-fire at the same
 		// timestamp forever).
 		if t.remaining <= eps || (rate > 0 && now+t.remaining/rate == now) {
 			finished = append(finished, t)
+		} else if t.remaining < r.minRem {
+			r.minRem = t.remaining
 		}
 	}
 	// Slice order follows attach and swap-remove history; completion
@@ -200,6 +218,7 @@ func (r *Resource) start(t *Task, work float64, done func()) {
 	*t = Task{r: r, seq: r.nextSeq, remaining: work, done: done, idx: len(r.tasks)}
 	r.nextSeq++
 	r.tasks = append(r.tasks, t)
+	r.minRem = min(r.minRem, work)
 	r.reschedule()
 	if work == 0 {
 		// Zero work still goes through the queue-change cycle so a burst of
