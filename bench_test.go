@@ -222,7 +222,7 @@ func BenchmarkAblationAlltoallvAlgorithms(b *testing.B) {
 		chunk := int64(4 << 30 / (ns * nt))
 		var done float64
 		w.Launch(ns, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-			inter := c.SpawnWithRetry(comm, nt, nil, func(child *mpi.Ctx, _ *mpi.Comm) {
+			inter := c.Spawn(comm, nt, nil, func(child *mpi.Ctx, _ *mpi.Comm) {
 				pc := child.Proc().Parent()
 				send := make([]mpi.Payload, pc.RemoteSize())
 				for i := range send {
@@ -233,7 +233,7 @@ func BenchmarkAblationAlltoallvAlgorithms(b *testing.B) {
 				} else {
 					child.Wait(child.Ialltoallv(pc, send))
 				}
-			}, mpi.SpawnRetry{})
+			})
 			send := make([]mpi.Payload, inter.RemoteSize())
 			for i := range send {
 				send[i] = mpi.Virtual(chunk)

@@ -48,6 +48,15 @@ var testOnlyAllowed = map[string]string{
 	"synthapp.StencilConfig":         "halo-exchange application of BenchmarkStencilApplication",
 }
 
+// testSetAllowed lists the exported struct fields under internal/ that no
+// non-test file writes and that stay anyway, each with the reason, keyed
+// "pkg.Type.Field". A field only tests set is an option with one value in
+// use: fold it into a constant instead.
+var testSetAllowed = map[string]string{
+	"fault.Action.Wave": "plan files name the wave a drop aims at (faultsweep -plan); JSON decoding fills it",
+	"fault.Plan.Jitter": "plan files set the delay jitter (faultsweep -plan); JSON decoding fills it",
+}
+
 // stdlibCalled are the methods kept by name: the standard library calls
 // them through its own interfaces (fmt, errors, encoding/json, sort,
 // container/heap, io), and its call sites are not type-checked here.
@@ -59,64 +68,85 @@ var stdlibCalled = map[string]bool{
 
 // TestNoExportUsedOnlyByTests fails when something under internal/ is used
 // by no non-test file of the module (cmd/, examples/, the root package and
-// perfbench/ count as callers) and testOnlyAllowed does not list it, and
-// when testOnlyAllowed lists something that is gone or used now.
+// perfbench/ count as callers) and testOnlyAllowed does not list it, when
+// an exported struct field under internal/ is written by no non-test file
+// and testSetAllowed does not list it, and when either list names
+// something that is gone or used now.
 func TestNoExportUsedOnlyByTests(t *testing.T) {
-	unused, err := testOnlyNames(".", "repro")
+	unused, unset, err := testOnlyNames(".", "repro")
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := map[string]bool{}
-	for _, k := range unused {
-		found[k] = true
-		if _, ok := testOnlyAllowed[k]; !ok {
-			t.Errorf("internal/%s is used only by tests: delete it, or allow it in testOnlyAllowed with a reason", k)
+	checkAllowed(t, unused, testOnlyAllowed, "testOnlyAllowed", "is used only by tests")
+	checkAllowed(t, unset, testSetAllowed, "testSetAllowed", "is set only by tests")
+}
+
+// checkAllowed reports each key of found that allowed does not list, and
+// each entry of allowed that found lacks or that gives no reason.
+func checkAllowed(t *testing.T, found []string, allowed map[string]string, list, what string) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, k := range found {
+		seen[k] = true
+		if _, ok := allowed[k]; !ok {
+			t.Errorf("internal/%s %s: delete it, or allow it in %s with a reason", k, what, list)
 		}
 	}
-	for k, reason := range testOnlyAllowed {
-		if !found[k] {
-			t.Errorf("testOnlyAllowed lists %s, which is gone or has a non-test caller now: drop the entry", k)
+	for k, reason := range allowed {
+		if !seen[k] {
+			t.Errorf("%s lists %s, which is gone or no longer %s: drop the entry", list, k, strings.TrimPrefix(what, "is "))
 		}
 		if strings.TrimSpace(reason) == "" {
-			t.Errorf("testOnlyAllowed entry %s gives no reason", k)
+			t.Errorf("%s entry %s gives no reason", list, k)
 		}
 	}
 }
 
 // TestTestOnlyNamesFixture runs the guard on testdata/deadcode: a method
 // whose name a non-test file selects only on another type (strings.Split),
-// a method reached only through an interface it implements, and a package
-// that only its own test imports.
+// a method reached only through an interface it implements, a package that
+// only its own test imports, and struct fields written by each form the
+// guard counts as a write, next to one only a test sets.
 func TestTestOnlyNamesFixture(t *testing.T) {
-	got, err := testOnlyNames(filepath.Join("testdata", "deadcode"), "fixture")
+	unused, unset, err := testOnlyNames(filepath.Join("testdata", "deadcode"), "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"orphan", "words.Splitter.Split"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("testOnlyNames = %q, want %q", got, want)
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"unused", unused, []string{"orphan", "words.Splitter.Split"}},
+		{"unset", unset, []string{"words.Tally.Limit"}},
+	} {
+		if strings.Join(c.got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("testOnlyNames %s = %q, want %q", c.name, c.got, c.want)
+		}
 	}
 }
 
 // testOnlyNames type-checks the non-test files of the module at root, whose
-// path is module, and returns the sorted keys (see testOnlyAllowed) of the
-// packages under internal/ that no other package's non-test file imports,
-// and of the exported names and exported methods of exported types under
-// internal/ that no non-test file uses. A method also counts as used when
-// it implements a used interface method of the same name, or when
-// stdlibCalled lists its name. Names in an unimported package are not
-// listed apart from the package.
-func testOnlyNames(root, module string) ([]string, error) {
+// path is module, once. It returns the sorted keys (see testOnlyAllowed) of
+// the packages under internal/ that no other package's non-test file
+// imports, and of the exported names and exported methods of exported
+// types under internal/ that no non-test file uses; and the sorted keys
+// (see testSetAllowed) of the exported fields of exported struct types
+// under internal/ that no non-test file writes (see recordWrites). A
+// method also counts as used when it implements a used interface method of
+// the same name, or when stdlibCalled lists its name. Names in an
+// unimported package are not listed apart from the package.
+func testOnlyNames(root, module string) (unused, unset []string, err error) {
 	l := &loader{
 		root:     root,
 		module:   module,
 		fset:     token.NewFileSet(),
 		pkgs:     map[string]*types.Package{},
 		uses:     map[types.Object]bool{},
+		writes:   map[*types.Var]bool{},
 		imported: map[string]bool{},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -134,7 +164,7 @@ func testOnlyNames(root, module string) ([]string, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Interface methods some non-test file calls, by name.
@@ -160,7 +190,6 @@ func testOnlyNames(root, module string) ([]string, error) {
 	}
 
 	prefix := module + "/internal/"
-	var unused []string
 	for p, pkg := range l.pkgs {
 		rel, ok := strings.CutPrefix(p, prefix)
 		if !ok {
@@ -187,6 +216,13 @@ func testOnlyNames(root, module string) ([]string, error) {
 			if !ok {
 				continue
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !l.writes[f] {
+						unset = append(unset, rel+"."+name+"."+f.Name())
+					}
+				}
+			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !l.uses[m] && !stdlibCalled[m.Name()] && !implements(named, m.Name()) {
@@ -196,7 +232,8 @@ func testOnlyNames(root, module string) ([]string, error) {
 		}
 	}
 	sort.Strings(unused)
-	return unused, nil
+	sort.Strings(unset)
+	return unused, unset, nil
 }
 
 // loader type-checks the module's packages from source, each once, and
@@ -208,6 +245,7 @@ type loader struct {
 	std          types.Importer
 	pkgs         map[string]*types.Package // module packages checked so far
 	uses         map[types.Object]bool     // objects a non-test file names
+	writes       map[*types.Var]bool       // struct fields a non-test file writes
 	imported     map[string]bool           // module packages another package imports
 }
 
@@ -235,7 +273,11 @@ func (l *loader) load(p string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	var typeErrs []error
 	conf := types.Config{Importer: l, Error: func(err error) { typeErrs = append(typeErrs, err) }}
 	pkg, _ := conf.Check(p, l.fset, files, info)
@@ -251,6 +293,67 @@ func (l *loader) load(p string) (*types.Package, error) {
 	for _, imp := range pkg.Imports() {
 		l.imported[imp.Path()] = true
 	}
+	for _, f := range files {
+		l.recordWrites(f, info)
+	}
 	l.pkgs[p] = pkg
 	return pkg, nil
+}
+
+// recordWrites records the struct fields f writes: a composite literal's
+// keys (every field of an unkeyed one), and the field an assignment, ++,
+// --, op= or & reaches, or a pointer method is called on. x.F.G and
+// x.F[i] write into F as well.
+func (l *loader) recordWrites(f *ast.File, info *types.Info) {
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					l.writes[v.Origin()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					l.writes[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+				} else {
+					l.writes[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method called on a field value takes its address.
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := info.Types[n.X].Type.Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					target(n.X)
+				}
+			}
+		}
+		return true
+	})
 }

@@ -9,10 +9,17 @@ import (
 // resilient drive: parked deadline waits resume only when their drive's
 // readiness holds, so a readiness that missed a step the drive could take
 // would leave its rank parked until the deadline. In a fault-free pass
-// whose epochs fit the deadline, no drive's wait may end there. The cells
-// are TestTransferGolden's fault-free resilient ones, plus every spawn and
-// network method at 40->20 and 20->40 (a resilient pass runs the A and T
-// overlaps as S).
+// whose epochs fit the deadline, no drive's wait may end there: none may
+// return false, and none may return true only because the deadline event
+// ended its last park (the lost wake's step then completes at the
+// deadline). The second case is told apart from a step that computes past
+// the deadline (an RMA target's install) by where the rank was when the
+// deadline fired: a step that starts at or past the deadline after one
+// that ended before it was resumed from a park; a step that started before
+// the deadline and ran past it was computing, and is not counted. The
+// cells are TestTransferGolden's fault-free resilient ones, plus every
+// spawn and network method at 40->20 and 20->40 (a resilient pass runs the
+// A and T overlaps as S).
 func TestResilientDriveFaultFreeNeverExpires(t *testing.T) {
 	var cells []*goldenCell
 	for _, g := range goldenCells() {

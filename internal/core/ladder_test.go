@@ -190,7 +190,7 @@ func TestRung1AdaptiveDeadlineExtension(t *testing.T) {
 	hooks := &testMsgFaults{rules: []*msgFault{
 		{srcGID: -1, minTag: xValueTag, maxTag: xValueTag, count: 1, delay: 1.5},
 	}}
-	res := &Resilience{Timeout: 0.5, MinTimeout: 0.2, MaxExtensions: 8}
+	res := &Resilience{Timeout: 1}
 	err, events := ladderRun(t, cfg, ns, nt, res, hooks, -1, -1, true)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)

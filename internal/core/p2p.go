@@ -359,7 +359,6 @@ type resendRecovery struct{ *recovery }
 
 func newResendRecovery(r *recovery) resendRecovery {
 	rp, v := r.rp, r.rp.v
-	r.what = "recovery round"
 	if r.full || !v.isSource() || r.failed[v.sourceGID(v.srcRank)] {
 		return resendRecovery{r}
 	}

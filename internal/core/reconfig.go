@@ -146,16 +146,6 @@ type Reconfig struct {
 	finished bool
 }
 
-// spawnRetry resolves the spawn retry policy for stage 2's process
-// management: the Resilience policy when fault tolerance is on, the legacy
-// zero policy otherwise.
-func (r *Reconfig) spawnRetry() mpi.SpawnRetry {
-	if r.res != nil {
-		return r.res.spawnRetry()
-	}
-	return mpi.SpawnRetry{}
-}
-
 // StartReconfig begins a reconfiguration of appComm (the NS sources) to nt
 // targets under cfg. store holds this rank's registered items; makeStore
 // builds a fresh, identically-registered store inside each spawned process;
@@ -255,8 +245,8 @@ func (r *Reconfig) stage2(c *mpi.Ctx, makeStore func() *Store, target TargetFunc
 			childWorld.FastBarrier(child)
 			target(child, childWorld, st)
 		}
-		inter := c.SpawnWithRetry(r.appComm, r.nt,
-			func(t int) int { return machine.NodeOf(t) }, childMain, r.spawnRetry())
+		inter := c.Spawn(r.appComm, r.nt,
+			func(t int) int { return machine.NodeOf(t) }, childMain)
 		r.v = newInterView(c, inter, r.ns, r.nt, true)
 
 	case Merge:
@@ -272,8 +262,8 @@ func (r *Reconfig) stage2(c *mpi.Ctx, makeStore func() *Store, target TargetFunc
 				target(child, joint, st)
 			}
 			// Child i becomes target rank NS+i.
-			inter := c.SpawnWithRetry(r.appComm, r.nt-r.ns,
-				func(i int) int { return machine.NodeOf(r.ns + i) }, childMain, r.spawnRetry())
+			inter := c.Spawn(r.appComm, r.nt-r.ns,
+				func(i int) int { return machine.NodeOf(r.ns + i) }, childMain)
 			r.joint = inter.Merge(c, false)
 		} else {
 			r.joint = r.appComm

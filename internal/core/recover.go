@@ -56,36 +56,20 @@ type Resilience struct {
 	// Timeout is the baseline epoch deadline and the upper clamp of the
 	// adaptive (RTT-derived) deadline, in simulated seconds. Default 2.
 	Timeout float64
-	// MinTimeout floors the adaptive deadline so a burst of fast samples
-	// cannot shrink the window below the detector's reaction time, in
-	// simulated seconds. Default Timeout/8.
-	MinTimeout float64
-	// MaxRounds bounds recovery attempts before the pass gives up with
-	// UnrecoverableError. Default 8, capped at 15 by the recovery tag
-	// space.
-	MaxRounds int
-	// MaxExtensions bounds consecutive fruitless deadline extensions within
-	// one epoch before the rank aborts the round (extensions reset whenever
-	// the epoch makes progress). Default 3, replacing the formerly
-	// hard-coded three-extension limit.
-	MaxExtensions int
-	// BackoffFactor multiplies the deadline after each fruitless extension
-	// (bounded exponential backoff). Must be >= 1 when set; default 2.
-	BackoffFactor float64
-	// BackoffCap bounds one extended deadline, in simulated seconds.
-	// Default 4x Timeout.
-	BackoffCap float64
-	// SpawnRetry is the retry policy for injected spawn failures during the
-	// reconfiguration's process-management stage. The zero value selects
-	// DefaultSpawnRetry.
-	SpawnRetry mpi.SpawnRetry
 }
 
-// DefaultSpawnRetry is the spawn retry policy of resilient
-// reconfigurations: capped exponential backoff starting at 20 simulated
-// milliseconds, doubling per failed attempt, capped at half a second,
-// unlimited attempts (the simulator's spawn failures are always finite).
-var DefaultSpawnRetry = mpi.SpawnRetry{Backoff: 0.02, Factor: 2, Cap: 0.5}
+// The recovery ladder's fixed policy. A pass gives up with
+// UnrecoverableError after maxRounds recovery rounds. Within one epoch the
+// rank aborts the round after maxExtensions consecutive fruitless deadline
+// extensions (progress resets the count); each extension multiplies the
+// deadline by backoffFactor, up to 4x Timeout. The adaptive deadline is
+// floored at Timeout/8, so a burst of fast samples cannot shrink the window
+// below the detector's reaction time.
+const (
+	maxRounds     = 8
+	maxExtensions = 3
+	backoffFactor = 2
+)
 
 // validate panics on unit errors in the configured fields; called at the
 // resilient entry points so mistakes surface at the call site.
@@ -93,17 +77,8 @@ func (r *Resilience) validate() {
 	if r.Detector == nil {
 		panic("core: Resilience requires a FailureDetector")
 	}
-	if r.Timeout < 0 || r.MinTimeout < 0 || r.BackoffCap < 0 {
-		panic("core: Resilience durations must be non-negative simulated seconds")
-	}
-	if r.MinTimeout > 0 && r.MinTimeout > r.timeout() {
-		panic("core: Resilience.MinTimeout exceeds the epoch Timeout")
-	}
-	if r.BackoffFactor != 0 && r.BackoffFactor < 1 {
-		panic("core: Resilience.BackoffFactor must be >= 1")
-	}
-	if r.MaxRounds < 0 || r.MaxExtensions < 0 {
-		panic("core: Resilience round/extension budgets must be non-negative")
+	if r.Timeout < 0 {
+		panic("core: Resilience.Timeout must be non-negative simulated seconds")
 	}
 }
 
@@ -112,52 +87,6 @@ func (r *Resilience) timeout() float64 {
 		return r.Timeout
 	}
 	return 2
-}
-
-func (r *Resilience) minTimeout() float64 {
-	if r.MinTimeout > 0 {
-		return r.MinTimeout
-	}
-	return r.timeout() / 8
-}
-
-func (r *Resilience) maxRounds() int {
-	n := r.MaxRounds
-	if n <= 0 {
-		n = 8
-	}
-	if n > 15 {
-		n = 15 // recovery tags must stay below the collective tag space
-	}
-	return n
-}
-
-func (r *Resilience) maxExtensions() int {
-	if r.MaxExtensions > 0 {
-		return r.MaxExtensions
-	}
-	return 3
-}
-
-func (r *Resilience) backoffFactor() float64 {
-	if r.BackoffFactor >= 1 {
-		return r.BackoffFactor
-	}
-	return 2
-}
-
-func (r *Resilience) backoffCap() float64 {
-	if r.BackoffCap > 0 {
-		return r.BackoffCap
-	}
-	return 4 * r.timeout()
-}
-
-func (r *Resilience) spawnRetry() mpi.SpawnRetry {
-	if r.SpawnRetry == (mpi.SpawnRetry{}) {
-		return DefaultSpawnRetry
-	}
-	return r.SpawnRetry
 }
 
 // UnrecoverableError reports a fault the recovery protocol cannot mask:
@@ -177,13 +106,16 @@ func (e *UnrecoverableError) Error() string { return "core: unrecoverable fault:
 // match a recovery receive. Each round gets its own stride so stale
 // recovery traffic cannot cross rounds either. Within a round, an item owns
 // waveSeqSpan tags, one per segment of a (source, target) stream, so every
-// segment sequence waveTags admits is also resendable. Sixteen rounds
-// (0 through maxRounds' cap of 15) of 48 items each fill [1<<18, 1<<20)
-// exactly: a resilient pass supports store item indexes below 48.
+// segment sequence waveTags admits is also resendable. Sixteen rounds of
+// 48 items each fill [1<<18, 1<<20) exactly: a resilient pass supports
+// store item indexes below 48, and rounds 0 through maxRounds must fit
+// (the uint constant below does not compile otherwise).
 const (
 	recoveryTagBase   = 1 << 18
 	recoveryRoundSpan = 48 * waveSeqSpan
 )
+
+const _ uint = 1<<20 - (recoveryTagBase + (maxRounds+1)*recoveryRoundSpan)
 
 func recoveryTag(round, itemIdx, seq int) int {
 	if seq >= waveSeqSpan {
@@ -225,9 +157,10 @@ type passRegistry struct {
 	files  map[int]*crFiles
 
 	// expiries counts the deadline waits of resilient drives that ended
-	// at their deadline. A fault-free pass whose epochs fit the deadline
-	// has none: a wait that expires there lost a wake its drive's
-	// readiness should have seen.
+	// at their deadline: those that returned false, and those whose last
+	// park the deadline event ended before their step finished. A
+	// fault-free pass whose epochs fit the deadline has none: such a wait
+	// lost a wake its drive's readiness should have seen.
 	expiries int
 }
 
@@ -392,8 +325,8 @@ func runResilientPass(c *mpi.Ctx, cfg Config, v *view, items []Item, tagIdx []in
 	checkpointOnly := cfg.Comm == CR
 
 	for round := 0; ; round++ {
-		if round > res.maxRounds() {
-			rp.unrecoverable(c, "redistribution did not converge after %d recovery rounds", res.maxRounds())
+		if round > maxRounds {
+			rp.unrecoverable(c, "redistribution did not converge after %d recovery rounds", maxRounds)
 		}
 		// The abort predicate is "a participant outside this snapshot
 		// failed", never a version comparison: a failure detected before
@@ -578,12 +511,12 @@ func (rp *resilientPass) attempt(c *mpi.Ctx, failedAtPlan map[int]bool) string {
 		aa.setLadderHooks(&rp.hooks)
 	}
 	rp.x = x
-	return rp.resilientDrive(c, failedAtPlan, x, "redistribution epoch")
+	return rp.resilientDrive(c, failedAtPlan, x)
 }
 
 // deadline computes the epoch deadline: the Jacobson RTO over observed
 // flow completions, scaled by a pipelining safety factor (several flows
-// are in flight back to back) and clamped to [MinTimeout, Timeout]. With
+// are in flight back to back) and clamped to [Timeout/8, Timeout]. With
 // no samples yet — the first epoch, or the COL path, which only observes
 // phase-level completions — it is the configured fixed Timeout.
 func (rp *resilientPass) deadline() float64 {
@@ -591,7 +524,7 @@ func (rp *resilientPass) deadline() float64 {
 		return rp.res.timeout()
 	}
 	d := 4 * rp.hooks.rtt.RTO()
-	if min := rp.res.minTimeout(); d < min {
+	if min := rp.res.timeout() / 8; d < min {
 		return min
 	}
 	if max := rp.res.timeout(); d > max {
@@ -603,12 +536,11 @@ func (rp *resilientPass) deadline() float64 {
 // resilientDrive advances d until it reports completion, under the
 // ladder's rung-1 deadline policy. It returns a non-empty abort reason
 // when a participant outside failedAtPlan fails, or when the adaptive
-// deadline expires MaxExtensions times in a row without observed progress
+// deadline expires maxExtensions times in a row without observed progress
 // (each fruitless expiry probes the detector, records an "extend" event,
-// and backs the window off exponentially up to BackoffCap; any progress
+// and backs the window off exponentially up to 4x Timeout; any progress
 // resets both the extension budget and the window).
-func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
-	d drive, what string) string {
+func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool, d drive) string {
 
 	det := rp.res.Detector
 	reason := ""
@@ -617,7 +549,14 @@ func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
 	// appeared. The wait's readiness (driveReady) holds from that version
 	// change until the step has scanned.
 	rp.drive, rp.ver = d, -1
+	// late records whether the deadline event ended the wait's last park:
+	// the step runs at or past the deadline, and the step before it ended
+	// before the deadline, so the rank was parked, not computing, when the
+	// deadline fired.
+	var deadline, stepEnd float64
+	late := false
 	step := func() bool {
+		late = c.Now() >= deadline && stepEnd < deadline
 		if v := det.Version(); v != rp.ver {
 			rp.ver = v
 			if g := rp.newFailure(failedAtPlan); g >= 0 {
@@ -625,13 +564,18 @@ func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
 				return true
 			}
 		}
-		return d.progress(c)
+		done := d.progress(c)
+		stepEnd = c.Now()
+		return done
 	}
-	desc := fmt.Sprintf("core: %s on comm %d", what, rp.v.comm.CtxID())
 	window := rp.deadline()
 	for ext := 0; ; {
 		ticksBefore := rp.ticks
-		if c.WaitUntilDeadline((*driveReady)(rp), step, desc, c.Now()+window) {
+		deadline = c.Now() + window
+		if c.WaitUntilDeadline((*driveReady)(rp), step, deadline) {
+			if late {
+				registryOf(c.World()).expiries++
+			}
 			return reason
 		}
 		registryOf(c.World()).expiries++
@@ -646,15 +590,12 @@ func (rp *resilientPass) resilientDrive(c *mpi.Ctx, failedAtPlan map[int]bool,
 			window = rp.deadline()
 			continue
 		}
-		if ext >= rp.res.maxExtensions() {
+		if ext >= maxExtensions {
 			return "timeout"
 		}
 		ext++
 		recordFault(c, "extend", rungAdaptive)
-		window *= rp.res.backoffFactor()
-		if cap := rp.res.backoffCap(); window > cap {
-			window = cap
-		}
+		window = min(window*backoffFactor, 4*rp.res.timeout())
 	}
 }
 
@@ -665,7 +606,6 @@ type recovery struct {
 	round  int
 	failed map[int]bool // participants detected failed when the round was planned
 	full   bool
-	what   string // the drive's name in deadlock reports
 	net    recoveryNet
 
 	ops      []wireOp      // staged re-issues, paced in waves by the drive
@@ -819,8 +759,7 @@ func (rp *resilientPass) recoveryRound(c *mpi.Ctx, round int, failedAtPlan map[i
 	// The last wave's bytes stay on the gauge until the round commits, so
 	// they are retired below, not by next.
 	r.waves = newWaveCursor(len(r.ops), func(e int) int64 { return r.ops[e].n }, ceiling, &rp.gauge, false)
-	if reason := rp.resilientDrive(c, failedAtPlan, r,
-		fmt.Sprintf("%s %d", r.what, round)); reason != "" {
+	if reason := rp.resilientDrive(c, failedAtPlan, r); reason != "" {
 		return reason
 	}
 	r.waves.retire(c)

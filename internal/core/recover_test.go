@@ -182,7 +182,7 @@ func TestRMADelayedGetExtendsDeadline(t *testing.T) {
 	hooks := &testMsgFaults{rules: []*msgFault{
 		{srcGID: -1, minTag: -1, maxTag: -1, count: 1, delay: 1.5},
 	}}
-	res := &Resilience{Timeout: 0.5, MinTimeout: 0.2, MaxExtensions: 8}
+	res := &Resilience{Timeout: 1}
 	err, events := ladderRun(t, cfg, ns, nt, res, hooks, -1, -1, true)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)

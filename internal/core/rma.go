@@ -321,7 +321,6 @@ type pullRecovery struct {
 
 func newPullRecovery(c *mpi.Ctx, r *recovery) pullRecovery {
 	v := r.rp.v
-	r.what = "one-sided recovery round"
 	n := pullRecovery{recovery: r, replan: r.rp.st.rung >= rungReplan}
 	if !n.replan {
 		n.wins = r.rp.x.(*rmaTransfer).wins

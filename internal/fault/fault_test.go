@@ -2,7 +2,8 @@ package fault_test
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -83,7 +84,7 @@ func TestFailSpawnRetries(t *testing.T) {
 	rec := trace.NewRecorder()
 	w.SetSink(rec)
 	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-		c.SpawnWithRetry(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {}, mpi.SpawnRetry{})
+		c.Spawn(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {})
 	})
 	if err := w.Kernel().Run(); err != nil {
 		t.Fatal(err)
@@ -102,69 +103,52 @@ func TestFailSpawnRetries(t *testing.T) {
 	}
 }
 
-// TestSpawnRetryPolicy: a non-zero retry policy records one "spawn-retry"
-// event per failed attempt (Tag = attempt ordinal) and pays capped
-// exponential backoff between attempts.
+// TestSpawnRetryPolicy pins the fixed spawn retry policy: one "spawn-retry"
+// event per failed attempt (Tag = attempt ordinal), and a backoff that
+// starts at 0.02 s and doubles, paid on top of the failed attempts' spawn
+// cost.
 func TestSpawnRetryPolicy(t *testing.T) {
-	w := newWorld(1)
-	inj := fault.NewInjector(w, fault.Plan{Actions: []fault.Action{
-		{Kind: fault.FailSpawn, Attempts: 3},
-	}})
-	inj.Arm()
-	rec := trace.NewRecorder()
-	w.SetSink(rec)
-	var elapsed float64
-	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-		start := c.Now()
-		c.SpawnWithRetry(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {},
-			mpi.SpawnRetry{MaxAttempts: 5, Backoff: 0.1, Factor: 2, Cap: 0.3})
-		if comm.Rank(c) == 0 {
-			elapsed = c.Now() - start
+	run := func(fails int) (float64, []trace.Event) {
+		w := newWorld(1)
+		if fails > 0 {
+			inj := fault.NewInjector(w, fault.Plan{Actions: []fault.Action{
+				{Kind: fault.FailSpawn, Attempts: fails},
+			}})
+			inj.Arm()
 		}
-	})
-	if err := w.Kernel().Run(); err != nil {
-		t.Fatal(err)
+		rec := trace.NewRecorder()
+		w.SetSink(rec)
+		var elapsed float64
+		w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
+			start := c.Now()
+			c.Spawn(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {})
+			if comm.Rank(c) == 0 {
+				elapsed = c.Now() - start
+			}
+		})
+		if err := w.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+		return elapsed, rec.Events()
 	}
-	events := rec.Events()
-	if n := countFaults(events, "spawn-retry"); n != 3 {
-		t.Errorf("spawn-retry events = %d, want 3", n)
-	}
-	wantTag := 1
+	clean, _ := run(0)
+	elapsed, events := run(3)
+	var tags []int
+	failed := 0.0
 	for _, ev := range events {
-		if ev.Kind != trace.EvFault || ev.Op != "spawn-retry" {
-			continue
+		switch {
+		case ev.Kind == trace.EvFault && ev.Op == "spawn-retry":
+			tags = append(tags, ev.Tag)
+		case ev.Kind == trace.EvSpawn && ev.Op == "Comm_spawn_failed":
+			failed += ev.End - ev.Start
 		}
-		if ev.Tag != wantTag {
-			t.Errorf("spawn-retry Tag = %d, want attempt ordinal %d", ev.Tag, wantTag)
-		}
-		wantTag++
 	}
-	// Backoff waits: 0.1 + 0.2 + 0.3 (doubled, capped at 0.3) on top of the
-	// four spawn-cost spans.
-	if elapsed < 0.6 {
-		t.Errorf("spawn with 3 failures took %.3fs, want >= 0.6s of backoff", elapsed)
+	if fmt.Sprint(tags) != "[1 2 3]" {
+		t.Errorf("spawn-retry Tags = %v, want [1 2 3]", tags)
 	}
-}
-
-// TestSpawnRetryBudgetExhausted: more injected failures than MaxAttempts
-// surfaces as *mpi.SpawnError through the run error.
-func TestSpawnRetryBudgetExhausted(t *testing.T) {
-	w := newWorld(1)
-	inj := fault.NewInjector(w, fault.Plan{Actions: []fault.Action{
-		{Kind: fault.FailSpawn, Attempts: 3},
-	}})
-	inj.Arm()
-	w.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-		c.SpawnWithRetry(comm, 2, nil, func(child *mpi.Ctx, childWorld *mpi.Comm) {},
-			mpi.SpawnRetry{MaxAttempts: 2, Backoff: 0.01})
-	})
-	err := w.Kernel().Run()
-	var se *mpi.SpawnError
-	if !errors.As(err, &se) {
-		t.Fatalf("run = %v, want *mpi.SpawnError", err)
-	}
-	if se.Attempts != 2 {
-		t.Errorf("SpawnError.Attempts = %d, want the 2-attempt budget", se.Attempts)
+	const backoff = 0.02 + 0.04 + 0.08
+	if got := elapsed - clean - failed; math.Abs(got-backoff) > 1e-12 {
+		t.Errorf("backoff of 3 failures = %.6fs, want %.2fs", got, backoff)
 	}
 }
 

@@ -30,10 +30,9 @@ func DefaultClusterCost(cl cluster.Config) rms.CostModel {
 
 // ClusterCampaign is one cluster-workload sweep specification.
 type ClusterCampaign struct {
-	// Cluster is the node inventory; Cost prices reconfigurations (nil:
-	// DefaultClusterCost from the cluster's calibration).
+	// Cluster is the node inventory; DefaultClusterCost prices its
+	// reconfigurations.
 	Cluster cluster.Config
-	Cost    rms.CostModel
 
 	// The sweep axes: every kind × load × frac × policy combination is one
 	// cell, policies varying innermost so same-trace cells sit together.
@@ -117,10 +116,7 @@ func (c ClusterCampaign) Run(progress func(string)) ([]ClusterRow, error) {
 	if c.Trace == nil && (len(c.Kinds) == 0 || len(c.Loads) == 0 || len(c.Fracs) == 0) {
 		return nil, fmt.Errorf("harness: cluster campaign needs kinds, loads, and fracs (or a replay trace)")
 	}
-	cost := c.Cost
-	if cost == nil {
-		cost = DefaultClusterCost(c.Cluster)
-	}
+	cost := DefaultClusterCost(c.Cluster)
 	cells := c.cells()
 	rows := make([]ClusterRow, len(cells))
 	var (

@@ -202,7 +202,7 @@ func TestAlltoallvInterCommExchanges(t *testing.T) {
 	ns, nt := 3, 2
 	recvAtChild := make([][]float64, nt)
 	w.Launch(ns, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, nt, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, nt, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			r := pc.Rank(child)
 			send := make([]Payload, pc.RemoteSize())
@@ -213,7 +213,7 @@ func TestAlltoallvInterCommExchanges(t *testing.T) {
 			for _, pl := range out {
 				recvAtChild[r] = append(recvAtChild[r], pl.AsFloat64s()...)
 			}
-		}, SpawnRetry{})
+		})
 		r := inter.Rank(c)
 		send := make([]Payload, inter.RemoteSize())
 		for i := range send {
@@ -290,7 +290,7 @@ func TestPairwiseInterPaysSchedPenalty(t *testing.T) {
 		ns, nt := 4, 4
 		var done float64
 		w.Launch(ns, nil, func(c *Ctx, comm *Comm) {
-			inter := c.SpawnWithRetry(comm, nt, nil, func(child *Ctx, _ *Comm) {
+			inter := c.Spawn(comm, nt, nil, func(child *Ctx, _ *Comm) {
 				pc := child.Proc().Parent()
 				send := make([]Payload, pc.RemoteSize())
 				for i := range send {
@@ -301,7 +301,7 @@ func TestPairwiseInterPaysSchedPenalty(t *testing.T) {
 				} else {
 					child.Wait(child.Ialltoallv(pc, send))
 				}
-			}, SpawnRetry{})
+			})
 			send := make([]Payload, inter.RemoteSize())
 			for i := range send {
 				send[i] = Virtual(1 << 10)

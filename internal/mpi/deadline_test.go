@@ -111,7 +111,7 @@ func runDeadlinePlan(t *testing.T, pl deadlinePlan, real bool) ([]string, sim.St
 			}
 		}
 		for _, d := range pl.deadlines {
-			ok := c.WaitUntilDeadline(ready, step, "deadline plan", c.Now()+d)
+			ok := c.WaitUntilDeadline(ready, step, c.Now()+d)
 			logf("rank %d wait returns %v", me, ok)
 			if ok {
 				return

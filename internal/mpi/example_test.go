@@ -56,10 +56,10 @@ func Example_spawnAndMerge() {
 	world := mpi.NewWorld(machine, mpi.DefaultOptions())
 
 	world.Launch(2, nil, func(c *mpi.Ctx, comm *mpi.Comm) {
-		inter := c.SpawnWithRetry(comm, 2, nil, func(child *mpi.Ctx, _ *mpi.Comm) {
+		inter := c.Spawn(comm, 2, nil, func(child *mpi.Ctx, _ *mpi.Comm) {
 			merged := child.Proc().Parent().Merge(child, true)
 			fmt.Printf("spawned process is rank %d of %d\n", merged.Rank(child), merged.Size())
-		}, mpi.SpawnRetry{})
+		})
 		merged := inter.Merge(c, false)
 		if merged.Rank(c) == 0 {
 			fmt.Printf("original process is rank %d of %d\n", merged.Rank(c), merged.Size())

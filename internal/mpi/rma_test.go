@@ -117,7 +117,7 @@ func TestGetAcrossIntercomm(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
 	var got []float64
 	w.Launch(2, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, 2, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, 2, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			win := child.WinCreate(pc, Payload{})
 			if pc.Rank(child) == 0 {
@@ -126,7 +126,7 @@ func TestGetAcrossIntercomm(t *testing.T) {
 				got = g.Payload().AsFloat64s()
 			}
 			child.Fence(win)
-		}, SpawnRetry{})
+		})
 		var local Payload
 		if inter.Rank(c) == 1 {
 			local = Float64s([]float64{5, 6})

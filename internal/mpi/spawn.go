@@ -14,34 +14,14 @@ type spawnSt struct {
 	arrived    int
 }
 
-// SpawnRetry is the retry policy for injected spawn failures. The zero
-// value gives unlimited immediate retries,
-// each paying the spawn cost again, with no extra trace events. A non-zero
-// policy additionally records one EvFault "spawn-retry" event per failed
-// attempt, waits a capped exponentially growing backoff before retrying,
-// and enforces the attempt budget.
-type SpawnRetry struct {
-	// MaxAttempts bounds total spawn attempts (failed + the final one);
-	// exceeding it panics with *SpawnError. 0 means unlimited.
-	MaxAttempts int
-	// Backoff is the wait before the first retry, in simulated seconds.
-	Backoff float64
-	// Factor multiplies the wait after each failed attempt; values below 1
-	// are treated as 1 (constant backoff).
-	Factor float64
-	// Cap bounds one backoff wait, in simulated seconds. 0 means uncapped.
-	Cap float64
-}
-
-// SpawnError reports a Spawn that exhausted its retry budget. It surfaces
-// as a panic value, which sim.Kernel.Run wraps into the run error.
-type SpawnError struct {
-	Attempts int
-}
-
-func (e *SpawnError) Error() string {
-	return fmt.Sprintf("mpi: spawn failed after %d attempts", e.Attempts)
-}
+// Injected spawn failures are retried with capped exponential backoff: the
+// first retry waits spawnBackoff simulated seconds, each further one twice
+// the previous wait, at most spawnBackoffCap. Attempts are unlimited (the
+// simulator's spawn failures are always finite).
+const (
+	spawnBackoff    = 0.02
+	spawnBackoffCap = 0.5
+)
 
 // recordSpawnRetry emits the per-attempt retry event: an instant EvFault
 // with Op "spawn-retry" and Tag carrying the failed-attempt ordinal.
@@ -57,9 +37,9 @@ func recordSpawnRetry(c *Ctx, comm int, attempt int) {
 	})
 }
 
-// SpawnWithRetry launches n new MPI processes running fn, as
-// MPI_Comm_spawn: it is collective over comm (an intra-communicator), rank 0
-// pays the spawn cost on the critical path, and it returns each caller's view of the
+// Spawn launches n new MPI processes running fn, as MPI_Comm_spawn: it is
+// collective over comm (an intra-communicator), rank 0 pays the spawn cost
+// on the critical path, and it returns each caller's view of the
 // inter-communicator connecting the spawning group to the children. The
 // children's Parent() returns their view of the same inter-communicator,
 // and fn additionally receives the children's own world communicator
@@ -69,10 +49,10 @@ func recordSpawnRetry(c *Ctx, comm int, attempt int) {
 // placement is used (which, as in the paper's Baseline method, lands the
 // children on the nodes the sources already occupy — oversubscription).
 //
-// pol is the retry policy for injected spawn failures (see SpawnRetry); the
-// zero policy retries at once and records nothing extra.
-func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
-	fn func(child *Ctx, childWorld *Comm), pol SpawnRetry) *Comm {
+// An injected spawn failure pays the spawn cost, records a "spawn-retry"
+// event and backs off before the next attempt (see spawnBackoff).
+func (c *Ctx) Spawn(comm *Comm, n int, nodeOf func(childRank int) int,
+	fn func(child *Ctx, childWorld *Comm)) *Comm {
 	if comm.IsInter() {
 		panic("mpi: Spawn over inter-communicator")
 	}
@@ -100,34 +80,18 @@ func (c *Ctx) SpawnWithRetry(comm *Comm, n int, nodeOf func(childRank int) int,
 
 	if me == 0 {
 		// Injected spawn failures: each failed attempt pays the spawn cost
-		// again before the retry succeeds. A non-zero policy also records
-		// the retry event, enforces the attempt budget, and backs off.
+		// again, records the retry event and backs off.
 		if h := w.hooks; h != nil {
-			wait := pol.Backoff
+			wait := spawnBackoff
 			attempt := 0
 			for fails := h.SpawnFailures(n); fails > 0; fails-- {
 				attempt++
 				end := c.span(trace.EvSpawn, comm.ctxID, "Comm_spawn_failed", 0)
 				c.Sleep(w.machine.SpawnCost(n))
 				end()
-				if pol == (SpawnRetry{}) {
-					continue
-				}
 				recordSpawnRetry(c, comm.ctxID, attempt)
-				if pol.MaxAttempts > 0 && attempt >= pol.MaxAttempts {
-					panic(&SpawnError{Attempts: attempt})
-				}
-				if wait > 0 {
-					c.Sleep(wait)
-				}
-				f := pol.Factor
-				if f < 1 {
-					f = 1
-				}
-				wait *= f
-				if pol.Cap > 0 && wait > pol.Cap {
-					wait = pol.Cap
-				}
+				c.Sleep(wait)
+				wait = min(2*wait, spawnBackoffCap)
 			}
 		}
 		// Runtime negotiation plus fork/exec/wire-up of n processes.

@@ -12,14 +12,14 @@ func TestSpawnCreatesChildrenWithParentComm(t *testing.T) {
 	var childRanks []int
 	var parentRemote int
 	w.Launch(2, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, 3, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, 3, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			if pc == nil {
 				t.Error("child Parent() = nil")
 				return
 			}
 			childRanks = append(childRanks, pc.Rank(child))
-		}, SpawnRetry{})
+		})
 		if comm.Rank(c) == 0 {
 			parentRemote = inter.RemoteSize()
 		}
@@ -39,11 +39,11 @@ func TestSpawnCostOnCriticalPath(t *testing.T) {
 	cost := w.Machine().SpawnCost(4)
 	var childStart float64 = -1
 	w.Launch(1, nil, func(c *Ctx, comm *Comm) {
-		c.SpawnWithRetry(comm, 4, nil, func(child *Ctx, _ *Comm) {
+		c.Spawn(comm, 4, nil, func(child *Ctx, _ *Comm) {
 			if pc := child.Proc().Parent(); pc.Rank(child) == 0 {
 				childStart = child.Now()
 			}
-		}, SpawnRetry{})
+		})
 	})
 	runWorld(t, w)
 	if childStart < cost {
@@ -55,10 +55,10 @@ func TestSpawnPlacementRespected(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
 	nodes := make(map[int]int)
 	w.Launch(1, nil, func(c *Ctx, comm *Comm) {
-		c.SpawnWithRetry(comm, 4, func(r int) int { return r % 2 }, func(child *Ctx, _ *Comm) {
+		c.Spawn(comm, 4, func(r int) int { return r % 2 }, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			nodes[pc.Rank(child)] = child.Proc().node
-		}, SpawnRetry{})
+		})
 	})
 	runWorld(t, w)
 	for r, n := range nodes {
@@ -72,7 +72,7 @@ func TestSendAcrossIntercommBothWays(t *testing.T) {
 	w := testWorld(t, 2, 8, defaultTestOptions())
 	var fromParent, fromChild float64
 	w.Launch(2, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, 2, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, 2, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			switch pc.Rank(child) {
 			case 0:
@@ -80,7 +80,7 @@ func TestSendAcrossIntercommBothWays(t *testing.T) {
 				fromParent = pl.AsFloat64s()[0]
 				child.Send(pc, 0, 10, Float64s([]float64{77}))
 			}
-		}, SpawnRetry{})
+		})
 		if comm.Rank(c) == 0 {
 			c.Send(inter, 0, 9, Float64s([]float64{42}))
 			pl, _ := c.Recv(inter, 0, 10)
@@ -101,11 +101,11 @@ func TestMergeOrdersLowGroupFirst(t *testing.T) {
 	ns, nt := 2, 3
 	mergedRanks := map[string][]int{}
 	w.Launch(ns, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, nt, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, nt, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			m := pc.Merge(child, true) // children are the high group
 			mergedRanks["child"] = append(mergedRanks["child"], m.Rank(child))
-		}, SpawnRetry{})
+		})
 		m := inter.Merge(c, false) // parents low
 		mergedRanks["parent"] = append(mergedRanks["parent"], m.Rank(c))
 		if m.Size() != ns+nt {
@@ -132,10 +132,10 @@ func TestMergedCommIsUsableForCollectives(t *testing.T) {
 		total <- out.AsFloat64s()[0]
 	}
 	w.Launch(ns, nil, func(c *Ctx, comm *Comm) {
-		inter := c.SpawnWithRetry(comm, nt, nil, func(child *Ctx, _ *Comm) {
+		inter := c.Spawn(comm, nt, nil, func(child *Ctx, _ *Comm) {
 			pc := child.Proc().Parent()
 			sum(child, pc.Merge(child, true))
-		}, SpawnRetry{})
+		})
 		sum(c, inter.Merge(c, false))
 	})
 	runWorld(t, w)
@@ -246,9 +246,9 @@ func TestRepeatedSpawnsOnSameComm(t *testing.T) {
 	spawned := 0
 	w.Launch(2, nil, func(c *Ctx, comm *Comm) {
 		for i := 0; i < 3; i++ {
-			inter := c.SpawnWithRetry(comm, 1, nil, func(child *Ctx, _ *Comm) {
+			inter := c.Spawn(comm, 1, nil, func(child *Ctx, _ *Comm) {
 				spawned++
-			}, SpawnRetry{})
+			})
 			if inter.RemoteSize() != 1 {
 				t.Errorf("spawn %d: RemoteSize = %d", i, inter.RemoteSize())
 			}

@@ -126,7 +126,7 @@ func TestWaitUntilDeadlineAllocations(t *testing.T) {
 			tag := 0
 			met = testing.AllocsPerRun(runs, func() {
 				r = c.irecv(comm, 0, tag)
-				if !c.WaitUntilDeadline(sim.CondFunc(arrived), arrived, "message", c.Now()+10) {
+				if !c.WaitUntilDeadline(sim.CondFunc(arrived), arrived, c.Now()+10) {
 					t.Fatalf("tag %d: deadline expired before the message arrived", tag)
 				}
 				c.proc.w.freeRecv(r)
@@ -134,7 +134,7 @@ func TestWaitUntilDeadlineAllocations(t *testing.T) {
 			})
 			never := func() bool { return false }
 			expired = testing.AllocsPerRun(runs, func() {
-				if c.WaitUntilDeadline(sim.CondFunc(never), never, "nothing", c.Now()+0.5) {
+				if c.WaitUntilDeadline(sim.CondFunc(never), never, c.Now()+0.5) {
 					t.Fatal("a false predicate held")
 				}
 			})
@@ -222,7 +222,7 @@ func TestDeadlineWaitResumesOncePerPhase(t *testing.T) {
 			}
 			k := w.Kernel()
 			before := k.Stats()
-			if !c.WaitUntilDeadline(ready, step, "two Ialltoallv phases", c.Now()+10) {
+			if !c.WaitUntilDeadline(ready, step, c.Now()+10) {
 				t.Error("the deadline expired before both phases completed")
 			}
 			after := k.Stats()

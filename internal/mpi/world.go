@@ -428,7 +428,6 @@ type Ctx struct {
 	// ctxDeadline.
 	dl struct {
 		ready   sim.Cond
-		reason  string
 		expired bool // the deadline event has fired
 		parked  bool // the pre-park test of this park has run
 	}
@@ -612,14 +611,15 @@ func (c *Ctx) WaitUntil(cond sim.Cond) {
 // more often only costs resumes, one that misses an action loses a wake
 // until the deadline. A wake that ready turns away re-parks where the
 // context's own re-park would have put it, so every event order and
-// output is that of resuming step on every wake. reason describes the
-// wait in deadlock reports.
+// output is that of resuming step on every wake. A deadline wait never
+// shows in a deadlock report: its deadline event stays pending while it is
+// parked.
 //
 // step must not wait (Wait, Waitall, Waitany, WaitUntil,
 // WaitUntilDeadline): the deadline wait holds the context's own polling
 // load, deadline event and condition, which is why it allocates nothing,
 // and a nested wait would restart them.
-func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, reason string, deadline float64) bool {
+func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, deadline float64) bool {
 	if step() {
 		return true
 	}
@@ -627,7 +627,7 @@ func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, reason string,
 	if deadline <= w.k.Now() {
 		return false
 	}
-	c.dl.ready, c.dl.reason, c.dl.expired = ready, reason, false
+	c.dl.ready, c.dl.expired = ready, false
 	defer func() { c.dl.ready = nil }()
 	t := w.k.AtHandler(deadline, (*ctxDeadline)(c))
 	defer t.Cancel()
@@ -649,9 +649,9 @@ func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, reason string,
 
 // deadlineCond is the condition a WaitUntilDeadline parks on: the context
 // itself, under a type whose Done holds once the deadline event has fired
-// or the wait's readiness holds, and whose String is the wait's reason. A
-// wake at or past the deadline always follows the deadline event: a wake
-// is stamped when its Broadcast runs, after the deadline was armed.
+// or the wait's readiness holds. A wake at or past the deadline always
+// follows the deadline event: a wake is stamped when its Broadcast runs,
+// after the deadline was armed.
 type deadlineCond Ctx
 
 func (d *deadlineCond) Done() bool {
@@ -667,8 +667,6 @@ func (d *deadlineCond) Done() bool {
 	}
 	return c.dl.expired || c.dl.ready.Done()
 }
-
-func (d *deadlineCond) String() string { return d.dl.reason }
 
 // ctxDeadline is the event that ends a WaitUntilDeadline: the context
 // itself, under a type whose Fire flags the expiry and wakes the wait.

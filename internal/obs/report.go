@@ -232,11 +232,6 @@ td, th { padding: 2px 10px; border-bottom: 1px solid #eee; text-align: left; fon
 {{range .Recent}}<tr><td>{{.Kind}}</td><td>{{.Op}}</td><td>{{.Rank}}</td><td>{{.Bytes}}</td><td>{{.Phase}}</td><td>{{.Start}}</td><td>{{.End}}</td></tr>{{end}}
 </table>{{end}}
 
-{{if .Snap.Runtime}}<h2>Self-profile</h2>
-<p class="stats">heap {{.Snap.Runtime.HeapBytes}} B &middot; allocated {{.Snap.Runtime.TotalAllocBytes}} B
-&middot; GC cycles {{.Snap.Runtime.GCCycles}} &middot; GC CPU {{.Snap.Runtime.GCCPUSeconds}} s
-(assists {{.Snap.Runtime.GCAssistCPUSeconds}} s) &middot; stacks {{.Snap.Runtime.StackBytes}} B
-&middot; goroutines {{.Snap.Runtime.Goroutines}}</p>{{end}}
 </body>
 </html>
 `))

@@ -71,15 +71,6 @@ type Snapshot struct {
 
 	// TelemetryBytes is the stream's accounting memory footprint.
 	TelemetryBytes int64 `json:"telemetryBytes"`
-
-	// Runtime, when present, carries a self-profiling sample of the host
-	// process (GC cycles, heap bytes, goroutines, and the process-level
-	// peak-RSS high-water — the real-memory counterpart of the
-	// redist/peak_live_bytes gauge above) taken at snapshot time. It
-	// describes the real process, not the simulation, and is omitted
-	// where byte-determinism matters. The campaign meter populates it
-	// via SampleRuntime.
-	Runtime *RuntimeSample `json:"runtime,omitempty"`
 }
 
 // Counter returns a snapshot counter's value (0 when absent).

@@ -70,13 +70,9 @@ type RankTelemetry struct {
 
 // NewStream returns an empty streaming sink with the default
 // flight-recorder capacities.
-func NewStream() *Stream { return NewStreamCap(0, 0) }
-
-// NewStreamCap returns an empty streaming sink with explicit
-// flight-recorder capacities (<= 0 selects the defaults).
-func NewStreamCap(recentCap, anomalyCap int) *Stream {
+func NewStream() *Stream {
 	s := &Stream{
-		flight:   NewFlightRecorder(recentCap, anomalyCap),
+		flight:   NewFlightRecorder(0, 0),
 		hCompute: NewHist(), hBarrier: NewHist(), hColl: NewHist(),
 		hSpawn: NewHist(), hRTT: NewHist(), hBytes: NewHist(),
 		hPhase:   map[string]*Hist{},

@@ -166,24 +166,20 @@ func waterFill(jobs []PolicyJob, targets []int, free int) {
 
 // UtilTargetPolicy expands only when the reconfiguration pays for itself:
 // a job grows toward its fair share only if the time saved
-// (remaining/alloc − remaining/target) exceeds PaybackFactor times the
+// (remaining/alloc − remaining/target) exceeds paybackFactor times the
 // priced reconfiguration cost, and holds its current allocation otherwise
 // — avoiding the grow/shrink churn a near-finished or data-heavy job
 // would pay under GreedyPolicy. Like FairSharePolicy it reclaims to the
 // minimum under queue pressure.
-type UtilTargetPolicy struct {
-	// PaybackFactor is the required ratio of saved time to reconfiguration
-	// cost (<= 0 selects 5: an expansion must save 5x what it costs).
-	PaybackFactor float64
-}
+type UtilTargetPolicy struct{}
+
+// paybackFactor is UtilTargetPolicy's required ratio of saved time to
+// reconfiguration cost: an expansion must save 5x what it costs.
+const paybackFactor = 5
 
 func (UtilTargetPolicy) Name() string { return "utiltarget" }
 
-func (p UtilTargetPolicy) Target(jobs []PolicyJob, free, queued int, cost rms.CostModel) []int {
-	payback := p.PaybackFactor
-	if payback <= 0 {
-		payback = 5
-	}
+func (UtilTargetPolicy) Target(jobs []PolicyJob, free, queued int, cost rms.CostModel) []int {
 	targets := make([]int, len(jobs))
 	for i, j := range jobs {
 		targets[i] = j.Procs
@@ -209,7 +205,7 @@ func (p UtilTargetPolicy) Target(jobs []PolicyJob, free, queued int, cost rms.Co
 		target := hold
 		if cand[i] > hold && cand[i] <= j.Procs+budget {
 			saved := j.Remaining/float64(hold) - j.Remaining/float64(cand[i])
-			if c := cost(hold, cand[i], j.DataBytes); saved > payback*c {
+			if c := cost(hold, cand[i], j.DataBytes); saved > paybackFactor*c {
 				target = cand[i]
 			}
 		}

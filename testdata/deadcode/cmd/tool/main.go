@@ -2,6 +2,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"fixture/internal/words"
@@ -9,4 +10,9 @@ import (
 
 func main() {
 	fmt.Println(words.Fields("a b"), words.Describe(words.Word("w")), words.Splitter{Sep: ","})
+	var t words.Tally
+	t.N++
+	flag.IntVar(&t.Step, "step", 1, "words per tally")
+	t.Mark.Reset()
+	fmt.Println(t.N, t.Step, t.Limit, t.Mark.At)
 }

@@ -24,3 +24,16 @@ type Word string
 
 // Name returns the word itself.
 func (w Word) Name() string { return string(w) }
+
+// Tally counts words. cmd/tool bumps N, hands Step to a flag and selects
+// Reset on Mark; only a test sets Limit.
+type Tally struct {
+	N, Step, Limit int
+	Mark           Mark
+}
+
+// Mark is a position a pointer method moves.
+type Mark struct{ At int }
+
+// Reset moves m back to the start.
+func (m *Mark) Reset() { m.At = 0 }

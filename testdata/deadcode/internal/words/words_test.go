@@ -7,3 +7,9 @@ func TestSplit(t *testing.T) {
 		t.Fatal(got)
 	}
 }
+
+func TestTallyLimit(t *testing.T) {
+	if (Tally{Limit: 3}).Limit != 3 {
+		t.Fatal("Limit")
+	}
+}
