@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/netmodel"
 	"repro/internal/sim"
@@ -81,10 +82,10 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 		k:      k,
 		cfg:    cfg,
 		fabric: netmodel.NewFabric(k, cfg.Net, cfg.Nodes),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(newReplaySource(cfg.Seed)),
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		m.cpus = append(m.cpus, ps.NewResource(k, fmt.Sprintf("node%d.cpu", n),
+		m.cpus = append(m.cpus, ps.NewResource(k, "node"+strconv.Itoa(n)+".cpu",
 			float64(cfg.CoresPerNode), 1))
 	}
 	if cfg.FSBandwidth > 0 {

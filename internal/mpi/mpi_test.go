@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -332,5 +333,20 @@ func TestSelfSendWorks(t *testing.T) {
 	runWorld(t, w)
 	if got != 64 {
 		t.Fatalf("self-recv size = %d, want 64", got)
+	}
+}
+
+// BenchmarkLaunch times building a world on an 8x20-core machine and
+// launching n ranks on it. The kernel does not run, so no rank starts:
+// the time is that of naming and registering the ranks.
+func BenchmarkLaunch(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := testWorld(b, 8, 20, defaultTestOptions())
+				w.Launch(n, nil, func(c *Ctx, comm *Comm) {})
+			}
+		})
 	}
 }

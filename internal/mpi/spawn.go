@@ -98,10 +98,7 @@ func (c *Ctx) Spawn(comm *Comm, n int, nodeOf func(childRank int) int,
 		end := c.span(trace.EvSpawn, comm.ctxID, "Comm_spawn", 0)
 		c.Sleep(w.machine.SpawnCost(n))
 		end()
-		children := make([]*Process, n)
-		for i := range children {
-			children[i] = w.newProcess(nodeOf(i))
-		}
+		children := w.newProcesses(n, nodeOf)
 		parentView, childView := w.newInterComm(comm.local, children)
 		st.parentView = parentView
 		childWorld := w.newComm(children, nil)

@@ -17,6 +17,7 @@ package mpi
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/cluster"
@@ -93,7 +94,6 @@ type World struct {
 	opts    Options
 
 	nextCtxID int
-	nextGID   int
 
 	barriers    map[int]*fastBarrier // shared per matching context
 	merges      map[int]*mergeSt     // pending Intercomm_merge rendezvous
@@ -102,7 +102,7 @@ type World struct {
 	wins        map[derivedKey]*Win  // one-sided windows by creation site
 	winBarriers map[int]*winBarrier  // death-aware window-epoch barriers
 
-	procs map[int]*Process // every process ever created, by gid
+	procs []*Process // every process ever created, indexed by gid
 
 	hooks FaultHooks // nil when fault injection is off
 
@@ -120,7 +120,7 @@ func NewWorld(m *cluster.Machine, opts Options) *World {
 	if opts.EagerThreshold < 0 {
 		panic("mpi: negative eager threshold")
 	}
-	return &World{machine: m, k: m.Kernel(), opts: opts, nextCtxID: 1, procs: make(map[int]*Process)}
+	return &World{machine: m, k: m.Kernel(), opts: opts, nextCtxID: 1}
 }
 
 // freelist holds objects of one kind that a world is done with, for
@@ -313,20 +313,42 @@ func (p *Process) GID() int { return p.gid }
 // (MPI_Comm_get_parent).
 func (p *Process) Parent() *Comm { return p.parent }
 
-func (w *World) newProcess(node int) *Process {
-	p := &Process{
-		w:        w,
-		gid:      w.nextGID,
-		node:     node,
-		progress: sim.NewSignal(fmt.Sprintf("mpi.progress.g%d", w.nextGID)),
+// newProcesses creates n processes, the i-th on node nodeOf(i), with the
+// next n gids.
+func (w *World) newProcesses(n int, nodeOf func(i int) int) []*Process {
+	procs := make([]*Process, n)
+	for i := range procs {
+		gid := len(w.procs) + i
+		procs[i] = &Process{
+			w:        w,
+			gid:      gid,
+			node:     nodeOf(i),
+			progress: sim.NewSignal(numbered("mpi.progress.g", gid)),
+		}
 	}
-	w.nextGID++
-	w.procs[p.gid] = p
-	return p
+	w.procs = append(w.procs, procs...)
+	return procs
+}
+
+// numbered returns prefix, n in decimal and the suffixes as one string:
+// the name a rank, a thread or a progress signal carries in deadlock
+// reports. It allocates only the string.
+func numbered(prefix string, n int, suffix ...string) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+	for _, s := range suffix {
+		b = append(b, s...)
+	}
+	return string(b)
 }
 
 // ProcessByGID returns the process with the given world-unique id, or nil.
-func (w *World) ProcessByGID(gid int) *Process { return w.procs[gid] }
+func (w *World) ProcessByGID(gid int) *Process {
+	if gid < 0 || gid >= len(w.procs) {
+		return nil
+	}
+	return w.procs[gid]
+}
 
 // Dead reports whether the process was crashed by KillProcess.
 func (p *Process) Dead() bool { return p.dead }
@@ -340,7 +362,7 @@ func (p *Process) Dead() bool { return p.dead }
 // never completes. It must be called from scheduler context (a kernel timer
 // callback), like sim.Kill.
 func (w *World) KillProcess(gid int) {
-	p := w.procs[gid]
+	p := w.ProcessByGID(gid)
 	if p == nil || p.dead {
 		return
 	}
@@ -384,16 +406,10 @@ func (w *World) KillProcess(gid int) {
 // WakeAll broadcasts every process's progress signal, giving every blocked
 // wait a chance to re-evaluate its predicate. Failure detection uses it to
 // let survivors notice a dead peer without a message arriving. Broadcasts
-// run in gid order: map iteration here would leak scheduling
-// nondeterminism into otherwise fully deterministic runs.
+// run in gid order, which keeps the wake order deterministic.
 func (w *World) WakeAll() {
-	gids := make([]int, 0, len(w.procs))
-	for gid := range w.procs {
-		gids = append(gids, gid)
-	}
-	sort.Ints(gids)
-	for _, gid := range gids {
-		w.procs[gid].progress.Broadcast()
+	for _, p := range w.procs {
+		p.progress.Broadcast()
 	}
 }
 
@@ -530,7 +546,7 @@ func (c *Ctx) chargeCopy(size int64) {
 // returns immediately; fn runs concurrently in virtual time.
 func (c *Ctx) NewThread(name string, fn func(t *Ctx)) {
 	p := c.proc
-	p.w.k.Spawn(fmt.Sprintf("g%d.%s", p.gid, name), func(sp *sim.Proc) {
+	p.w.k.Spawn(numbered("g", p.gid, ".", name), func(sp *sim.Proc) {
 		fn(newCtx(p, sp))
 	})
 }
@@ -546,15 +562,12 @@ func (w *World) Launch(n int, nodeOf func(rank int) int, main func(c *Ctx, comm 
 	if nodeOf == nil {
 		nodeOf = w.machine.NodeOf
 	}
-	procs := make([]*Process, n)
-	for r := range procs {
-		procs[r] = w.newProcess(nodeOf(r))
-	}
+	procs := w.newProcesses(n, nodeOf)
 	comm := w.newComm(procs, nil)
 	for r, p := range procs {
 		p := p
 		r := r
-		w.k.Spawn(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
+		w.k.Spawn(numbered("rank", r), func(sp *sim.Proc) {
 			main(newCtx(p, sp), comm)
 		})
 	}

@@ -2,7 +2,7 @@ package synthapp
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -408,9 +408,11 @@ func (rs *runState) agree(c *mpi.Ctx, comm *mpi.Comm, flag bool) bool {
 	return all
 }
 
+// ceilLog2 returns ⌈log2 p⌉, the stage count of a binomial-tree
+// collective over p ranks, and 0 for p ≤ 1.
 func ceilLog2(p int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return math.Ceil(math.Log2(float64(p)))
+	return float64(bits.Len(uint(p - 1)))
 }

@@ -255,3 +255,18 @@ func TestStencilConfigValid(t *testing.T) {
 		t.Fatalf("total=%d constFrac=%g, want 4 GiB fully variable", total, constFrac)
 	}
 }
+
+// TestCeilLog2MatchesFloatForm checks the integer ceilLog2 against the
+// float form it replaced, math.Ceil(math.Log2(p)), for every p up to 2^20:
+// the collective stage counts, and so every simulated time, stay the same.
+func TestCeilLog2MatchesFloatForm(t *testing.T) {
+	for p := 1; p <= 1<<20; p++ {
+		want := 0.0
+		if p > 1 {
+			want = math.Ceil(math.Log2(float64(p)))
+		}
+		if got := ceilLog2(p); got != want {
+			t.Fatalf("ceilLog2(%d) = %g, want %g", p, got, want)
+		}
+	}
+}
