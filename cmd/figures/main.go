@@ -1,10 +1,11 @@
-// Command figures renders the paper's line plots as text tables from sweep
-// measurements: synchronous reconfiguration times (Figures 2-3), α ratios
-// of the asynchronous variants (Figures 4-5), and application speedups
-// against Baseline COLS with the reference reconfiguration series
-// (Figures 7-8).
+// Command figures renders the paper's evaluation from sweep measurements
+// as text: synchronous reconfiguration times (Figures 2-3), α ratios of
+// the asynchronous variants (Figures 4-5), application speedups against
+// Baseline COLS with the reference reconfiguration series (Figures 7-8),
+// and the best-method maps of the statistical pipeline for
+// reconfiguration time (Figure 6) and total time (Figure 9).
 //
-//	figures -in eth.csv
+//	figures -in results/eth_all.csv
 package main
 
 import (
@@ -30,32 +31,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	shrink, expand := harness.From160(), harness.To160()
-
-	harness.RenderSeries(os.Stdout, "Fig 2/3 top — synchronous reconfiguration time (s), shrinking from 160 (x = NT)",
-		harness.SyncReconfigSeries(m, shrink))
-	fmt.Println()
-	harness.RenderSeries(os.Stdout, "Fig 2/3 bottom — synchronous reconfiguration time (s), expanding to 160 (x = NS)",
-		harness.SyncReconfigSeries(m, expand))
-	fmt.Println()
-	harness.RenderSeries(os.Stdout, "Fig 4/5 top — alpha (async/sync reconfiguration), shrinking from 160 (x = NT)",
-		harness.AlphaSeries(m, shrink))
-	fmt.Println()
-	harness.RenderSeries(os.Stdout, "Fig 4/5 bottom — alpha (async/sync reconfiguration), expanding to 160 (x = NS)",
-		harness.AlphaSeries(m, expand))
-	fmt.Println()
-
-	spS, baseS := harness.SpeedupSeries(m, shrink)
-	harness.RenderSeries(os.Stdout, "Fig 7/8 top — speedup vs Baseline COLS, shrinking from 160 (x = NT)", spS)
-	harness.RenderSeries(os.Stdout, "Fig 7/8 top reference", []harness.Series{baseS})
-	fmt.Println()
-	spE, baseE := harness.SpeedupSeries(m, expand)
-	harness.RenderSeries(os.Stdout, "Fig 7/8 bottom — speedup vs Baseline COLS, expanding to 160 (x = NS)", spE)
-	harness.RenderSeries(os.Stdout, "Fig 7/8 bottom reference", []harness.Series{baseE})
-
-	bestAll, labelAll := harness.MaxSpeedup(append(spS, spE...))
-	fmt.Printf("\nmax speedup vs Baseline COLS: %.3fx (%s)\n", bestAll, labelAll)
+	if err := harness.WriteFigures(os.Stdout, m); err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {

@@ -1,7 +1,6 @@
 // Command redistsweep reproduces the paper's measurement sweep: every
 // requested (NS, NT) pair under every requested malleability configuration,
-// repeated with distinct seeds, written as CSV for cmd/bestmethod and the
-// figure emitters.
+// repeated with distinct seeds, written as CSV for cmd/figures.
 //
 //	redistsweep -net ethernet -pairs plots -reps 5 -out eth.csv
 //	redistsweep -net infiniband -pairs all -reps 5 -out ib_all.csv

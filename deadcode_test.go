@@ -23,29 +23,21 @@ import (
 // "pkg.Name" for a package-level declaration and "pkg.Type.Method" for a
 // method; pkg is the path below internal/.
 var testOnlyAllowed = map[string]string{
-	"core.DenseItem.SetDistribution": "installs the keep-own remap BenchmarkAblationKeepOwnData measures",
-	"core.WaveValueTag":              "lets harness fault tests aim a drop at one wave segment without copying core's tag layout",
-	"harness.Setup.RunCell":          "one-cell entry point of the root integration tests and per-figure benchmarks",
-	"model":                          "the only closed-form oracle model_test checks the simulator against; rms.PaperCostModel prices shrinks far too low to stand in",
-	"mpi.BlockingWait":               "the wait mode BenchmarkAblationWaitMode compares with polling",
-	"mpi.Ctx.Alltoall":               "the fixed-size size exchange of the paper's Algorithm 2",
-	"netmodel.Fabric.Stats":          "fabric counters the rate-recompute tests assert on",
-	"obs.Snapshot.Counter":           "counter read-back for the obs, harness and workload telemetry tests",
-	"partition.Imbalance":            "the keep-own remap's imbalance BenchmarkAblationKeepOwnData prints",
-	"partition.KeepOwnExpandDist":    "expansion keep-own remap; irregular input for the overlap tests",
-	"partition.KeepOwnShrinkDist":    "shrink keep-own remap BenchmarkAblationKeepOwnData measures",
-	"partition.NewPlan":              "dense block plan: reference for the overlap iterators and the keep-local ablation",
-	"partition.Plan.LocalBytes":      "the elements Merge keeps local, printed by BenchmarkAblationKeepOwnData",
-	"partition.Plan.RecvChunks":      "per-target view of the dense reference plan",
-	"partition.Plan.SendChunks":      "per-source view of the dense reference plan",
-	"partition.Plan.TotalMoved":      "moved elements the keep-own tests compare",
-	"partition.PlanBetween":          "dense reference the sparse overlap iterators are tested against",
-	"sim.Kernel.KillAt":              "kernel-level kill seam of the lifecycle tests",
-	"sim.Kernel.Stats":               "kernel counters the event-order and re-park oracles assert on",
-	"sim.Proc.SleepUntil":            "absolute-time sleep the wake-order tests schedule with",
-	"sim.Proc.Yield":                 "same-instant reschedule the wake-order tests pin",
-	"sparse.CG":                      "sequential reference solver the distributed cg tests compare against",
-	"synthapp.StencilConfig":         "halo-exchange application of BenchmarkStencilApplication",
+	"core.WaveValueTag":         "lets harness fault tests aim a drop at one wave segment without copying core's tag layout",
+	"harness.Setup.RunCell":     "one-cell entry point of the root integration tests and ablation benchmarks",
+	"model":                     "the only closed-form oracle model_test checks the simulator against; rms.PaperCostModel prices shrinks far too low to stand in",
+	"mpi.Ctx.Alltoall":          "the fixed-size size exchange of the paper's Algorithm 2",
+	"netmodel.Fabric.Stats":     "fabric counters the rate-recompute tests assert on",
+	"obs.Snapshot.Counter":      "counter read-back for the obs, harness and workload telemetry tests",
+	"partition.NewPlan":         "dense block plan: the reference the overlap iterators are tested against",
+	"partition.Plan.RecvChunks": "per-target view of the dense reference plan",
+	"partition.Plan.SendChunks": "per-source view of the dense reference plan",
+	"partition.Plan.TotalMoved": "moved elements the plan tests check",
+	"sim.Kernel.KillAt":         "kernel-level kill seam of the lifecycle tests",
+	"sim.Kernel.Stats":          "kernel counters the event-order and re-park oracles assert on",
+	"sim.Proc.SleepUntil":       "absolute-time sleep the wake-order tests schedule with",
+	"sim.Proc.Yield":            "same-instant reschedule the wake-order tests pin",
+	"sparse.CG":                 "sequential reference solver the distributed cg tests compare against",
 }
 
 // testSetAllowed lists the exported struct fields under internal/ that no

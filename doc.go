@@ -8,6 +8,7 @@
 // (NS, NT) reconfiguration pair.
 //
 // See DESIGN.md for the system inventory and per-experiment index,
-// EXPERIMENTS.md for paper-versus-measured results, and bench_test.go for
-// the per-figure regeneration benchmarks.
+// EXPERIMENTS.md for paper-versus-measured results, cmd/figures for the
+// figures rendered from a recorded sweep, and bench_test.go for the
+// ablation benchmarks.
 package repro

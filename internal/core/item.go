@@ -42,22 +42,8 @@ type Item interface {
 	Install(lo, hi int64, p mpi.Payload)
 }
 
-// Distributed is an optional Item capability: items implementing it choose
-// their own partition per part count instead of the default block
-// distribution. This enables weighted (load-balanced) layouts and the §5
-// keep-own-data remapping.
-type Distributed interface {
-	// DistFor returns the distribution of the item's element space over
-	// parts processes. It must be deterministic: every rank derives the
-	// same cuts.
-	DistFor(parts int) partition.Dist
-}
-
-// distFor resolves an item's distribution over parts.
-func distFor(it Item, parts int) partition.Dist {
-	if d, ok := it.(Distributed); ok {
-		return d.DistFor(parts)
-	}
+// distFor is the block distribution of an item's element space over parts.
+func distFor(it Item, parts int) partition.BlockDist {
 	return partition.NewBlockDist(it.Elements(), parts)
 }
 
@@ -73,21 +59,6 @@ type DenseItem struct {
 
 	lo, hi int64
 	data   []byte
-
-	distFn func(parts int) partition.Dist
-}
-
-// SetDistribution overrides the item's default block distribution (for
-// every part count). The caller must register the same distribution on
-// every rank and keep local blocks consistent with it.
-func (d *DenseItem) SetDistribution(fn func(parts int) partition.Dist) { d.distFn = fn }
-
-// DistFor implements Distributed.
-func (d *DenseItem) DistFor(parts int) partition.Dist {
-	if d.distFn != nil {
-		return d.distFn(parts)
-	}
-	return partition.NewBlockDist(d.n, parts)
 }
 
 // NewDenseVirtual creates a dense item carrying only sizes.

@@ -12,14 +12,10 @@ import (
 // TestSparseEnumerationMatchesDensePlan is the core-side half of the
 // sparse-vs-dense equivalence property: the per-rank overlap walks used by
 // the transfer paths (sendChunksFor/recvChunksFor) must reassemble, rank by
-// rank, into exactly the dense global plan — for block items, sparse items,
-// and items with custom (keep-own) distributions alike.
+// rank, into exactly the dense global plan — for dense and sparse items
+// alike.
 func TestSparseEnumerationMatchesDensePlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	keepOwn := NewDenseVirtual("k", 4096, 8, true)
-	keepOwn.SetDistribution(func(parts int) partition.Dist {
-		return partition.KeepOwnShrinkDist(4096, 64, parts)
-	})
 	rowPtr := make([]int64, 1001)
 	for i := range rowPtr[1:] {
 		rowPtr[i+1] = rowPtr[i] + int64(rng.Intn(30))
@@ -27,7 +23,6 @@ func TestSparseEnumerationMatchesDensePlan(t *testing.T) {
 	items := []Item{
 		NewDenseVirtual("d", 100000, 8, true),
 		NewSparseVirtual("s", rowPtr, 12, 4, true),
-		keepOwn,
 	}
 	geoms := [][2]int{{1, 1}, {1, 48}, {48, 1}, {7, 13}, {160, 96}, {64, 64}, {40, 3}}
 	for iter := 0; iter < 40; iter++ {
@@ -36,10 +31,7 @@ func TestSparseEnumerationMatchesDensePlan(t *testing.T) {
 	for _, it := range items {
 		for _, g := range geoms {
 			ns, nt := g[0], g[1]
-			if _, ok := it.(*DenseItem); ok && it.Name() == "k" && nt > 64 {
-				continue // keep-own shrink dist requires nt <= 64
-			}
-			dense := partition.PlanBetween(distFor(it, ns), distFor(it, nt))
+			dense := partition.NewPlan(it.Elements(), ns, nt)
 			var bySend []partition.Chunk
 			for s := 0; s < ns; s++ {
 				bySend = append(bySend, sendChunksFor(it, ns, nt, s)...)

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -170,12 +172,16 @@ type BestMap struct {
 	Winner [][]int
 }
 
+// alpha is the significance level of every statistical test the paper
+// runs (§4.3).
+const alpha = 0.05
+
 // BestMethodMap applies §4.3's selection to every measured pair: the
 // fastest configuration by median wins; configurations statistically
 // indistinguishable from it (Kruskal-Wallis + Conover at alpha) tie, and
 // ties resolve to the configuration appearing most often across all other
 // cells' tie sets, exactly as the paper describes for Figures 6 and 9.
-func BestMethodMap(m Measurements, pairs []Pair, configs []core.Config, metric Metric, alpha float64) BestMap {
+func BestMethodMap(m Measurements, pairs []Pair, configs []core.Config, metric Metric) BestMap {
 	// Axes come from the pairs actually measured (the paper's counts for
 	// full sweeps, smaller sets for partial ones).
 	countSet := map[int]bool{}
@@ -355,7 +361,7 @@ func sortPoints(pts []Point) {
 // Shapiro-Wilk to every cell with enough repetitions and reports the
 // fraction rejecting normality at alpha (the paper's data rejected
 // everywhere, motivating the non-parametric pipeline).
-func ShapiroSummary(m Measurements, metric Metric, alpha float64) (rejected, tested int) {
+func ShapiroSummary(m Measurements, metric Metric) (rejected, tested int) {
 	keys := make([]CellKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -413,39 +419,149 @@ func WriteCSV(w io.Writer, m Measurements) error {
 	return bw.Flush()
 }
 
-// ParseCSV reads measurements written by WriteCSV.
+// ParseCSV reads measurements written by WriteCSV. It rejects what
+// WriteCSV never writes: process counts below 1, configuration columns
+// other than a configuration's own names, negative overlapped iteration
+// counts, times that are negative or not finite, and a rep other than the
+// next one of its cell (each cell's reps count 0, 1, …).
+// Errors name the offending line.
 func ParseCSV(r io.Reader) (Measurements, error) {
-	m := Measurements{}
 	var buf strings.Builder
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) == 0 || lines[0] != CSVHeader {
-		return nil, fmt.Errorf("harness: bad CSV header")
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if lines[0] != CSVHeader {
+		return nil, fmt.Errorf("harness: line 1: bad CSV header")
 	}
-	for _, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != 12 {
-			return nil, fmt.Errorf("harness: bad CSV row %q", line)
+	m := Measurements{}
+	for i, line := range lines[1:] {
+		res, key, rep, err := parseRow(line)
+		if err == nil && rep != len(m[key]) {
+			err = fmt.Errorf("rep %d, want %d: a cell's reps count 0, 1, …", rep, len(m[key]))
 		}
-		var ns, nt, rep, overlapped int
-		var reconfig, total, ib, id, ia float64
-		if _, err := fmt.Sscanf(strings.Join([]string{f[0], f[1], f[5], f[6], f[7], f[8], f[9], f[10], f[11]}, " "),
-			"%d %d %d %g %g %d %g %g %g",
-			&ns, &nt, &rep, &reconfig, &total, &overlapped, &ib, &id, &ia); err != nil {
-			return nil, fmt.Errorf("harness: parsing %q: %w", line, err)
-		}
-		cfg, err := core.ParseConfig(f[2] + " " + f[3] + f[4])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: line %d: %w", i+2, err)
 		}
-		key := CellKey{Pair: Pair{NS: ns, NT: nt}, Config: cfg}
-		m[key] = append(m[key], synthapp.Result{
-			ReconfigStart: 0, ReconfigEnd: reconfig, TotalTime: total,
-			OverlappedIterations: overlapped,
-			IterTimeBefore:       ib, IterTimeDuring: id, IterTimeAfter: ia,
-		})
+		m[key] = append(m[key], res)
 	}
 	return m, nil
+}
+
+// parseRow decodes one CSV row of WriteCSV's layout.
+func parseRow(line string) (synthapp.Result, CellKey, int, error) {
+	var res synthapp.Result
+	f := strings.Split(line, ",")
+	if len(f) != 12 {
+		return res, CellKey{}, 0, fmt.Errorf("bad CSV row %q", line)
+	}
+	var ints [4]int // ns, nt, rep, overlapped
+	for i, col := range [4]int{0, 1, 5, 8} {
+		n, err := strconv.Atoi(f[col])
+		if err != nil {
+			return res, CellKey{}, 0, err
+		}
+		ints[i] = n
+	}
+	ns, nt, rep, overlapped := ints[0], ints[1], ints[2], ints[3]
+	if ns < 1 || nt < 1 {
+		return res, CellKey{}, 0, fmt.Errorf("process counts %d->%d below 1", ns, nt)
+	}
+	if rep < 0 || overlapped < 0 {
+		return res, CellKey{}, 0, fmt.Errorf("negative rep %d or overlapped count %d", rep, overlapped)
+	}
+	var times [5]float64 // reconfig, total, iter_before, iter_during, iter_after
+	for i, col := range [5]int{6, 7, 9, 10, 11} {
+		x, err := strconv.ParseFloat(f[col], 64)
+		if err != nil {
+			return res, CellKey{}, 0, err
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return res, CellKey{}, 0, fmt.Errorf("time %s is not a finite non-negative number", f[col])
+		}
+		times[i] = x
+	}
+	cfg, err := core.ParseConfig(f[2] + " " + f[3] + f[4])
+	if err != nil {
+		return res, CellKey{}, 0, err
+	}
+	if cfg.Spawn.String() != f[2] || cfg.Comm.String() != f[3] || cfg.Overlap.String() != f[4] {
+		return res, CellKey{}, 0, fmt.Errorf("configuration columns %q, want %s,%s,%s",
+			strings.Join(f[2:5], ","), cfg.Spawn, cfg.Comm, cfg.Overlap)
+	}
+	res = synthapp.Result{
+		ReconfigEnd: times[0], TotalTime: times[1],
+		OverlappedIterations: overlapped,
+		IterTimeBefore:       times[2], IterTimeDuring: times[3], IterTimeAfter: times[4],
+	}
+	return res, CellKey{Pair: Pair{NS: ns, NT: nt}, Config: cfg}, rep, nil
+}
+
+// WriteFigures renders the paper's evaluation (§4) from one result set:
+// Figures 2-5 and 7-8 as text tables, then the Figure 6 (reconfiguration
+// time) and Figure 9 (total time) best-method maps over the measured
+// pairs. Figure pairs are numbered 2/3, 4/5 and 7/8 because one result
+// set holds one network.
+func WriteFigures(w io.Writer, m Measurements) error {
+	bw := bufio.NewWriter(w)
+	shrink, expand := From160(), To160()
+
+	RenderSeries(bw, "Fig 2/3 top — synchronous reconfiguration time (s), shrinking from 160 (x = NT)",
+		SyncReconfigSeries(m, shrink))
+	fmt.Fprintln(bw)
+	RenderSeries(bw, "Fig 2/3 bottom — synchronous reconfiguration time (s), expanding to 160 (x = NS)",
+		SyncReconfigSeries(m, expand))
+	fmt.Fprintln(bw)
+	RenderSeries(bw, "Fig 4/5 top — alpha (async/sync reconfiguration), shrinking from 160 (x = NT)",
+		AlphaSeries(m, shrink))
+	fmt.Fprintln(bw)
+	RenderSeries(bw, "Fig 4/5 bottom — alpha (async/sync reconfiguration), expanding to 160 (x = NS)",
+		AlphaSeries(m, expand))
+	fmt.Fprintln(bw)
+
+	spS, baseS := SpeedupSeries(m, shrink)
+	RenderSeries(bw, "Fig 7/8 top — speedup vs Baseline COLS, shrinking from 160 (x = NT)", spS)
+	RenderSeries(bw, "Fig 7/8 top reference", []Series{baseS})
+	fmt.Fprintln(bw)
+	spE, baseE := SpeedupSeries(m, expand)
+	RenderSeries(bw, "Fig 7/8 bottom — speedup vs Baseline COLS, expanding to 160 (x = NS)", spE)
+	RenderSeries(bw, "Fig 7/8 bottom reference", []Series{baseE})
+	best, label := MaxSpeedup(append(spS, spE...))
+	fmt.Fprintf(bw, "\nmax speedup vs Baseline COLS: %.3fx (%s)\n", best, label)
+
+	measured := map[Pair]bool{}
+	for k := range m {
+		measured[k.Pair] = true
+	}
+	var pairs []Pair
+	for _, p := range AllPairs() {
+		if measured[p] {
+			pairs = append(pairs, p)
+		}
+	}
+	for _, fig := range []struct {
+		title  string
+		metric Metric
+	}{
+		{"Fig 6 — best method per (NS, NT), reconfiguration time", ReconfigMetric},
+		{"Fig 9 — best method per (NS, NT), total application time", TotalMetric},
+	} {
+		fmt.Fprintf(bw, "\n== %s ==\n", fig.title)
+		rejected, tested := ShapiroSummary(m, fig.metric)
+		fmt.Fprintf(bw, "Shapiro-Wilk: %d/%d cells reject normality at alpha=%g "+
+			"(the paper's data rejects everywhere; medians + non-parametric tests follow)\n\n",
+			rejected, tested, alpha)
+		bm := BestMethodMap(m, pairs, core.AllConfigs(), fig.metric)
+		bm.Render(bw)
+		fmt.Fprintln(bw, "\ncells won per configuration:")
+		counts := bm.WinnerCounts()
+		for i, cfg := range core.AllConfigs() {
+			if n := counts[cfg.String()]; n > 0 {
+				fmt.Fprintf(bw, "  %2d  %-14s %d\n", i, cfg, n)
+			}
+		}
+		top, n := bm.TopWinner()
+		fmt.Fprintf(bw, "preferred method: %s (%d cells)\n", top, n)
+	}
+	return bw.Flush()
 }

@@ -132,7 +132,7 @@ func TestSweepAndFigures(t *testing.T) {
 	}
 
 	// Best-method map over the measured pairs.
-	bm := BestMethodMap(m, quickPairs(), configs, ReconfigMetric, 0.05)
+	bm := BestMethodMap(m, quickPairs(), configs, ReconfigMetric)
 	cells := 0
 	for i := range bm.Winner {
 		for j := range bm.Winner[i] {
@@ -154,7 +154,7 @@ func TestSweepAndFigures(t *testing.T) {
 	}
 
 	// Normality screening runs.
-	rejected, tested := ShapiroSummary(m, ReconfigMetric, 0.05)
+	rejected, tested := ShapiroSummary(m, ReconfigMetric)
 	if tested == 0 && s.Reps >= 3 {
 		t.Fatal("ShapiroSummary tested nothing")
 	}
@@ -217,6 +217,57 @@ func TestParseCSVRejectsBadInput(t *testing.T) {
 	if _, err := ParseCSV(strings.NewReader(CSVHeader + "\n1,2,3")); err == nil {
 		t.Fatal("short row accepted")
 	}
+	const row = "10,120,Baseline,COL,A,0,6.5,88.7,30,0.11,0.21,0.058"
+	for _, c := range []struct{ name, rows, line string }{
+		{"negative ns", "-5,120,Baseline,COL,A,0,6.5,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"zero nt", "10,0,Baseline,COL,A,0,6.5,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"NaN reconfig", "10,120,Baseline,COL,A,0,NaN,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"infinite total", "10,120,Baseline,COL,A,0,6.5,+Inf,30,0.11,0.21,0.058", "line 2"},
+		{"negative iteration time", "10,120,Baseline,COL,A,0,6.5,88.7,30,-0.11,0.21,0.058", "line 2"},
+		{"negative overlapped", "10,120,Baseline,COL,A,0,6.5,88.7,-30,0.11,0.21,0.058", "line 2"},
+		{"spaced field", "10 120,120,Baseline,COL,A,0,6.5,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"config split across columns", "10,120,merge p2p,,A,0,6.5,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"lower-case config", "10,120,baseline,col,a,0,6.5,88.7,30,0.11,0.21,0.058", "line 2"},
+		{"repeated rep", row + "\n" + row, "line 3"},
+		{"rep gap", strings.Replace(row, ",A,0,", ",A,1,", 1), "line 2"},
+	} {
+		_, err := ParseCSV(strings.NewReader(CSVHeader + "\n" + c.rows + "\n"))
+		if err == nil || !strings.Contains(err.Error(), c.line+":") {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.line)
+		}
+	}
+	m, err := ParseCSV(strings.NewReader(CSVHeader + "\n" + row + "\n" +
+		strings.Replace(row, ",A,0,", ",A,1,", 1) + "\n"))
+	if err != nil || len(m) != 1 {
+		t.Fatalf("consecutive reps rejected: %v", err)
+	}
+}
+
+// FuzzParseCSV checks that ParseCSV never panics on arbitrary input and
+// that whatever it accepts survives WriteCSV and a second ParseCSV: the
+// rewritten text parses, and writes back byte for byte. Its seed corpus
+// (testdata/fuzz/FuzzParseCSV) runs as ordinary test cases.
+func FuzzParseCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := ParseCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCSV(&first, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteCSV output rejected: %v\n%s", err, first.String())
+		}
+		if err := WriteCSV(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the CSV:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
 }
 
 func TestSweepHandlesExtensionConfigs(t *testing.T) {
@@ -290,7 +341,7 @@ func TestShapiroSummarySkipsDegenerateCells(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m[key] = append(m[key], synthapp.Result{ReconfigEnd: 1, TotalTime: 2})
 	}
-	rejected, tested := ShapiroSummary(m, ReconfigMetric, 0.05)
+	rejected, tested := ShapiroSummary(m, ReconfigMetric)
 	if tested != 0 || rejected != 0 {
 		t.Fatalf("degenerate cell tested: %d/%d", rejected, tested)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,9 +53,32 @@ func TestRecordedSweepShapes(t *testing.T) {
 			if best < 1.05 || best > 1.5 {
 				t.Fatalf("recorded max speedup %.3f outside the plausible band", best)
 			}
-			bm := BestMethodMap(m, AllPairs(), core.AllConfigs(), TotalMetric, 0.05)
+			bm := BestMethodMap(m, AllPairs(), core.AllConfigs(), TotalMetric)
 			if _, n := bm.TopWinner(); n < 21 {
 				t.Fatalf("top winner holds only %d of 42 cells", n)
+			}
+		})
+	}
+}
+
+// TestRecordedFiguresMatchText renders each recorded full sweep and
+// compares the text with the committed figures file byte for byte, so
+// the rendered figures cannot drift from the sweeps they come from.
+func TestRecordedFiguresMatchText(t *testing.T) {
+	for _, net := range []string{"eth", "ib"} {
+		t.Run(net, func(t *testing.T) {
+			m := openResults(t, net+"_all.csv")
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", net+"_figures.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := WriteFigures(&got, m); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("rendering %s_all.csv differs from results/%s_figures.txt; "+
+					"regenerate with go run ./cmd/figures -in results/%s_all.csv", net, net, net)
 			}
 		})
 	}

@@ -262,9 +262,7 @@ func TestTestallNonBlocking(t *testing.T) {
 func TestPollingWaitOccupiesCore(t *testing.T) {
 	// One core per node. Rank 0 waits (polling) while rank 1 on the same
 	// node computes: the spinner halves rank 1's speed.
-	opts := defaultTestOptions()
-	opts.WaitMode = PollingWait
-	w := testWorld(t, 2, 1, opts)
+	w := testWorld(t, 2, 1, defaultTestOptions())
 	nodeOf := func(r int) int {
 		if r == 2 {
 			return 1
@@ -289,35 +287,6 @@ func TestPollingWaitOccupiesCore(t *testing.T) {
 	// for 1s → 0.5 work done; remaining 0.5 at rate 1 → finishes at 1.5.
 	if math.Abs(computeDone-1.5) > 1e-6 {
 		t.Fatalf("compute done at %g, want 1.5 under polling contention", computeDone)
-	}
-}
-
-func TestBlockingWaitLeavesCoreFree(t *testing.T) {
-	opts := defaultTestOptions()
-	opts.WaitMode = BlockingWait
-	w := testWorld(t, 2, 1, opts)
-	nodeOf := func(r int) int {
-		if r == 2 {
-			return 1
-		}
-		return 0
-	}
-	var computeDone float64
-	w.Launch(3, nodeOf, func(c *Ctx, comm *Comm) {
-		switch comm.Rank(c) {
-		case 0:
-			c.Recv(comm, 2, 1)
-		case 1:
-			c.Compute(1)
-			computeDone = c.Now()
-		case 2:
-			c.Sleep(1)
-			c.Send(comm, 0, 1, Virtual(8))
-		}
-	})
-	runWorld(t, w)
-	if math.Abs(computeDone-1.0) > 1e-6 {
-		t.Fatalf("compute done at %g, want 1.0 with blocking waits", computeDone)
 	}
 }
 

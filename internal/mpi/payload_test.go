@@ -202,9 +202,3 @@ func TestMaxInFlightPipelinesSends(t *testing.T) {
 		t.Fatalf("pipelined first delivery %g should beat shared %g", firstSerial, firstShared)
 	}
 }
-
-func TestWaitModeString(t *testing.T) {
-	if PollingWait.String() != "polling" || BlockingWait.String() != "blocking" {
-		t.Fatal("WaitMode strings wrong")
-	}
-}

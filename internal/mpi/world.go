@@ -26,25 +26,6 @@ import (
 	"repro/internal/trace"
 )
 
-// WaitMode selects how blocked MPI waits consume CPU.
-type WaitMode int
-
-const (
-	// PollingWait spins on the progress engine, occupying a core for the
-	// whole wait (MPICH's default behaviour, the one the paper discusses).
-	PollingWait WaitMode = iota
-	// BlockingWait sleeps without consuming CPU (the improvement the paper
-	// suggests for auxiliary-thread redistribution).
-	BlockingWait
-)
-
-func (m WaitMode) String() string {
-	if m == PollingWait {
-		return "polling"
-	}
-	return "blocking"
-}
-
 // Options tune the runtime's cost model.
 type Options struct {
 	// EagerThreshold is the message size, in bytes, up to which sends
@@ -53,9 +34,6 @@ type Options struct {
 	// posted, so blocking sends of large messages can deadlock — exactly the
 	// hazard §3.1 of the paper describes for the Merge method.
 	EagerThreshold int64
-
-	// WaitMode selects polling or blocking waits.
-	WaitMode WaitMode
 
 	// CopyRate is the memory bandwidth, bytes/s, one core achieves when
 	// packing or unpacking a message buffer. Each send and receive charges
@@ -80,7 +58,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		EagerThreshold: 64 << 10,
-		WaitMode:       PollingWait,
 		CopyRate:       4e9,
 		SchedQuantum:   10e-3,
 		MaxInFlight:    4,
@@ -575,14 +552,14 @@ func (w *World) Launch(n int, nodeOf func(rank int) int, main func(c *Ctx, comm 
 }
 
 // waitUntilDesc blocks the context until cond holds, waking on the
-// process's progress signal. In polling mode the wait occupies a core.
-// The wait parks through sim.Proc.WaitUntil, so a wake that finds cond
-// still false re-parks inside the kernel without resuming the context;
-// cond must therefore be pure (see sim.Cond). Deadlock reports describe
-// the operation still pending rather than just the progress signal: desc
-// renders it when non-nil, and a nil desc leaves it to cond's String (the
-// condition objects of Wait, Waitall and Waitany). Either is called only
-// when a report is built. Every change to the state it reads (a request
+// process's progress signal. The wait polls, as MPICH's does: it occupies
+// a core until cond holds. It parks through sim.Proc.WaitUntil, so a wake
+// that finds cond still false re-parks inside the kernel without resuming
+// the context; cond must therefore be pure (see sim.Cond). Deadlock
+// reports describe the operation still pending rather than just the
+// progress signal: desc renders it when non-nil, and a nil desc leaves it
+// to cond's String (the condition objects of Wait, Waitall and Waitany).
+// Either is called only when a report is built. Every change to the state it reads (a request
 // completing) is followed by a Broadcast on the progress signal, and a
 // report is built only once every wake has run, so it renders what the
 // last park would have.
@@ -590,17 +567,15 @@ func (c *Ctx) waitUntilDesc(cond sim.Cond, desc func() string) {
 	if cond.Done() {
 		return
 	}
-	if c.proc.w.opts.WaitMode == PollingWait {
-		c.cpu().StartLoad(&c.load)
-		defer c.load.Stop()
-	}
+	c.cpu().StartLoad(&c.load)
+	defer c.load.Stop()
 	c.sp.WaitUntil(c.proc.progress, cond, desc)
 }
 
 // WaitUntil blocks the context until cond holds, waking on the process's
 // progress signal (any message delivery, send completion, or World.WakeAll).
 // A cond that implements fmt.Stringer describes the wait in deadlock
-// reports, formatted only when a report is built. In polling mode the wait
+// reports, formatted only when a report is built. The wait polls, so it
 // occupies a core. cond is tested in scheduler context after each wake, so
 // it must not block or schedule (no sends, no Compute, no Broadcast): it may
 // only read state. A predicate that drives the protocol belongs in
@@ -644,10 +619,8 @@ func (c *Ctx) WaitUntilDeadline(ready sim.Cond, step func() bool, deadline float
 	defer func() { c.dl.ready = nil }()
 	t := w.k.AtHandler(deadline, (*ctxDeadline)(c))
 	defer t.Cancel()
-	if w.opts.WaitMode == PollingWait {
-		c.cpu().StartLoad(&c.load)
-		defer c.load.Stop()
-	}
+	c.cpu().StartLoad(&c.load)
+	defer c.load.Stop()
 	for {
 		if step() {
 			return true

@@ -15,12 +15,12 @@ type FlightRecorder struct {
 	anomalies ring
 }
 
-// Default flight-recorder capacities: enough recent context to see what
-// the run was doing when it died, and room for every fault event of any
-// plausible chaos plan.
+// Flight-recorder capacities: enough recent context to see what the run
+// was doing when it died, and room for every fault event of any plausible
+// chaos plan.
 const (
-	DefaultRecentCap  = 256
-	DefaultAnomalyCap = 64
+	recentCap  = 256
+	anomalyCap = 64
 )
 
 // ring is a fixed-capacity overwrite-oldest event buffer.
@@ -31,9 +31,6 @@ type ring struct {
 }
 
 func (r *ring) push(ev trace.Event) {
-	if len(r.buf) == 0 {
-		return
-	}
 	r.buf[r.next] = ev
 	r.next = (r.next + 1) % len(r.buf)
 	r.total++
@@ -61,15 +58,8 @@ func (r *ring) reset() {
 }
 
 // NewFlightRecorder returns a recorder keeping the recentCap most recent
-// events and the anomalyCap most recent fault events (<= 0 selects the
-// defaults).
-func NewFlightRecorder(recentCap, anomalyCap int) *FlightRecorder {
-	if recentCap <= 0 {
-		recentCap = DefaultRecentCap
-	}
-	if anomalyCap <= 0 {
-		anomalyCap = DefaultAnomalyCap
-	}
+// events and the anomalyCap most recent fault events.
+func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{
 		recent:    ring{buf: make([]trace.Event, recentCap)},
 		anomalies: ring{buf: make([]trace.Event, anomalyCap)},

@@ -68,11 +68,10 @@ type RankTelemetry struct {
 	RecvBytes int64   `json:"recvBytes"`
 }
 
-// NewStream returns an empty streaming sink with the default
-// flight-recorder capacities.
+// NewStream returns an empty streaming sink.
 func NewStream() *Stream {
 	s := &Stream{
-		flight:   NewFlightRecorder(0, 0),
+		flight:   NewFlightRecorder(),
 		hCompute: NewHist(), hBarrier: NewHist(), hColl: NewHist(),
 		hSpawn: NewHist(), hRTT: NewHist(), hBytes: NewHist(),
 		hPhase:   map[string]*Hist{},

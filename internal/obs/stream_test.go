@@ -199,17 +199,17 @@ func TestObserveNamedNMatchesRepeats(t *testing.T) {
 }
 
 func TestFlightRecorderRetention(t *testing.T) {
-	f := NewFlightRecorder(8, 4)
-	for i := 0; i < 100; i++ {
+	f := NewFlightRecorder()
+	for i := 0; i < 2*recentCap; i++ {
 		f.Record(trace.Event{Kind: trace.EvCompute, Rank: i, Start: float64(i), End: float64(i)})
 	}
-	f.Record(trace.Event{Kind: trace.EvFault, Rank: 1, Op: "crash", Start: 100, End: 100})
-	for i := 0; i < 50; i++ {
-		f.Record(trace.Event{Kind: trace.EvCompute, Rank: i, Start: float64(101 + i), End: float64(101 + i)})
+	f.Record(trace.Event{Kind: trace.EvFault, Rank: 1, Op: "crash", Start: 1e6, End: 1e6})
+	for i := 0; i < recentCap; i++ {
+		f.Record(trace.Event{Kind: trace.EvCompute, Rank: i, Start: float64(1e6 + 1 + i), End: float64(1e6 + 1 + i)})
 	}
 	recent := f.Recent()
-	if len(recent) != 8 {
-		t.Fatalf("recent ring holds %d, want 8", len(recent))
+	if len(recent) != recentCap {
+		t.Fatalf("recent ring holds %d, want %d", len(recent), recentCap)
 	}
 	for i := 1; i < len(recent); i++ {
 		if recent[i].Start < recent[i-1].Start {
@@ -222,8 +222,14 @@ func TestFlightRecorderRetention(t *testing.T) {
 	if len(anoms) != 1 || anoms[0].Op != "crash" {
 		t.Fatalf("anomalies = %+v, want the single crash event", anoms)
 	}
-	if events, anomalies := f.recent.total, f.anomalies.total; events != 151 || anomalies != 1 {
-		t.Fatalf("seen = %d/%d, want 151/1", events, anomalies)
+	for i := 0; i < 2*anomalyCap; i++ {
+		f.Record(trace.Event{Kind: trace.EvFault, Op: "drop", Start: float64(2e6 + i), End: float64(2e6 + i)})
+	}
+	if anoms := f.Anomalies(); len(anoms) != anomalyCap || anoms[0].Op != "drop" || anoms[0].Start != 2e6+anomalyCap {
+		t.Fatalf("anomaly ring holds %d events starting %+v, want the last %d drops", len(anoms), anoms[0], anomalyCap)
+	}
+	if events, anomalies := f.recent.total, f.anomalies.total; events != 3*recentCap+1+2*anomalyCap || anomalies != 1+2*anomalyCap {
+		t.Fatalf("seen = %d/%d, want %d/%d", events, anomalies, 3*recentCap+1+2*anomalyCap, 1+2*anomalyCap)
 	}
 }
 

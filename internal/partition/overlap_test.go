@@ -9,10 +9,10 @@ import (
 // bruteOverlaps is the quadratic reference: intersect every (s, t) pair of
 // ranges directly, with no cursor or owner math shared with the code under
 // test.
-func bruteOverlaps(src, dst Dist) []Chunk {
+func bruteOverlaps(src, dst BlockDist) []Chunk {
 	var out []Chunk
-	for s := 0; s < src.NumParts(); s++ {
-		for t := 0; t < dst.NumParts(); t++ {
+	for s := 0; s < src.P; s++ {
+		for t := 0; t < dst.P; t++ {
 			lo := maxI64(src.Lo(s), dst.Lo(t))
 			hi := minI64(src.Hi(s), dst.Hi(t))
 			if lo < hi {
@@ -45,14 +45,14 @@ func filterDst(chunks []Chunk, t int) []Chunk {
 
 // checkOverlapEquivalence asserts that the sparse iterators reproduce the
 // brute-force pair intersection and the dense plan per rank, in order.
-func checkOverlapEquivalence(t *testing.T, src, dst Dist) {
+func checkOverlapEquivalence(t *testing.T, src, dst BlockDist) {
 	t.Helper()
 	brute := bruteOverlaps(src, dst)
-	plan := PlanBetween(src, dst)
+	plan := NewPlan(src.N, src.P, dst.P)
 	if !reflect.DeepEqual(plan.Chunks, brute) {
-		t.Fatalf("PlanBetween disagrees with brute force: %v vs %v", plan.Chunks, brute)
+		t.Fatalf("NewPlan disagrees with brute force: %v vs %v", plan.Chunks, brute)
 	}
-	for s := 0; s < src.NumParts(); s++ {
+	for s := 0; s < src.P; s++ {
 		want := filterSrc(brute, s)
 		if got := SendOverlaps(src, dst, s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("SendOverlaps(s=%d) = %v, want %v", s, got, want)
@@ -61,7 +61,7 @@ func checkOverlapEquivalence(t *testing.T, src, dst Dist) {
 			t.Fatalf("SendOverlaps(s=%d) = %v, dense SendChunks = %v", s, got, want)
 		}
 	}
-	for d := 0; d < dst.NumParts(); d++ {
+	for d := 0; d < dst.P; d++ {
 		want := filterDst(brute, d)
 		if got := RecvOverlaps(src, dst, d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("RecvOverlaps(t=%d) = %v, want %v", d, got, want)
@@ -100,22 +100,8 @@ func TestOverlapsMatchBruteForceAdversarial(t *testing.T) {
 		src := NewBlockDist(c.n, c.ns)
 		dst := NewBlockDist(c.n, c.nt)
 		checkOverlapEquivalence(t, src, dst)
-		// The block-to-block iterators must also agree with NewPlan.
-		plan := NewPlan(c.n, c.ns, c.nt)
-		if !reflect.DeepEqual(plan.Chunks, bruteOverlaps(src, dst)) {
-			t.Fatalf("NewPlan(%d,%d,%d) disagrees with brute force", c.n, c.ns, c.nt)
-		}
 	}
 }
-
-// blindDist hides a distribution's Owner method, forcing ownerOf onto its
-// generic binary-search path.
-type blindDist struct{ d Dist }
-
-func (b blindDist) Elements() int64 { return b.d.Elements() }
-func (b blindDist) NumParts() int   { return b.d.NumParts() }
-func (b blindDist) Lo(r int) int64  { return b.d.Lo(r) }
-func (b blindDist) Hi(r int) int64  { return b.d.Hi(r) }
 
 func TestOverlapsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -123,32 +109,7 @@ func TestOverlapsRandomized(t *testing.T) {
 		n := int64(rng.Intn(2000))
 		ns := 1 + rng.Intn(40)
 		nt := 1 + rng.Intn(40)
-		var src, dst Dist = NewBlockDist(n, ns), NewBlockDist(n, nt)
-		switch iter % 4 {
-		case 1: // irregular source: a keep-own remap from a random block count
-			src = keepOwnDist(n, 1+rng.Intn(40), ns)
-		case 2:
-			dst = keepOwnDist(n, 1+rng.Intn(40), nt)
-		case 3:
-			src, dst = keepOwnDist(n, 1+rng.Intn(40), ns), keepOwnDist(n, 1+rng.Intn(40), nt)
-		}
-		if iter%5 == 0 {
-			src, dst = blindDist{src}, blindDist{dst}
-		}
-		checkOverlapEquivalence(t, src, dst)
-	}
-}
-
-// TestOverlapsKeepOwnDists exercises the §5 keep-own remappings, whose
-// empty tail/split parts stress the cursor walks.
-func TestOverlapsKeepOwnDists(t *testing.T) {
-	for _, c := range []struct {
-		n      int64
-		ns, nt int
-	}{
-		{1000, 16, 7}, {1000, 7, 16}, {64, 64, 3}, {64, 3, 64}, {10, 8, 2},
-	} {
-		checkOverlapEquivalence(t, NewBlockDist(c.n, c.ns), keepOwnDist(c.n, c.ns, c.nt))
+		checkOverlapEquivalence(t, NewBlockDist(n, ns), NewBlockDist(n, nt))
 	}
 }
 

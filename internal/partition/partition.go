@@ -152,18 +152,6 @@ func (p Plan) RecvChunks(t int) []Chunk {
 	return out
 }
 
-// LocalBytes returns the number of elements that stay on a part that is
-// both source s and target s (the Merge method's memcpy share).
-func (p Plan) LocalBytes(part int) int64 {
-	var n int64
-	for _, c := range p.Chunks {
-		if c.Src == part && c.Dst == part {
-			n += c.Count()
-		}
-	}
-	return n
-}
-
 // TotalMoved returns the number of elements crossing between distinct
 // parts (Src != Dst).
 func (p Plan) TotalMoved() int64 {

@@ -198,18 +198,6 @@ func TestPropertyPlanConservation(t *testing.T) {
 	}
 }
 
-func TestLocalBytesOverlap(t *testing.T) {
-	// 100 elements, 4 -> 2: part 0 is source [0,25) and target [0,50):
-	// local share is 25.
-	p := NewPlan(100, 4, 2)
-	if got := p.LocalBytes(0); got != 25 {
-		t.Fatalf("LocalBytes(0) = %d, want 25", got)
-	}
-	if got := p.LocalBytes(1); got != 0 {
-		t.Fatalf("LocalBytes(1) = %d, want 0 (source [25,50) vs target [50,100))", got)
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	d := NewBlockDist(10, 2)
 	for _, fn := range []func(){

@@ -242,20 +242,6 @@ func TestBcastAndBarrierStages(t *testing.T) {
 	}
 }
 
-func TestStencilConfigValid(t *testing.T) {
-	cfg := StencilConfig(0.006, 160, 2<<30)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Data) != 2 || cfg.Data[0].Constant || cfg.Data[1].Constant {
-		t.Fatal("stencil data must be entirely variable")
-	}
-	total, constFrac := cfg.TotalDataBytes()
-	if total != 4<<30 || constFrac != 0 {
-		t.Fatalf("total=%d constFrac=%g, want 4 GiB fully variable", total, constFrac)
-	}
-}
-
 // TestCeilLog2MatchesFloatForm checks the integer ceilLog2 against the
 // float form it replaced, math.Ceil(math.Log2(p)), for every p up to 2^20:
 // the collective stage counts, and so every simulated time, stay the same.

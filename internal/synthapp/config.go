@@ -236,32 +236,6 @@ func CGConfig(iterSeconds float64, procsRef int) *Config {
 	}
 }
 
-// StencilConfig builds a halo-exchange application in the tool's
-// repertoire: per iteration one compute stage, two neighbor exchanges of
-// the halo width, and a convergence Allreduce — the communication profile
-// of examples/heat at cluster scale. All field data is variable (the
-// stencil rewrites it each step), so asynchronous strategies have nothing
-// to overlap: the configuration isolates the spawn-method choice.
-func StencilConfig(iterSeconds float64, procsRef int, gridBytes int64) *Config {
-	return &Config{
-		Name:              "stencil-halo",
-		TotalIterations:   1000,
-		ReconfigIteration: 500,
-		Stages: []Stage{
-			{Type: StageCompute, Work: iterSeconds * float64(procsRef) * 0.9},
-			{Type: StageSendrecv, Bytes: 64 << 10}, // halo width
-			{Type: StageSendrecv, Bytes: 64 << 10},
-			{Type: StageAllreduce, Bytes: 8}, // convergence check
-		},
-		Data: []DataSpec{
-			{Name: "u", Kind: DenseData, Elements: gridBytes / 8, ElemSize: 8},
-			{Name: "unext", Kind: DenseData, Elements: gridBytes / 8, ElemSize: 8},
-		},
-		SampleIterations: 3,
-		CheckpointCost:   120e-6,
-	}
-}
-
 // ScaleConfig builds the extreme-scale fault-campaign application: a
 // deliberately small iteration loop (the cell's cost is the 10k-rank
 // redistribution and its recovery, not the emulated app) over one
